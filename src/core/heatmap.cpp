@@ -21,34 +21,48 @@ Heatmap::Heatmap(int ranks, double bin_seconds)
 void Heatmap::ensure_bins(int bin) {
   if (bin < bins_) return;
   const int new_bins = bin + 1;
-  std::vector<double> weighted(static_cast<std::size_t>(ranks_) * new_bins, 0.0);
-  std::vector<double> weights(static_cast<std::size_t>(ranks_) * new_bins, 0.0);
-  for (int r = 0; r < ranks_; ++r) {
-    for (int b = 0; b < bins_; ++b) {
-      weighted[static_cast<std::size_t>(r) * new_bins + b] =
-          weighted_[static_cast<std::size_t>(r) * bins_ + b];
-      weights[static_cast<std::size_t>(r) * new_bins + b] =
-          weights_[static_cast<std::size_t>(r) * bins_ + b];
+  if (new_bins > stride_) {
+    const int new_stride = std::max(new_bins, 2 * stride_);
+    const std::size_t cells = static_cast<std::size_t>(ranks_) * new_stride;
+    std::vector<double> weighted(cells, 0.0);
+    std::vector<double> weights(cells, 0.0);
+    for (int r = 0; r < ranks_; ++r) {
+      const std::size_t to = static_cast<std::size_t>(r) * new_stride;
+      std::copy_n(weighted_.begin() + index(r, 0), bins_, weighted.begin() + to);
+      std::copy_n(weights_.begin() + index(r, 0), bins_, weights.begin() + to);
     }
+    weighted_ = std::move(weighted);
+    weights_ = std::move(weights);
+    stride_ = new_stride;
   }
-  weighted_ = std::move(weighted);
-  weights_ = std::move(weights);
+  column_stamp_.resize(static_cast<std::size_t>(new_bins), 0);
   bins_ = new_bins;
 }
 
 void Heatmap::deposit(int rank, double start, double end, double perf) {
   VAPRO_CHECK(rank >= 0 && rank < ranks_);
   if (end <= start) return;
-  const int first = static_cast<int>(start / bin_seconds_);
-  const int last = static_cast<int>(end / bin_seconds_);
+  // Bounded so the doubling stride cannot overflow an int; a NaN fails
+  // both comparisons.
+  constexpr double kMaxBins = 1 << 30;
+  const double first_bin = start / bin_seconds_;
+  const double last_bin = end / bin_seconds_;
+  VAPRO_CHECK_MSG(first_bin >= 0.0 && last_bin < kMaxBins,
+                  "fragment time [" << start << ", " << end
+                                    << ") lies outside the heat map");
+  const int first = static_cast<int>(first_bin);
+  const int last = static_cast<int>(last_bin);
   ensure_bins(last);
+  // Readers only ask for the lowest column written (writes()), so the
+  // first one is all this call stamps.
+  column_stamp_[static_cast<std::size_t>(first)] = ++writes_;
   for (int b = first; b <= last; ++b) {
     const double lo = std::max(start, b * bin_seconds_);
     const double hi = std::min(end, (b + 1) * bin_seconds_);
     const double w = hi - lo;
     if (w <= 0.0) continue;
-    weighted_[static_cast<std::size_t>(rank) * bins_ + b] += perf * w;
-    weights_[static_cast<std::size_t>(rank) * bins_ + b] += w;
+    weighted_[index(rank, b)] += perf * w;
+    weights_[index(rank, b)] += w;
   }
 }
 
@@ -57,46 +71,53 @@ void Heatmap::merge(const Heatmap& other) {
   VAPRO_CHECK(other.bin_seconds_ == bin_seconds_);
   if (other.bins_ == 0) return;
   ensure_bins(other.bins_ - 1);
+  column_stamp_[0] = ++writes_;
   for (int r = 0; r < ranks_; ++r) {
     for (int b = 0; b < other.bins_; ++b) {
-      weighted_[static_cast<std::size_t>(r) * bins_ + b] +=
-          other.weighted_[static_cast<std::size_t>(r) * other.bins_ + b];
-      weights_[static_cast<std::size_t>(r) * bins_ + b] +=
-          other.weights_[static_cast<std::size_t>(r) * other.bins_ + b];
+      weighted_[index(r, b)] += other.weighted_[other.index(r, b)];
+      weights_[index(r, b)] += other.weights_[other.index(r, b)];
     }
   }
 }
 
+int Heatmap::first_column_written_after(std::uint64_t writes) const {
+  if (writes >= writes_) return bins_;
+  for (int b = 0; b < bins_; ++b)
+    if (column_stamp_[static_cast<std::size_t>(b)] > writes) return b;
+  return bins_;
+}
+
 bool Heatmap::has_data(int rank, int bin) const {
   if (bin >= bins_) return false;
-  return weights_[static_cast<std::size_t>(rank) * bins_ + bin] > 0.0;
+  return weights_[index(rank, bin)] > 0.0;
 }
 
 double Heatmap::cell(int rank, int bin) const {
   if (!has_data(rank, bin)) return std::numeric_limits<double>::quiet_NaN();
-  const std::size_t i = static_cast<std::size_t>(rank) * bins_ + bin;
+  const std::size_t i = index(rank, bin);
   return weighted_[i] / weights_[i];
 }
 
 double Heatmap::weight(int rank, int bin) const {
   if (bin >= bins_) return 0.0;
-  return weights_[static_cast<std::size_t>(rank) * bins_ + bin];
+  return weights_[index(rank, bin)];
 }
 
 double Heatmap::row_mean(int rank) const {
   double num = 0.0, den = 0.0;
   for (int b = 0; b < bins_; ++b) {
-    const std::size_t i = static_cast<std::size_t>(rank) * bins_ + b;
-    num += weighted_[i];
-    den += weights_[i];
+    num += weighted_[index(rank, b)];
+    den += weights_[index(rank, b)];
   }
   return den > 0.0 ? num / den : std::numeric_limits<double>::quiet_NaN();
 }
 
 double Heatmap::overall_mean() const {
   double num = 0.0, den = 0.0;
-  for (double w : weights_) den += w;
-  for (std::size_t i = 0; i < weighted_.size(); ++i) num += weighted_[i];
+  for (int r = 0; r < ranks_; ++r)
+    for (int b = 0; b < bins_; ++b) den += weights_[index(r, b)];
+  for (int r = 0; r < ranks_; ++r)
+    for (int b = 0; b < bins_; ++b) num += weighted_[index(r, b)];
   return den > 0.0 ? num / den : std::numeric_limits<double>::quiet_NaN();
 }
 
@@ -118,9 +139,8 @@ std::string Heatmap::render_ascii(int max_rows, int max_cols) const {
       double num = 0.0, den = 0.0;
       for (int r = r0; r < std::min(ranks_, r0 + row_step); ++r) {
         for (int b = b0; b < std::min(bins_, b0 + col_step); ++b) {
-          const std::size_t i = static_cast<std::size_t>(r) * bins_ + b;
-          num += weighted_[i];
-          den += weights_[i];
+          num += weighted_[index(r, b)];
+          den += weights_[index(r, b)];
         }
       }
       if (den <= 0.0) {
@@ -207,27 +227,34 @@ std::size_t uf_find(std::vector<std::size_t>& parent, std::size_t x) {
   return x;
 }
 
-}  // namespace
+constexpr double kNoData = std::numeric_limits<double>::infinity();
 
-std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
-                                                  double threshold,
-                                                  util::WorkerPool* pool) {
+// Labels the column suffix [col_lo, bins) of `map` as if it were the whole
+// map: `regions` in canonical order (by first row-major cell, recorded in
+// `first`), and each suffix column's lowest data cell in
+// column_min[0, bins - col_lo).  With col_lo 0 this is the from-scratch
+// pass; RegionCache calls it only at a col_lo no region crosses, so every
+// region it finds is a region of the whole map.
+//
+// The sharded pass splits rows into contiguous rank stripes, one task per
+// stripe; one stripe IS the serial path (same code, no special case).
+// Determinism argument: stripe labeling writes only stripe-local state,
+// the boundary merge and everything after run serially in fixed row-major
+// order, and components are renumbered by first row-major cell — so the
+// output is a pure function of the map, independent of the stripe count
+// and of scheduling.
+void label_suffix(const Heatmap& map, double threshold, int col_lo,
+                  util::WorkerPool* pool, std::vector<VarianceRegion>* regions,
+                  std::vector<std::pair<int, int>>* first, double* column_min) {
   const int ranks = map.ranks();
-  const int bins = map.bins();
-  const std::size_t cells = static_cast<std::size_t>(ranks) * bins;
-  std::vector<VarianceRegion> regions;
-  if (cells == 0) return regions;
-  auto idx = [bins](int r, int b) {
-    return static_cast<std::size_t>(r) * bins + b;
+  const int cols = map.bins() - col_lo;
+  const std::size_t cells = static_cast<std::size_t>(ranks) * cols;
+  regions->clear();
+  first->clear();
+  if (cells == 0) return;
+  auto idx = [cols](int r, int c) {
+    return static_cast<std::size_t>(r) * cols + c;
   };
-
-  // The sharded pass splits rows into contiguous rank stripes, one task
-  // per stripe; one stripe IS the serial path (same code, no special
-  // case).  Determinism argument: stripe labeling writes only stripe-local
-  // state, the boundary merge and everything after run serially in fixed
-  // row-major order, and components are renumbered by first row-major
-  // cell — so the output is a pure function of the map, independent of
-  // the stripe count and of scheduling.
   const int stripes =
       pool && pool->lanes() > 1
           ? static_cast<int>(
@@ -235,20 +262,26 @@ std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
                                       static_cast<std::size_t>(ranks)))
           : 1;
 
-  // Pass 1 (sharded): low-cell mask + stripe-confined component labeling.
+  // Pass 1 (sharded): low-cell mask, per-stripe column minima, and
+  // stripe-confined component labeling.
   std::vector<std::uint8_t> low(cells, 0);
   std::vector<std::int64_t> label(cells, -1);
   std::vector<std::size_t> stripe_labels(static_cast<std::size_t>(stripes), 0);
+  std::vector<double> stripe_min(static_cast<std::size_t>(stripes) * cols,
+                                 kNoData);
   auto run_stripe = [&](std::size_t s) {
     const int row_lo = stripe_begin(ranks, stripes, static_cast<int>(s));
     const int row_hi = stripe_begin(ranks, stripes, static_cast<int>(s) + 1);
+    double* mins = stripe_min.data() + s * cols;
     for (int r = row_lo; r < row_hi; ++r) {
-      for (int b = 0; b < bins; ++b) {
-        const double v = map.cell(r, b);
-        low[idx(r, b)] = !std::isnan(v) && v < threshold ? 1 : 0;
+      for (int c = 0; c < cols; ++c) {
+        const double v = map.cell(r, col_lo + c);
+        if (std::isnan(v)) continue;
+        low[idx(r, c)] = v < threshold ? 1 : 0;
+        if (v < mins[c]) mins[c] = v;
       }
     }
-    stripe_labels[s] = label_stripe(low, bins, row_lo, row_hi, label);
+    stripe_labels[s] = label_stripe(low, cols, row_lo, row_hi, label);
   };
   if (stripes == 1) {
     run_stripe(0);
@@ -261,9 +294,19 @@ std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
       // outside the scratch vectors was touched, so this is equivalent).
       std::fill(low.begin(), low.end(), 0);
       std::fill(label.begin(), label.end(), -1);
+      std::fill(stripe_min.begin(), stripe_min.end(), kNoData);
       for (int s = 0; s < stripes; ++s)
         run_stripe(static_cast<std::size_t>(s));
     }
+  }
+  // Stripes in row order, so a tie keeps the first row's cell, as one
+  // stripe would.
+  for (int c = 0; c < cols; ++c) {
+    double m = kNoData;
+    for (int s = 0; s < stripes; ++s)
+      if (stripe_min[static_cast<std::size_t>(s) * cols + c] < m)
+        m = stripe_min[static_cast<std::size_t>(s) * cols + c];
+    column_min[c] = m;
   }
 
   // Pass 2 (serial): globalize stripe-local labels by prefix offsets.
@@ -271,33 +314,33 @@ std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
   for (int s = 0; s < stripes; ++s)
     offset[s + 1] = offset[s] + stripe_labels[s];
   const std::size_t total_labels = offset[stripes];
-  if (total_labels == 0) return regions;
+  if (total_labels == 0) return;
   for (int s = 1; s < stripes; ++s) {
     const int row_lo = stripe_begin(ranks, stripes, s);
     const int row_hi = stripe_begin(ranks, stripes, s + 1);
     if (offset[s] == 0) continue;
     for (int r = row_lo; r < row_hi; ++r)
-      for (int b = 0; b < bins; ++b)
-        if (label[idx(r, b)] >= 0)
-          label[idx(r, b)] += static_cast<std::int64_t>(offset[s]);
+      for (int c = 0; c < cols; ++c)
+        if (label[idx(r, c)] >= 0)
+          label[idx(r, c)] += static_cast<std::int64_t>(offset[s]);
   }
 
   // Pass 3 (serial): stitch components across stripe boundaries — a low
   // cell vertically adjacent to a low cell in the stripe above joins its
-  // component.  Visited in ascending (stripe, bin) order, but union-find
-  // connectivity is order-independent anyway.
+  // component.  Visited in ascending (stripe, column) order, but
+  // union-find connectivity is order-independent anyway.
   std::vector<std::size_t> parent(total_labels);
   for (std::size_t i = 0; i < total_labels; ++i) parent[i] = i;
   for (int s = 1; s < stripes; ++s) {
     const int r = stripe_begin(ranks, stripes, s);
     if (r == 0 || r >= ranks) continue;  // empty stripe: no boundary
-    for (int b = 0; b < bins; ++b) {
-      if (!low[idx(r, b)] || !low[idx(r - 1, b)]) continue;
+    for (int c = 0; c < cols; ++c) {
+      if (!low[idx(r, c)] || !low[idx(r - 1, c)]) continue;
       const std::size_t a =
-          uf_find(parent, static_cast<std::size_t>(label[idx(r - 1, b)]));
-      const std::size_t c =
-          uf_find(parent, static_cast<std::size_t>(label[idx(r, b)]));
-      if (a != c) parent[c] = a;
+          uf_find(parent, static_cast<std::size_t>(label[idx(r - 1, c)]));
+      const std::size_t b =
+          uf_find(parent, static_cast<std::size_t>(label[idx(r, c)]));
+      if (a != b) parent[b] = a;
     }
   }
 
@@ -318,19 +361,23 @@ std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
   // This order is the SAME for every stripe count — per-stripe partial
   // sums would differ between thread counts in the last bit of a double,
   // which the %.17g equivalence fingerprint would catch.
-  regions.resize(components);
+  regions->resize(components);
+  first->resize(components);
   std::vector<double> perf_weighted(components, 0.0);
   std::vector<double> weight_total(components, 0.0);
   std::vector<std::uint8_t> seen(components, 0);
   for (int r = 0; r < ranks; ++r) {
-    for (int b = 0; b < bins; ++b) {
-      const std::int64_t c = comp[idx(r, b)];
-      if (c < 0) continue;
-      VarianceRegion& region = regions[static_cast<std::size_t>(c)];
-      if (!seen[static_cast<std::size_t>(c)]) {
-        seen[static_cast<std::size_t>(c)] = 1;
+    for (int c = 0; c < cols; ++c) {
+      const std::int64_t id = comp[idx(r, c)];
+      if (id < 0) continue;
+      const std::size_t k = static_cast<std::size_t>(id);
+      const int b = col_lo + c;
+      VarianceRegion& region = (*regions)[k];
+      if (!seen[k]) {
+        seen[k] = 1;
         region.rank_lo = region.rank_hi = r;
         region.bin_lo = region.bin_hi = b;
+        (*first)[k] = {r, b};
       } else {
         region.rank_lo = std::min(region.rank_lo, r);
         region.rank_hi = std::max(region.rank_hi, r);
@@ -340,28 +387,105 @@ std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
       ++region.cells;
       const double perf = map.cell(r, b);
       const double w = map.weight(r, b);
-      perf_weighted[static_cast<std::size_t>(c)] += perf * w;
-      weight_total[static_cast<std::size_t>(c)] += w;
+      perf_weighted[k] += perf * w;
+      weight_total[k] += w;
       region.impact_seconds += (1.0 - perf) * w;
     }
   }
-  for (std::size_t c = 0; c < components; ++c)
-    regions[c].mean_perf =
-        weight_total[c] > 0.0 ? perf_weighted[c] / weight_total[c] : 1.0;
+  for (std::size_t k = 0; k < components; ++k)
+    (*regions)[k].mean_perf =
+        weight_total[k] > 0.0 ? perf_weighted[k] / weight_total[k] : 1.0;
+}
 
-  // Impact order, with the canonical id (== row-major discovery order) as
-  // an explicit tiebreak so equal-impact regions sort deterministically.
-  std::vector<std::size_t> order(components);
-  for (std::size_t c = 0; c < components; ++c) order[c] = c;
+// The reported order: impact descending, ties broken by first row-major
+// cell (the canonical id of a from-scratch pass).
+bool reported_before(const VarianceRegion& a, std::pair<int, int> first_a,
+                     const VarianceRegion& b, std::pair<int, int> first_b) {
+  if (a.impact_seconds != b.impact_seconds)
+    return a.impact_seconds > b.impact_seconds;
+  return first_a < first_b;
+}
+
+}  // namespace
+
+void RegionCache::update(const Heatmap& map, util::WorkerPool* pool) {
+  const int bins = map.bins();
+  // Columns the map grew by since the last update count as written.
+  const int lowest =
+      std::min(map.first_column_written_after(seen_writes_), bins_);
+  // One column below the lowest written one: a region ending there may
+  // now touch a low cell in the written column.
+  int frontier = lowest >= bins ? bins : std::max(0, lowest - 1);
+  // No cached region may straddle the frontier, or the suffix pass would
+  // find only part of it.  Lowering the frontier can make another region
+  // straddle it, so repeat until it stops moving.
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (const VarianceRegion& r : regions_)
+      if (r.bin_hi >= frontier && r.bin_lo < frontier) {
+        frontier = r.bin_lo;
+        moved = true;
+      }
+  }
+
+  column_min_.resize(static_cast<std::size_t>(bins), kNoData);
+  std::vector<VarianceRegion> fresh;
+  std::vector<std::pair<int, int>> fresh_first;
+  label_suffix(map, threshold_, frontier, pool, &fresh, &fresh_first,
+               column_min_.data() + frontier);
+  std::vector<std::size_t> order(fresh.size());
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (regions[a].impact_seconds != regions[b].impact_seconds)
-      return regions[a].impact_seconds > regions[b].impact_seconds;
-    return a < b;
+    return reported_before(fresh[a], fresh_first[a], fresh[b], fresh_first[b]);
   });
-  std::vector<VarianceRegion> sorted;
-  sorted.reserve(components);
-  for (std::size_t c : order) sorted.push_back(regions[c]);
-  return sorted;
+
+  // Merge the re-labeled regions into the kept ones, which are already in
+  // reported order.
+  std::vector<VarianceRegion> regions;
+  std::vector<std::pair<int, int>> first_cell;
+  regions.reserve(regions_.size() + fresh.size());
+  first_cell.reserve(regions_.size() + fresh.size());
+  std::size_t kept = 0;
+  auto skip_relabeled = [&] {
+    while (kept < regions_.size() && regions_[kept].bin_hi >= frontier) ++kept;
+  };
+  auto take_kept = [&] {
+    regions.push_back(regions_[kept]);
+    first_cell.push_back(first_cell_[kept]);
+    ++kept;
+    skip_relabeled();
+  };
+  skip_relabeled();
+  for (std::size_t k : order) {
+    while (kept < regions_.size() &&
+           reported_before(regions_[kept], first_cell_[kept], fresh[k],
+                           fresh_first[k]))
+      take_kept();
+    regions.push_back(fresh[k]);
+    first_cell.push_back(fresh_first[k]);
+  }
+  while (kept < regions_.size()) take_kept();
+  regions_ = std::move(regions);
+  first_cell_ = std::move(first_cell);
+
+  relabeled_ = static_cast<std::size_t>(map.ranks()) * (bins - frontier);
+  seen_writes_ = map.writes();
+  bins_ = bins;
+}
+
+double RegionCache::worst_cell() const {
+  double worst = 1.0;
+  for (double m : column_min_)
+    if (m < worst) worst = m;
+  return worst;
+}
+
+std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
+                                                  double threshold,
+                                                  util::WorkerPool* pool) {
+  RegionCache cache(threshold);
+  cache.update(map, pool);
+  return cache.regions();
 }
 
 }  // namespace vapro::core

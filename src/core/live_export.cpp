@@ -14,22 +14,18 @@ std::string num_text(double v) { return obs::JournalField::num("x", v).json; }
 }  // namespace
 
 DetectionHealth detection_health(const Heatmap* const maps[3],
-                                 const std::vector<VarianceRegion> regions[3],
+                                 const RegionCache* const caches[3],
                                  const CoverageAccumulator& coverage) {
   DetectionHealth h;
-  for (int k = 0; k < 3; ++k) {
-    const Heatmap& map = *maps[k];
-    for (int rank = 0; rank < map.ranks(); ++rank)
-      for (int bin = 0; bin < map.bins(); ++bin)
-        if (map.has_data(rank, bin))
-          h.worst_cell = std::min(h.worst_cell, map.cell(rank, bin));
-  }
   double worst_region_perf = 1.0;
   for (int k = 0; k < 3; ++k) {
-    h.region_count += regions[k].size();
-    for (const VarianceRegion& r : regions[k])
+    h.worst_cell = std::min(h.worst_cell, caches[k]->worst_cell());
+    h.region_count += caches[k]->regions().size();
+    for (const VarianceRegion& r : caches[k]->regions())
       if (r.mean_perf > 0.0)
         worst_region_perf = std::min(worst_region_perf, r.mean_perf);
+    h.relabeled_cells += caches[k]->relabeled_cells();
+    h.heatmap_cells += maps[k]->allocated_cells();
   }
   h.variance_ratio = worst_region_perf > 0.0 ? 1.0 / worst_region_perf : 1.0;
   const double observed = coverage.observed_total();
@@ -44,6 +40,10 @@ void publish_health_gauges(obs::MetricsRegistry& metrics,
       ->set(static_cast<double>(health.region_count));
   metrics.gauge("vapro.detect.coverage")->set(health.coverage);
   metrics.gauge("vapro.detect.variance_ratio")->set(health.variance_ratio);
+  metrics.gauge("vapro.detect.relabeled_cells")
+      ->set(static_cast<double>(health.relabeled_cells));
+  metrics.gauge("vapro.detect.heatmap_cells")
+      ->set(static_cast<double>(health.heatmap_cells));
 }
 
 void journal_window_event(obs::Journal& journal, std::int64_t window,

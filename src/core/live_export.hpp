@@ -31,10 +31,15 @@ struct DetectionHealth {
   std::size_t region_count = 0; // variance regions across all categories
   double coverage = 0.0;        // covered / observed fragment time
   double variance_ratio = 1.0;  // 1 / worst region mean_perf
+  // Cost gauges only, never journaled: how many cells the caches'
+  // last updates re-labeled, and how many cells the maps hold.
+  std::size_t relabeled_cells = 0;
+  std::size_t heatmap_cells = 0;
 };
 
+// Health of the maps as of their caches' last update.
 DetectionHealth detection_health(const Heatmap* const maps[3],
-                                 const std::vector<VarianceRegion> regions[3],
+                                 const RegionCache* const caches[3],
                                  const CoverageAccumulator& coverage);
 
 // Sets the vapro.detect.* gauges from a health summary.

@@ -51,7 +51,10 @@ AnalysisServer::AnalysisServer(int ranks, ServerOptions opts)
       comp_map_(ranks, opts.bin_seconds),
       comm_map_(ranks, opts.bin_seconds),
       io_map_(ranks, opts.bin_seconds),
-      diagnoser_(opts.machine, with_obs(opts.diagnosis, opts.obs)) {
+      diagnoser_(opts.machine, with_obs(opts.diagnosis, opts.obs)),
+      region_caches_{RegionCache(opts.variance_threshold),
+                     RegionCache(opts.variance_threshold),
+                     RegionCache(opts.variance_threshold)} {
   VAPRO_CHECK(ranks > 0);
   VAPRO_CHECK(opts_.pipeline_depth >= 1);
   VAPRO_CHECK(opts_.analysis_threads >= 1);
@@ -500,18 +503,19 @@ void AnalysisServer::publish_detection(const obs::PipelineStats& stats,
                                        util::WorkerPool* pool) {
   obs::ObsContext* obs = opts_.obs;
   const Heatmap* maps[3] = {&comp_map_, &comm_map_, &io_map_};
-  std::vector<VarianceRegion> regions[3];
+  const RegionCache* caches[3];
   for (FragmentKind kind : kAllKinds)
-    regions[static_cast<int>(kind)] = locate_locked(kind, pool);
-  const DetectionHealth health = detection_health(maps, regions, coverage_);
+    caches[static_cast<int>(kind)] = &locate_locked(kind, pool);
+  const DetectionHealth health = detection_health(maps, caches, coverage_);
   publish_health_gauges(obs->metrics(), health);
 
   obs::Journal* journal = obs->journal();
   if (!journal) return;
   const std::int64_t window = static_cast<std::int64_t>(stats.window);
   for (FragmentKind kind : kAllKinds)
-    region_journal_.emit(*journal, kind, regions[static_cast<int>(kind)],
-                         window, stats.virtual_time, opts_.bin_seconds,
+    region_journal_.emit(*journal, kind,
+                         caches[static_cast<int>(kind)]->regions(), window,
+                         stats.virtual_time, opts_.bin_seconds,
                          /*final_snapshot=*/false);
   journal_window_event(
       *journal, window, stats.virtual_time, health,
@@ -536,8 +540,9 @@ void AnalysisServer::journal_detection_snapshot() const {
   const std::int64_t window =
       windows_ ? static_cast<std::int64_t>(windows_) - 1 : -1;
   for (FragmentKind kind : kAllKinds)
-    region_journal_.emit(*journal, kind, locate_locked(kind, workers_.get()),
-                         window, last_virtual_time_, opts_.bin_seconds,
+    region_journal_.emit(*journal, kind,
+                         locate_locked(kind, workers_.get()).regions(), window,
+                         last_virtual_time_, opts_.bin_seconds,
                          /*final_snapshot=*/true);
   // Terminal critical-path verdict: one event carrying the per-stage
   // totals, so the replay can cross-check its fold of the per-window
@@ -569,7 +574,8 @@ std::string AnalysisServer::render_variance_json() const {
   std::lock_guard<std::mutex> lock(live_mu_);
   std::vector<VarianceRegion> regions[3];
   for (FragmentKind kind : kAllKinds)
-    regions[static_cast<int>(kind)] = locate_locked(kind, workers_.get());
+    regions[static_cast<int>(kind)] =
+        locate_locked(kind, workers_.get()).regions();
   return core::render_variance_json(regions, windows_, last_virtual_time_,
                                     opts_.bin_seconds,
                                     opts_.variance_threshold);
@@ -580,20 +586,15 @@ std::vector<VarianceRegion> AnalysisServer::locate(FragmentKind kind) const {
   // concurrent scrape or (in a group) sibling publish sees whole windows.
   sync();
   std::lock_guard<std::mutex> lock(live_mu_);
-  return locate_locked(kind, workers_.get());
+  return locate_locked(kind, workers_.get()).regions();
 }
 
-std::vector<VarianceRegion> AnalysisServer::locate_locked(
-    FragmentKind kind, util::WorkerPool* pool) const {
-  switch (kind) {
-    case FragmentKind::kComputation:
-      return find_variance_regions(comp_map_, opts_.variance_threshold, pool);
-    case FragmentKind::kCommunication:
-      return find_variance_regions(comm_map_, opts_.variance_threshold, pool);
-    case FragmentKind::kIo:
-      return find_variance_regions(io_map_, opts_.variance_threshold, pool);
-  }
-  return {};
+const RegionCache& AnalysisServer::locate_locked(FragmentKind kind,
+                                                 util::WorkerPool* pool) const {
+  const Heatmap* maps[3] = {&comp_map_, &comm_map_, &io_map_};
+  const int k = static_cast<int>(kind);
+  region_caches_[k].update(*maps[k], pool);
+  return region_caches_[k];
 }
 
 stats::VMeasure AnalysisServer::clustering_quality() const {

@@ -239,10 +239,11 @@ class AnalysisServer {
   // window).
   void publish_detection(const obs::PipelineStats& stats,
                          util::WorkerPool* pool);
-  // locate() for callers already holding live_mu_ (live_mu_ also
-  // serializes pool use, honoring the pool's single-coordinator contract).
-  std::vector<VarianceRegion> locate_locked(FragmentKind kind,
-                                            util::WorkerPool* pool) const;
+  // Brings `kind`'s region cache up to date with its map, for callers
+  // already holding live_mu_ (live_mu_ also serializes pool use, honoring
+  // the pool's single-coordinator contract).
+  const RegionCache& locate_locked(FragmentKind kind,
+                                   util::WorkerPool* pool) const;
   // vapro.pipeline.* gauges (queue depth, stall time, occupancy).
   void publish_pipeline_gauges() const;
   ServerOptions opts_;
@@ -285,6 +286,9 @@ class AnalysisServer {
   // Serializes process_window against concurrent /v1 scrapes; route
   // handlers and journal_detection_snapshot take it too.
   mutable std::mutex live_mu_;
+  // Per-map variance regions, indexed by FragmentKind and guarded by
+  // live_mu_: each window re-labels only the columns it can have changed.
+  mutable RegionCache region_caches_[3];
   std::vector<std::string> live_routes_;
   double last_virtual_time_ = 0.0;
   mutable RegionJournal region_journal_;

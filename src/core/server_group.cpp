@@ -158,18 +158,26 @@ void ServerGroup::publish_detection(std::int64_t window, double virtual_time,
   Heatmap comm = merged_map(FragmentKind::kCommunication);
   Heatmap io = merged_map(FragmentKind::kIo);
   const Heatmap* maps[3] = {&comp, &comm, &io};
-  std::vector<VarianceRegion> regions[3];
-  for (int k = 0; k < 3; ++k)
-    regions[k] = find_variance_regions(*maps[k], variance_threshold_);
+  // The merged maps are rebuilt every window, so their caches are too:
+  // each update is a from-scratch pass.
+  RegionCache caches[3] = {RegionCache(variance_threshold_),
+                           RegionCache(variance_threshold_),
+                           RegionCache(variance_threshold_)};
+  const RegionCache* updated[3];
+  for (int k = 0; k < 3; ++k) {
+    caches[k].update(*maps[k]);
+    updated[k] = &caches[k];
+  }
   const CoverageAccumulator cov = merged_coverage();
-  const DetectionHealth health = detection_health(maps, regions, cov);
+  const DetectionHealth health = detection_health(maps, updated, cov);
   publish_health_gauges(obs_->metrics(), health);
 
   obs::Journal* journal = obs_->journal();
   if (!journal) return;
   for (FragmentKind kind : kAllKinds)
-    region_journal_.emit(*journal, kind, regions[static_cast<int>(kind)],
-                         window, virtual_time, bin_seconds_,
+    region_journal_.emit(*journal, kind,
+                         caches[static_cast<int>(kind)].regions(), window,
+                         virtual_time, bin_seconds_,
                          /*final_snapshot=*/false);
   journal_window_event(
       *journal, window, virtual_time, health,

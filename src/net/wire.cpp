@@ -1,5 +1,6 @@
 #include "src/net/wire.hpp"
 
+#include <cmath>
 #include <cstring>
 
 #include "src/util/crc32.hpp"
@@ -309,6 +310,11 @@ bool decode_batch(const std::string& payload, core::FragmentBatch* out,
     f.to = c.u64();
     f.start_time = c.f64();
     f.end_time = c.f64();
+    // Times index heat-map bins: a NaN, infinite or negative time would
+    // land outside the map.
+    if (!(std::isfinite(f.start_time) && std::isfinite(f.end_time) &&
+          f.start_time >= 0.0 && f.end_time >= 0.0))
+      return fail(error, "malformed batch payload (fragment time)");
     const std::uint8_t active = c.u8();
     if (active > pmu::kCounterCount)
       return fail(error, "malformed batch payload (counter count)");

@@ -360,6 +360,44 @@ TEST(Heatmap, RowMeanIgnoresEmptyBins) {
   EXPECT_NEAR(map.row_mean(0), 0.7, 1e-12);
 }
 
+TEST(Heatmap, GrowingKeepsEveryCellAndAtMostDoublesMemory) {
+  Heatmap map(3, 0.1);
+  for (int bin = 0; bin < 100; ++bin) {
+    map.deposit(bin % 3, bin * 0.1, bin * 0.1 + 0.05, 0.01 * bin);
+    EXPECT_EQ(map.bins(), bin + 1);
+    EXPECT_LT(map.allocated_cells(), 2u * 3u * (bin + 1));
+  }
+  for (int bin = 0; bin < 100; ++bin)
+    for (int rank = 0; rank < 3; ++rank)
+      if (rank == bin % 3)
+        EXPECT_NEAR(map.cell(rank, bin), 0.01 * bin, 1e-12);
+      else
+        EXPECT_FALSE(map.has_data(rank, bin));
+}
+
+TEST(Heatmap, WriteStampsNameTheLowestColumnWritten) {
+  Heatmap map(2, 1.0);
+  EXPECT_EQ(map.first_column_written_after(0), 0);  // empty map
+  map.deposit(0, 0.0, 6.0, 1.0);
+  const std::uint64_t seen = map.writes();
+  EXPECT_EQ(map.first_column_written_after(seen), map.bins());
+  map.deposit(1, 3.5, 4.5, 1.0);
+  map.deposit(1, 5.0, 5.5, 1.0);
+  EXPECT_EQ(map.first_column_written_after(seen), 3);
+  EXPECT_EQ(map.first_column_written_after(seen + 1), 5);
+}
+
+// Regression: a start below 0 indexed before the row, and a NaN start
+// made the bin cast undefined.
+TEST(Heatmap, DepositRejectsTimesOutsideTheMap) {
+  EXPECT_DEATH(Heatmap(2, 0.05).deposit(0, -0.3, 0.1, 0.5),
+               "outside the heat map");
+  EXPECT_DEATH(Heatmap(2, 0.05).deposit(0, std::nan(""), 0.1, 0.5),
+               "outside the heat map");
+  EXPECT_DEATH(Heatmap(2, 0.05).deposit(0, 0.1, INFINITY, 0.5),
+               "outside the heat map");
+}
+
 TEST(Heatmap, AsciiAndCsvRender) {
   Heatmap map(4, 0.5);
   map.deposit(1, 0.0, 2.0, 0.2);

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -300,6 +301,31 @@ TEST(Wire, CorruptedBatchPayloadFailsDecode) {
   std::string error;
   EXPECT_FALSE(net::decode_batch(payload, &decoded, &drain, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// Regression: fragment times were copied from the wire unchecked, and a
+// negative start then indexed before the heat map's row.
+TEST(Wire, NegativeOrNonFiniteFragmentTimeFailsDecode) {
+  const double bad_times[][2] = {
+      {-0.3, 0.1},
+      {0.1, -0.2},
+      {std::numeric_limits<double>::quiet_NaN(), 0.1},
+      {0.1, std::numeric_limits<double>::infinity()},
+      {-std::numeric_limits<double>::infinity(), 0.1}};
+  for (const auto& times : bad_times) {
+    core::FragmentBatch batch = make_batch(2, 3, 1);
+    core::Fragment f = batch.fragments.materialize(1);
+    f.start_time = times[0];
+    f.end_time = times[1];
+    batch.fragments.set(1, f);
+    core::FragmentBatch decoded;
+    double drain = 0.0;
+    std::string error;
+    EXPECT_FALSE(net::decode_batch(net::encode_batch(batch, 0.0), &decoded,
+                                   &drain, &error))
+        << times[0] << ", " << times[1];
+    EXPECT_EQ(error, "malformed batch payload (fragment time)");
+  }
 }
 
 // --- TenantSession admission gates (manual pump) ---------------------------

@@ -8,6 +8,8 @@
 //     seed stability across recurring windows, invalidation;
 //   * sharded clustering & region growing — lane-count invariance,
 //     permutation stability, seed-cache equivalence under shards;
+//   * RegionCache — incremental regions equal a from-scratch pass after
+//     every update, with and without a pool;
 //   * AnalysisServer — byte-identical detection state at any pipeline
 //     depth/thread/cache combination (the property tool_vapro_stress
 //     --equivalence fuzzes at scale).
@@ -713,6 +715,120 @@ TEST(ShardedRegions, StripeCountInvarianceOnBoundaryCrossingRegions) {
           << lanes << "/" << i;
     }
   }
+}
+
+// --- Incremental region growing ------------------------------------------
+
+double worst_cell_full_scan(const core::Heatmap& map) {
+  double worst = 1.0;
+  for (int r = 0; r < map.ranks(); ++r)
+    for (int b = 0; b < map.bins(); ++b)
+      if (map.has_data(r, b)) worst = std::min(worst, map.cell(r, b));
+  return worst;
+}
+
+// Random windows of deposits, a RegionCache updated after some of them,
+// and a from-scratch find_variance_regions after every update.  Slow
+// blocks span several windows and rank ranges, so regions straddle the
+// frontier and chain into one another; back-dated deposits re-open
+// frozen columns, long fragments write ahead of the frontier, and skipped
+// updates leave several windows of writes between two updates.
+TEST(RegionCache, MatchesFromScratchRegionsAfterEveryUpdate) {
+  constexpr double kWindow = 0.25, kBin = 0.05;
+  std::size_t checks = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    for (const bool pooled : {false, true}) {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
+      auto uniform = [&rng](double lo, double hi) {
+        return lo + (hi - lo) * std::uniform_real_distribution<double>()(rng);
+      };
+      auto chance = [&](double p) { return uniform(0.0, 1.0) < p; };
+      const int ranks = 1 + static_cast<int>(rng() % 12);
+      const int windows = 40 + static_cast<int>(rng() % 10);
+      struct Block {
+        int rank_lo, rank_hi, window_lo, window_hi;
+      };
+      std::vector<Block> blocks;
+      for (int i = 0; i < 4; ++i) {
+        const int r = static_cast<int>(rng() % ranks);
+        const int w = static_cast<int>(rng() % windows);
+        blocks.push_back({r, std::min(ranks - 1, r + static_cast<int>(rng() % 3)),
+                          w, w + 1 + static_cast<int>(rng() % 6)});
+      }
+      auto perf_at = [&](int rank, int window) {
+        for (const Block& b : blocks)
+          if (rank >= b.rank_lo && rank <= b.rank_hi && window >= b.window_lo &&
+              window <= b.window_hi)
+            return uniform(0.3, 0.8);
+        return chance(0.03) ? uniform(0.5, 0.84) : uniform(0.86, 1.0);
+      };
+
+      core::Heatmap map(ranks, kBin);
+      core::RegionCache cache(0.85);
+      util::WorkerPool pool(3);
+      for (int w = 0; w < windows; ++w) {
+        for (int rank = 0; rank < ranks; ++rank) {
+          for (double t = w * kWindow; t < (w + 1) * kWindow;) {
+            const double dur =
+                chance(0.03) ? uniform(0.3, 1.0) : uniform(0.01, 0.04);
+            map.deposit(rank, t, t + dur, perf_at(rank, w));
+            t += std::min(dur, 0.04);
+          }
+        }
+        if (w > 1 && chance(0.2)) {
+          const int rank = static_cast<int>(rng() % ranks);
+          const double start = uniform(0.0, (w - 1) * kWindow);
+          map.deposit(rank, start, start + uniform(0.01, 0.2),
+                      chance(0.5) ? uniform(0.1, 0.5) : uniform(1.0, 2.0));
+        }
+        if (w + 1 < windows && chance(0.4)) continue;  // skipped update
+
+        cache.update(map, pooled ? &pool : nullptr);
+        const std::vector<core::VarianceRegion> want =
+            core::find_variance_regions(map, 0.85);
+        const std::vector<core::VarianceRegion>& got = cache.regions();
+        const std::string where = "seed " + std::to_string(seed) + " window " +
+                                  std::to_string(w) +
+                                  (pooled ? " pooled" : " serial");
+        ASSERT_EQ(got.size(), want.size()) << where;
+        for (std::size_t i = 0; i < want.size(); ++i)
+          ASSERT_TRUE(got[i] == want[i]) << where << " region " << i;
+        ASSERT_EQ(cache.worst_cell(), worst_cell_full_scan(map)) << where;
+        ++checks;
+      }
+    }
+  }
+  EXPECT_GT(checks, 1500u);
+}
+
+TEST(RegionCache, RelabelsOnlyTheSuffixAWriteCanHaveChanged) {
+  core::Heatmap map(4, 0.1);
+  for (int rank = 0; rank < 4; ++rank) map.deposit(rank, 0.0, 0.95, 1.0);
+  map.deposit(2, 0.2, 0.5, 0.4);  // rank 2, columns 2..4 fall to 0.7
+  core::RegionCache cache;
+  cache.update(map);
+  EXPECT_EQ(cache.relabeled_cells(), 4u * 10u);  // first update: every cell
+  ASSERT_EQ(cache.regions().size(), 1u);
+  EXPECT_EQ(cache.worst_cell(), 0.7);
+
+  cache.update(map);  // nothing written since
+  EXPECT_EQ(cache.relabeled_cells(), 0u);
+
+  // A write in new column 15 re-labels from one column below the old
+  // end, columns 9..15; the region behind it is kept.
+  map.deposit(0, 1.5, 1.55, 1.0);
+  cache.update(map);
+  EXPECT_EQ(cache.relabeled_cells(), 4u * 7u);
+  ASSERT_EQ(cache.regions().size(), 1u);
+
+  // A back-dated write into column 4 puts the frontier at column 3, inside
+  // the region, so it moves on down to the region's first column.
+  map.deposit(3, 0.45, 0.48, 1.0);
+  cache.update(map);
+  EXPECT_EQ(cache.relabeled_cells(), 4u * 14u);
+  ASSERT_EQ(cache.regions().size(), 1u);
+  EXPECT_EQ(cache.regions()[0].bin_lo, 2);
+  EXPECT_EQ(cache.regions()[0].bin_hi, 4);
 }
 
 // --- Pipelined server equivalence ----------------------------------------

@@ -1,7 +1,13 @@
 // Direct AnalysisServer tests: knob behaviour that the end-to-end suites
 // don't isolate — rare-report thresholds/limits, window bookkeeping,
-// variance-threshold plumbing, and eval-pair recording rules.
+// variance-threshold plumbing, eval-pair recording rules — and the soak
+// gate on per-window region-growing cost.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "src/core/server.hpp"
 
@@ -150,6 +156,81 @@ TEST(Server, CountersNeededStartAtStageOne) {
   auto counters = server.counters_needed();
   EXPECT_FALSE(counters.empty());
   EXPECT_LE(counters.size(), 4u);
+}
+
+// One 0.25 s window of a steady loop: every rank runs the same four
+// (computation, allreduce) steps, so every cell normalizes to 1.0 except
+// where `slow` stretches the computation 1.5x.
+FragmentBatch soak_window(int ranks, int window, bool slow_window,
+                          int slow_lo, int slow_hi) {
+  FragmentBatch batch;
+  std::vector<StateKey> keys;
+  for (int s = 0; s < 4; ++s) {
+    sim::InvocationInfo info = call_info(0, static_cast<sim::CallSiteId>(20 + s));
+    info.kind = sim::OpKind::kAllreduce;
+    keys.push_back(make_state_key(StgMode::kContextFree, info));
+    batch.new_states.push_back(info);
+  }
+  for (int rank = 0; rank < ranks; ++rank) {
+    const bool slow = slow_window && rank >= slow_lo && rank <= slow_hi;
+    StateKey prev = kStartState;
+    double t = window * 0.25;
+    for (int s = 0; s < 4; ++s) {
+      batch.fragments.push_back(
+          comp(rank, prev, keys[static_cast<std::size_t>(s)], t,
+               slow ? 0.06 : 0.04, 1e6 * (1 + s)));
+      t += slow ? 0.06 : 0.04;
+      Fragment inv;
+      inv.kind = FragmentKind::kCommunication;
+      inv.op = sim::OpKind::kAllreduce;
+      inv.rank = rank;
+      inv.from = inv.to = keys[static_cast<std::size_t>(s)];
+      inv.start_time = t;
+      inv.end_time = t + 0.015;
+      inv.args.bytes = 4096.0 * (1 + s);
+      batch.fragments.push_back(inv);
+      t += 0.015;
+      prev = keys[static_cast<std::size_t>(s)];
+    }
+  }
+  return batch;
+}
+
+// The long-run gate as exact counts: once the injected block closes, a
+// window re-labels no more heat-map cells than an early one did, and the
+// maps hold under twice the cells they use.
+TEST(Server, SoakKeepsPerWindowRegionCostFlat) {
+  constexpr int kRanks = 32, kWindows = 800;
+  obs::ObsContext ctx;
+  const char* dir = std::getenv("TEST_TMPDIR");
+  const std::string journal =
+      std::string(dir ? dir : "/tmp") + "/vapro_server_soak.jsonl";
+  ASSERT_TRUE(ctx.attach_journal_file(journal));
+  ServerOptions opts = quiet_options();
+  opts.bin_seconds = 0.05;
+  opts.obs = &ctx;
+  AnalysisServer server(kRanks, opts);
+  const obs::Gauge* relabeled =
+      ctx.metrics().gauge("vapro.detect.relabeled_cells");
+  double relabeled_at_100 = 0.0;
+  for (int w = 0; w < kWindows; ++w) {
+    server.process_window(
+        soak_window(kRanks, w, /*slow_window=*/w >= 300 && w < 340, 8, 15));
+    if (w == 100) relabeled_at_100 = relabeled->value();
+  }
+  EXPECT_GT(relabeled_at_100, 0.0);
+  EXPECT_LE(relabeled->value(), 2.0 * relabeled_at_100);
+
+  const int bins = server.computation_map().bins();
+  EXPECT_GE(bins, kWindows * 5);
+  EXPECT_LE(ctx.metrics().gauge("vapro.detect.heatmap_cells")->value(),
+            2.0 * kRanks * bins * 3);
+  const std::vector<VarianceRegion> regions =
+      server.locate(FragmentKind::kComputation);
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].rank_lo, 8);
+  EXPECT_EQ(regions[0].rank_hi, 15);
+  std::remove(journal.c_str());
 }
 
 }  // namespace

@@ -12,6 +12,9 @@
 //     journal snapshot;
 //   * replay-vs-live equality: the region tables reconstructed from the
 //     journal render byte-identically to the live server's;
+//   * cached-vs-fresh equality: every AnalysisServer's locate(), answered
+//     from its incremental region caches, equals find_variance_regions
+//     recomputed on its final maps (each leaf of a group);
 //   * no alert double-fire: replaying the journal through a fresh
 //     AlertEngine fires exactly as often as the live engine did.
 //
@@ -359,6 +362,21 @@ std::string rare_findings_fingerprint(
   return oss.str();
 }
 
+// A server's locate() answers from its incrementally updated region
+// caches; it must equal a from-scratch pass over the same final map,
+// field for field, in every category.
+bool cached_regions_match(const core::AnalysisServer& server,
+                          double threshold) {
+  const core::Heatmap* maps[3] = {&server.computation_map(),
+                                  &server.communication_map(),
+                                  &server.io_map()};
+  for (int k = 0; k < 3; ++k)
+    if (server.locate(kKinds[k]) !=
+        core::find_variance_regions(*maps[k], threshold))
+      return false;
+  return true;
+}
+
 RoundResult run_round(int round, std::uint64_t seed,
                       const std::string& scratch, bool verbose,
                       const PipeCfg& cfg, const std::string& tag,
@@ -492,6 +510,15 @@ RoundResult run_round(int round, std::uint64_t seed,
   else
     server->journal_detection_snapshot();
   ctx.journal()->flush();
+  if (group) {
+    for (int i = 0; i < group->servers(); ++i)
+      rr.check(cached_regions_match(group->leaf(i), opts.variance_threshold),
+               "leaf " + std::to_string(i) +
+                   ": cached regions differ from a from-scratch pass");
+  } else {
+    rr.check(cached_regions_match(*server, opts.variance_threshold),
+             "cached regions differ from a from-scratch pass");
+  }
 
   obs::JournalReadOptions ropts;
   ropts.recover_truncated_tail = true;
