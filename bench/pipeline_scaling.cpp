@@ -52,16 +52,6 @@ constexpr int kReps = 24;
 constexpr int kWindows = 10;
 constexpr double kWindowSeconds = 0.25;
 
-// Serial (1 thread, depth 1) windows/sec median measured on the reference
-// machine immediately BEFORE the SoA fragment-columns layout landed, same
-// workload constants as above.  The emitted `soa_speedup` series is this
-// run's t1/d1 median over that figure: the layout change must pay for
-// itself before any threading, per the SoA PR's acceptance bar.  The
-// ratio is informational by default (cross-machine medians are not
-// comparable); --gate-soa turns it into a hard >= 1.0 bar for same-machine
-// A/B runs.
-constexpr double kPreSoaT1Median = 23.878522049766335;
-
 // One window of synthetic client data (the vapro_stress generator shape,
 // chaos-free): per rank, `kReps` loops over the site ring, an edge
 // fragment before each invocation and a vertex fragment for it.  Built on
@@ -325,26 +315,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // SoA layout dividend: serial throughput against the committed pre-SoA
-  // reference median.  Recorded as a series so the JSON schema stays
-  // uniform (reps/median/p95 per series).
-  const double soa_speedup = serial / kPreSoaT1Median;
-  json.record("soa_speedup", std::vector<double>{soa_speedup});
-  std::cout << "\nSoA layout: t1/d1 " << util::fmt(serial, 2)
-            << " windows/sec vs pre-SoA reference " << util::fmt(kPreSoaT1Median, 2)
-            << " = " << util::fmt(soa_speedup, 2) << "x (informational unless --gate-soa)\n";
-
   const double target = bench::percentile(grid.back().wps, 0.5) / serial;
   std::cout << "4 threads + depth 2: " << util::fmt(target, 2)
             << "x serial (bar: >= 2x)\n";
   if (!json.write()) return 1;
-  bool gate_soa = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--gate-soa") gate_soa = true;
-  if (gate_soa && soa_speedup < 1.0) {
-    std::cout << "WARNING: SoA serial throughput below the pre-SoA reference\n";
-    return 1;
-  }
   // The bar measures parallel speedup, so it needs parallel hardware: the
   // worker thread + the producer + >= 2 effective clustering threads — and
   // PHYSICAL cores at that, since SMT siblings share execution units and

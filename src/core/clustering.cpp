@@ -15,26 +15,6 @@ std::size_t ClusteringResult::rare_count() const {
   return n;
 }
 
-std::vector<ClusterSeedCache::Entry*> ClusterSeedCache::prepare(
-    const std::vector<std::uint64_t>& keys) {
-  std::vector<Entry*> out;
-  out.reserve(keys.size());
-  for (std::uint64_t key : keys) out.push_back(&cache_[key]);
-  return out;
-}
-
-void ClusterSeedCache::invalidate() {
-  cache_.clear();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++invalidations_;
-}
-
-void ClusterSeedCache::record(std::uint64_t hits, std::uint64_t misses) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  seed_hits_ += hits;
-  seed_misses_ += misses;
-}
-
 namespace {
 
 // One row of the norm-sorted sweep.  The workload dims themselves live in
@@ -79,12 +59,6 @@ double row_distance(const double* a, const double* b, std::size_t n) {
   return std::sqrt(s);
 }
 
-double seed_to_row_distance(const WorkloadVector& seed, const double* row,
-                            std::size_t n) {
-  VAPRO_DCHECK(seed.dims.size() == n);
-  return row_distance(seed.dims.data(), row, n);
-}
-
 // Builds the norm-sorted entry block Algorithm 1 sweeps over.  The sort
 // comparator looks only at norms, exactly like the AoS version did, so
 // std::sort — whose control flow is a pure function of the comparator
@@ -112,19 +86,17 @@ EntryBlock make_entries(const Stg& stg, const std::vector<std::size_t>& indices,
   return blk;
 }
 
-// Absolute radius: relative threshold of the seed norm, with a floor so
-// zero-norm seeds (e.g. empty transitions) still form a cluster.
-double seed_radius(double norm, const ClusterOptions& opts) {
-  return std::max(norm * opts.threshold, 1e-12);
-}
+}  // namespace
 
-// The fresh seeding sweep: every unused entry in norm order seeds a
-// cluster that absorbs later unused entries within its radius.  Appends to
-// `out`; marks consumed entries in `used`.
-void sweep_fresh(const EntryBlock& blk, std::vector<bool>& used,
-                 FragmentView first, const ClusterOptions& opts,
-                 std::vector<Cluster>& out) {
+std::vector<Cluster> cluster_fragments(const Stg& stg,
+                                       const std::vector<std::size_t>& indices,
+                                       const ClusterOptions& opts) {
+  std::vector<Cluster> out;
+  if (indices.empty()) return out;
+  const EntryBlock blk = make_entries(stg, indices, opts);
   const std::vector<NormEntry>& entries = blk.entries;
+  const FragmentView first = stg.fragment(indices.front());
+  std::vector<bool> used(entries.size(), false);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (used[i]) continue;
     // Smallest-norm unprocessed fragment seeds a new cluster.
@@ -135,7 +107,9 @@ void sweep_fresh(const EntryBlock& blk, std::vector<bool>& used,
     cluster.seed_norm = entries[i].norm;
     cluster.members.push_back(entries[i].frag_idx);
     used[i] = true;
-    const double radius = seed_radius(entries[i].norm, opts);
+    // Relative threshold of the seed norm, with a floor so zero-norm seeds
+    // (e.g. empty transitions) still form a cluster.
+    const double radius = std::max(entries[i].norm * opts.threshold, 1e-12);
     const double* seed_row = blk.row(entries[i].pos);
     for (std::size_t j = i + 1; j < entries.size(); ++j) {
       if (entries[j].norm - entries[i].norm > radius) break;  // sorted sweep
@@ -150,101 +124,6 @@ void sweep_fresh(const EntryBlock& blk, std::vector<bool>& used,
         cluster.members.size() < static_cast<std::size_t>(opts.min_cluster_size);
     out.push_back(std::move(cluster));
   }
-}
-
-}  // namespace
-
-std::vector<Cluster> cluster_fragments(const Stg& stg,
-                                       const std::vector<std::size_t>& indices,
-                                       const ClusterOptions& opts) {
-  std::vector<Cluster> out;
-  if (indices.empty()) return out;
-  EntryBlock blk = make_entries(stg, indices, opts);
-  std::vector<bool> used(blk.entries.size(), false);
-  sweep_fresh(blk, used, stg.fragment(indices.front()), opts, out);
-  return out;
-}
-
-std::vector<Cluster> cluster_fragments_cached(
-    const Stg& stg, const std::vector<std::size_t>& indices,
-    const ClusterOptions& opts, ClusterSeedCache::Entry* entry,
-    ClusterSeedCache* cache) {
-  std::vector<Cluster> out;
-  if (indices.empty()) return out;
-  EntryBlock blk = make_entries(stg, indices, opts);
-  const std::vector<NormEntry>& entries = blk.entries;
-  std::vector<bool> used(entries.size(), false);
-  const FragmentView first = stg.fragment(indices.front());
-
-  // Pass 1: attach fragments to cached seeds.  Seeds are visited in
-  // ascending norm order and each fragment joins the first seed that
-  // accepts it, so the assignment is deterministic.  A recurring cluster
-  // keeps the cached seed's norm, pinning its cross-window baseline key.
-  std::uint64_t hits = 0;
-  std::vector<bool> survived(entry->seeds.size(), false);
-  for (std::size_t s = 0; s < entry->seeds.size(); ++s) {
-    const ClusterSeedCache::Seed& seed = entry->seeds[s];
-    const double radius = seed_radius(seed.norm, opts);
-    // Entries are norm-sorted: only [norm - radius, norm + radius] can
-    // join (|‖a‖−‖b‖| ≤ ‖a−b‖), found by binary search.
-    auto lo = std::lower_bound(
-        entries.begin(), entries.end(), seed.norm - radius,
-        [](const NormEntry& e, double v) { return e.norm < v; });
-    Cluster cluster;
-    cluster.from = first.from();
-    cluster.to = first.to();
-    cluster.kind = first.kind();
-    cluster.seed_norm = seed.norm;
-    for (auto it = lo; it != entries.end(); ++it) {
-      if (it->norm - seed.norm > radius) break;
-      const std::size_t i = static_cast<std::size_t>(it - entries.begin());
-      if (used[i]) continue;
-      if (seed_to_row_distance(seed.vec, blk.row(it->pos), blk.dim_count) <=
-          radius) {
-        cluster.members.push_back(it->frag_idx);
-        used[i] = true;
-        ++hits;
-      }
-    }
-    if (cluster.members.empty()) continue;  // stale seed: dies below
-    survived[s] = true;
-    cluster.rare =
-        cluster.members.size() < static_cast<std::size_t>(opts.min_cluster_size);
-    out.push_back(std::move(cluster));
-  }
-
-  // Pass 2: whatever no cached seed claimed runs the fresh sweep.
-  std::uint64_t misses = 0;
-  for (std::size_t i = 0; i < used.size(); ++i)
-    if (!used[i]) ++misses;
-  const std::size_t fresh_begin = out.size();
-  sweep_fresh(blk, used, first, opts, out);
-
-  // The entry becomes this window's seed set: surviving cached seeds keep
-  // their original vectors (stable identity), fresh clusters contribute
-  // their seed member's vector.  Norm-sorted, capped by evicting the
-  // largest norms (the most transient classes) first.
-  std::vector<ClusterSeedCache::Seed> next;
-  next.reserve(out.size());
-  for (std::size_t s = 0; s < entry->seeds.size(); ++s)
-    if (survived[s]) next.push_back(entry->seeds[s]);
-  for (std::size_t c = fresh_begin; c < out.size(); ++c) {
-    // The fresh cluster's seed is its first member (the sweep pushes the
-    // seed entry first); rebuild its vector for next window.
-    const std::size_t frag = out[c].members.front();
-    ClusterSeedCache::Seed seed;
-    seed.vec = make_workload_vector(stg.fragment(frag), opts.proxies);
-    seed.norm = out[c].seed_norm;
-    next.push_back(seed);
-  }
-  std::stable_sort(next.begin(), next.end(),
-                   [](const ClusterSeedCache::Seed& a,
-                      const ClusterSeedCache::Seed& b) { return a.norm < b.norm; });
-  if (next.size() > ClusterSeedCache::kMaxSeedsPerEntry)
-    next.resize(ClusterSeedCache::kMaxSeedsPerEntry);
-  entry->seeds = std::move(next);
-
-  if (cache) cache->record(hits, misses);
   return out;
 }
 
@@ -254,11 +133,6 @@ struct WorkItem {
   std::uint64_t key = 0;  // edge_key() for edges, StateKey for vertices
   bool vertex = false;
   const std::vector<std::size_t>* fragments = nullptr;
-
-  // Seed-cache key: vertices are bit-flipped so an edge and a vertex with
-  // the same raw key (possible, if astronomically unlikely, since edge
-  // keys are hashes) never share a cache entry.
-  std::uint64_t cache_key() const { return vertex ? ~key : key; }
 };
 
 // Work items (edge/vertex fragment lists) in deterministic (key, kind)
@@ -281,25 +155,11 @@ std::vector<WorkItem> gather_work(const Stg& stg) {
   return out;
 }
 
-// Per-item dispatch: through the cache entry when a cache is attached,
-// the plain sweep otherwise.
-std::vector<Cluster> cluster_item(const Stg& stg, const WorkItem& item,
-                                  const ClusterOptions& opts,
-                                  ClusterSeedCache::Entry* entry,
-                                  ClusterSeedCache* cache) {
-  if (entry) return cluster_fragments_cached(stg, *item.fragments, opts, entry, cache);
-  return cluster_fragments(stg, *item.fragments, opts);
-}
-
 ClusteringResult merge_item_clusters(
     std::vector<std::vector<Cluster>>&& per_item) {
   ClusteringResult result;
   for (auto& item : per_item) {
-    for (auto& c : item) {
-      const std::size_t cluster_idx = result.clusters.size();
-      for (std::size_t frag : c.members) result.assignment[frag] = cluster_idx;
-      result.clusters.push_back(std::move(c));
-    }
+    for (auto& c : item) result.clusters.push_back(std::move(c));
   }
   return result;
 }
@@ -307,32 +167,18 @@ ClusteringResult merge_item_clusters(
 }  // namespace
 
 ClusteringResult cluster_stg(const Stg& stg, const ClusterOptions& opts) {
-  auto work = gather_work(stg);
-  std::vector<std::vector<Cluster>> per_item(work.size());
-  for (std::size_t i = 0; i < work.size(); ++i)
-    per_item[i] = cluster_item(stg, work[i], opts, nullptr, nullptr);
-  return merge_item_clusters(std::move(per_item));
+  return cluster_stg_parallel(stg, opts, static_cast<util::WorkerPool*>(nullptr));
 }
 
 ClusteringResult cluster_stg_parallel(const Stg& stg,
                                       const ClusterOptions& opts,
                                       util::WorkerPool* pool,
-                                      obs::TraceRecorder* trace,
-                                      ClusterSeedCache* cache) {
+                                      obs::TraceRecorder* trace) {
   auto work = gather_work(stg);
-  // Cache entries are created on this (coordinating) thread before any
-  // worker starts, so workers only ever touch their own item's entry.
-  std::vector<ClusterSeedCache::Entry*> entries(work.size(), nullptr);
-  if (cache) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(work.size());
-    for (const WorkItem& item : work) keys.push_back(item.cache_key());
-    entries = cache->prepare(keys);
-  }
   std::vector<std::vector<Cluster>> per_item(work.size());
   if (!pool || pool->lanes() == 1 || work.size() < 2) {
     for (std::size_t i = 0; i < work.size(); ++i)
-      per_item[i] = cluster_item(stg, work[i], opts, entries[i], cache);
+      per_item[i] = cluster_fragments(stg, *work[i].fragments, opts);
     return merge_item_clusters(std::move(per_item));
   }
   // Each lane writes only its own slots below (lane-indexed, and the hook
@@ -346,7 +192,7 @@ ClusteringResult cluster_stg_parallel(const Stg& stg,
           lane_started[lane] = 1;
           lane_t0[lane] = trace->now_ns();
         }
-        per_item[i] = cluster_item(stg, work[i], opts, entries[i], cache);
+        per_item[i] = cluster_fragments(stg, *work[i].fragments, opts);
       },
       [&](const util::WorkerPool::LaneReport& report) {
         if (trace)
@@ -358,13 +204,11 @@ ClusteringResult cluster_stg_parallel(const Stg& stg,
       });
   if (failed > 0) {
     // A task that threw left its slot empty (an item always yields at
-    // least one cluster) and — for the cached path — its entry untouched
-    // (cluster_fragments_cached installs the new seed set only at the
-    // end), so a serial retry of just those items is byte-equivalent to a
-    // clean run.
+    // least one cluster), so a serial retry of just those items is
+    // byte-equivalent to a clean run.
     for (std::size_t i = 0; i < work.size(); ++i)
       if (per_item[i].empty())
-        per_item[i] = cluster_item(stg, work[i], opts, entries[i], cache);
+        per_item[i] = cluster_fragments(stg, *work[i].fragments, opts);
   }
   return merge_item_clusters(std::move(per_item));
 }
@@ -372,15 +216,11 @@ ClusteringResult cluster_stg_parallel(const Stg& stg,
 ClusteringResult cluster_stg_parallel(const Stg& stg,
                                       const ClusterOptions& opts,
                                       int threads,
-                                      obs::TraceRecorder* trace,
-                                      ClusterSeedCache* cache) {
+                                      obs::TraceRecorder* trace) {
   VAPRO_CHECK(threads >= 1);
-  if (threads == 1)
-    return cluster_stg_parallel(stg, opts,
-                                static_cast<util::WorkerPool*>(nullptr), trace,
-                                cache);
+  if (threads == 1) return cluster_stg(stg, opts);
   util::WorkerPool pool(static_cast<std::size_t>(threads));
-  return cluster_stg_parallel(stg, opts, &pool, trace, cache);
+  return cluster_stg_parallel(stg, opts, &pool, trace);
 }
 
 }  // namespace vapro::core

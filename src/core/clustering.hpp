@@ -13,10 +13,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/stg.hpp"
@@ -52,71 +48,8 @@ struct Cluster {
 
 struct ClusteringResult {
   std::vector<Cluster> clusters;
-  // fragment index → cluster index; every clustered fragment appears.
-  std::unordered_map<std::size_t, std::size_t> assignment;
 
   std::size_t rare_count() const;
-};
-
-// Cross-window cluster-seed cache (the steady-state fast path of the
-// pipelined server).  Per edge/vertex it carries the previous window's
-// cluster seeds — norm-sorted workload vectors — forward, so a window
-// whose execution paths repeat last window's merely ATTACHES its fragments
-// to the cached seeds (one sorted sweep) instead of re-deriving every
-// seed from scratch.  Two properties matter more than the speedup:
-//
-//   * Stable ordering: entries live in a std::map sorted by item key and
-//     each entry's seeds stay sorted by (norm, insertion order), so cache
-//     contents — and therefore clustering output — are a pure function of
-//     the window sequence, never of thread interleaving.
-//   * Stable identity: a recurring cluster keeps its cached seed (and thus
-//     its seed_norm), so the ClusterBaseline key of a steady-state cluster
-//     cannot drift between windows.
-//
-// Thread-safety contract: prepare() runs on the coordinating thread before
-// clustering fans out; worker threads then touch only their own item's
-// Entry (distinct map nodes), and the map itself is never mutated while
-// workers run.
-class ClusterSeedCache {
- public:
-  struct Seed {
-    WorkloadVector vec;
-    double norm = 0.0;
-  };
-  struct Entry {
-    std::vector<Seed> seeds;  // sorted by norm, ascending
-  };
-
-  // Seeds kept per edge/vertex; beyond this the largest-norm seeds are
-  // evicted first (they are the rarest, most transient classes).
-  static constexpr std::size_t kMaxSeedsPerEntry = 256;
-
-  // Ensures an Entry exists for every key and returns the entries in key
-  // order (aligned with the keys vector).  Must be called before workers
-  // start; the map is not touched again until they finish.
-  std::vector<Entry*> prepare(const std::vector<std::uint64_t>& keys);
-
-  // Drops every cached seed (the "pipeline.cache" hazard site's fail
-  // action): the next window re-clusters from scratch.
-  void invalidate();
-
-  std::size_t entries() const { return cache_.size(); }
-  std::uint64_t seed_hits() const { return seed_hits_; }
-  std::uint64_t seed_misses() const { return seed_misses_; }
-  std::uint64_t invalidations() const { return invalidations_; }
-
-  // Bookkeeping from worker threads; called once per item after its sweep
-  // with per-item tallies (each worker owns disjoint items, and the
-  // counters are only read after the join, so plain adds would race only
-  // if the contract above were violated — they are guarded anyway).
-  void record(std::uint64_t hits, std::uint64_t misses);
-
- private:
-  std::map<std::uint64_t, Entry> cache_;
-  mutable std::mutex stats_mu_;
-  std::uint64_t seed_hits_ = 0;
-  std::uint64_t seed_misses_ = 0;
-  std::uint64_t invalidations_ = 0;
 };
 
 // Clusters one fragment set (all fragments must share an edge or vertex).
@@ -124,15 +57,6 @@ class ClusterSeedCache {
 std::vector<Cluster> cluster_fragments(const Stg& stg,
                                        const std::vector<std::size_t>& indices,
                                        const ClusterOptions& opts);
-
-// cluster_fragments with a seed-cache entry: fragments within threshold of
-// a cached seed join that seed's cluster (keeping the cached seed_norm);
-// only the remainder runs the fresh seeding sweep.  The entry is updated
-// in place to this window's seed set.  `cache` collects hit/miss tallies.
-std::vector<Cluster> cluster_fragments_cached(
-    const Stg& stg, const std::vector<std::size_t>& indices,
-    const ClusterOptions& opts, ClusterSeedCache::Entry* entry,
-    ClusterSeedCache* cache);
 
 // Runs Algorithm 1 over every edge and vertex of the STG.
 ClusteringResult cluster_stg(const Stg& stg, const ClusterOptions& opts);
@@ -144,17 +68,13 @@ ClusteringResult cluster_stg(const Stg& stg, const ClusterOptions& opts);
 // slots in item order — so the result is byte-identical to cluster_stg
 // for any lane count (a null pool or one lane IS the serial loop).  When
 // `trace` is set, each lane that ran at least one item records a
-// "cluster.shard" span with its lane index and item count.  When `cache`
-// is set, each item clusters through its seed-cache entry
-// (cluster_fragments_cached); entries are prepared up front on the
-// coordinating thread so lanes never mutate the shared map.  A task that
+// "cluster.shard" span with its lane index and item count.  A task that
 // throws is contained by the pool and its items are re-clustered
 // serially, keeping the output equivalent.
 ClusteringResult cluster_stg_parallel(const Stg& stg,
                                       const ClusterOptions& opts,
                                       util::WorkerPool* pool,
-                                      obs::TraceRecorder* trace = nullptr,
-                                      ClusterSeedCache* cache = nullptr);
+                                      obs::TraceRecorder* trace = nullptr);
 
 // Convenience overload owning a transient pool of `threads` lanes for the
 // duration of the call (threads == 1 skips the pool entirely).  Prefer the
@@ -163,7 +83,6 @@ ClusteringResult cluster_stg_parallel(const Stg& stg,
 ClusteringResult cluster_stg_parallel(const Stg& stg,
                                       const ClusterOptions& opts,
                                       int threads,
-                                      obs::TraceRecorder* trace = nullptr,
-                                      ClusterSeedCache* cache = nullptr);
+                                      obs::TraceRecorder* trace = nullptr);
 
 }  // namespace vapro::core

@@ -303,12 +303,6 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   // --- stage: clustering (Algorithm 1 workers + rare-path scan) ---
   obs::SpanScope cluster_span({trace, nullptr, spans_dropped}, "stage.cluster",
                               "server");
-  ClusterSeedCache* cache = opts_.cluster_seed_cache ? &seed_cache_ : nullptr;
-  if (cache && VAPRO_FAULT("pipeline.cache") == testing::FaultAction::kFail)
-    // Injected cache loss: drop every carried seed and re-cluster this
-    // window from scratch.  The site fires on the analysis path in both
-    // serial and pipelined modes, so equivalence holds under a fault plan.
-    seed_cache_.invalidate();
   util::WorkerPool* pool = workers_.get();
   if (pool && VAPRO_FAULT("pipeline.shard") == testing::FaultAction::kFail) {
     // Injected worker-task failure.  The decision is made HERE, once per
@@ -317,8 +311,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     // exercises the pool's exception containment, then the whole window
     // degrades to serial fan-out: byte-identical output (sharding is
     // equivalence-preserving by design), only the intra-window overlap is
-    // lost.  Degrading BEFORE the real fan-out also keeps the seed cache
-    // single-update: no entry is touched twice for one window.
+    // lost.
     ++shard_faults_;
     pool->run(1, [](std::size_t, std::size_t) {
       testing::FaultInjector::throw_if(testing::FaultAction::kThrow,
@@ -328,7 +321,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   }
   stats.cluster_shards = pool ? pool->lanes() : 1;
   ClusteringResult clusters =
-      cluster_stg_parallel(stg_, opts_.cluster, pool, trace, cache);
+      cluster_stg_parallel(stg_, opts_.cluster, pool, trace);
   cluster_span.add_arg(obs::TraceRecorder::arg(
       "clusters", static_cast<std::uint64_t>(clusters.clusters.size())));
   cluster_span.add_arg(obs::TraceRecorder::arg(

@@ -53,11 +53,6 @@ struct ServerOptions {
   // keeps every output byte-identical to depth 1 — only the overlap
   // changes, never the results.  See docs/ARCHITECTURE.md.
   int pipeline_depth = 1;
-  // Cross-window cluster-seed cache: carry each edge/vertex's norm-sorted
-  // cluster seeds forward so steady-state windows attach fragments to last
-  // window's seeds instead of re-deriving them.  Changes which fragment
-  // seeds each cluster (deterministically), so it is opt-in.
-  bool cluster_seed_cache = false;
   bool run_diagnosis = true;
   bool record_eval_pairs = false;    // Table 2 scoring
   // Rare-path reporting (Algorithm 1 line 8): clusters with too few
@@ -196,7 +191,6 @@ class AnalysisServer {
     return rare_findings_;
   }
   const Stg& stg() const { sync(); return stg_; }
-  const ClusterSeedCache& seed_cache() const { sync(); return seed_cache_; }
 
   // V-measure of fixed-workload identification vs ground truth — valid
   // when record_eval_pairs was set and labelled fragments were seen.
@@ -278,7 +272,6 @@ class AnalysisServer {
   // accessors can sync(); destroyed first in ~AnalysisServer so the worker
   // never outlives the state it writes.
   mutable std::unique_ptr<util::StageExecutor> pipeline_;
-  ClusterSeedCache seed_cache_;
   std::vector<Fragment> overlap_carry_;
   // (truth label, predicted cluster label) for labelled comp fragments.
   std::vector<int> eval_truth_;

@@ -21,7 +21,6 @@ ServerOptions server_options_from(const VaproOptions& opts,
   sopts.window_overlap_seconds = opts.window_overlap_seconds;
   sopts.analysis_threads = opts.analysis_threads;
   sopts.pipeline_depth = opts.pipeline_depth;
-  sopts.cluster_seed_cache = opts.cluster_seed_cache;
   sopts.run_diagnosis = opts.run_diagnosis;
   sopts.record_eval_pairs = opts.record_eval_pairs;
   sopts.window_observer = opts.window_observer;

@@ -42,8 +42,6 @@ struct VaproOptions {
   // Analysis pipeline depth (ServerOptions::pipeline_depth): windows
   // admitted past process_window before the drain blocks.  1 = synchronous.
   int pipeline_depth = 1;
-  // Carry cluster seeds across windows (ServerOptions::cluster_seed_cache).
-  bool cluster_seed_cache = false;
   bool run_diagnosis = true;
   SamplingPolicy sampling = SamplingPolicy::kNone;
   int sampling_warmup = 64;

@@ -30,7 +30,6 @@ OfflineSession::OfflineSession(const Trace& trace, OfflineOptions opts) {
   sopts.bin_seconds = opts.bin_seconds;
   sopts.analysis_threads = opts.analysis_threads;
   sopts.pipeline_depth = opts.pipeline_depth;
-  sopts.cluster_seed_cache = opts.cluster_seed_cache;
   sopts.run_diagnosis = opts.run_diagnosis;
   sopts.record_eval_pairs = opts.record_eval_pairs;
   sopts.obs = opts.obs;

@@ -23,8 +23,6 @@ struct OfflineOptions {
   // Analysis pipeline depth (ServerOptions::pipeline_depth); replay drains
   // window N+1 while window N is analyzed.  1 = synchronous.
   int pipeline_depth = 1;
-  // Carry cluster seeds across windows (ServerOptions::cluster_seed_cache).
-  bool cluster_seed_cache = false;
   bool run_diagnosis = true;
   bool record_eval_pairs = false;
   int pmu_budget = 4;

@@ -201,7 +201,15 @@ TEST_F(ClusteringFixture, AssignmentCoversEveryFragment) {
   add_class(4, 1500, 1);
   add_class(9, 9000, 2);
   auto result = cluster_stg(stg_, ClusterOptions{});
-  EXPECT_EQ(result.assignment.size(), stg_.fragments().size());
+  // Every STG fragment is a member of exactly one cluster.
+  std::vector<int> seen(stg_.fragments().size(), 0);
+  for (const Cluster& c : result.clusters)
+    for (std::size_t frag : c.members) {
+      ASSERT_LT(frag, seen.size());
+      ++seen[frag];
+    }
+  for (std::size_t frag = 0; frag < seen.size(); ++frag)
+    EXPECT_EQ(seen[frag], 1) << "fragment " << frag;
 }
 
 TEST_F(ClusteringFixture, SeparateEdgesNeverMix) {

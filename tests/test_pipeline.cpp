@@ -4,14 +4,12 @@
 //     happens-before sync point, exception containment, backpressure;
 //   * WorkerPool — exactly-once task claiming across lanes, exception
 //     containment, the per-lane completion hook;
-//   * ClusterSeedCache — first-window equivalence with the uncached sweep,
-//     seed stability across recurring windows, invalidation;
 //   * sharded clustering & region growing — lane-count invariance,
-//     permutation stability, seed-cache equivalence under shards;
+//     permutation stability;
 //   * RegionCache — incremental regions equal a from-scratch pass after
 //     every update, with and without a pool;
 //   * AnalysisServer — byte-identical detection state at any pipeline
-//     depth/thread/cache combination (the property tool_vapro_stress
+//     depth/thread combination (the property tool_vapro_stress
 //     --equivalence fuzzes at scale).
 #include <gtest/gtest.h>
 
@@ -442,7 +440,7 @@ TEST(WorkerPool, ZeroTasksIsANoOp) {
   EXPECT_EQ(pool.runs(), 0u);
 }
 
-// --- ClusterSeedCache -----------------------------------------------------
+// --- Sharded clustering & region growing properties -----------------------
 
 core::Fragment vertex_frag(int rank, core::StateKey key, double start,
                            double bytes, int peer) {
@@ -458,90 +456,6 @@ core::Fragment vertex_frag(int rank, core::StateKey key, double start,
   f.args.peer = peer;
   return f;
 }
-
-// Two workload classes per window on one vertex, repeated across windows.
-core::Stg seeded_stg(core::StateKey* key, int window) {
-  core::Stg stg(core::StgMode::kContextFree);
-  sim::InvocationInfo info;
-  info.site = 7;
-  info.kind = sim::OpKind::kAllreduce;
-  *key = stg.touch_vertex(info);
-  for (int i = 0; i < 8; ++i) {
-    stg.add_fragment(
-        vertex_frag(i, *key, window * 1.0 + 0.1 * i, 1024.0, 3));
-    stg.add_fragment(
-        vertex_frag(i, *key, window * 1.0 + 0.1 * i + 0.05, 65536.0, 9));
-  }
-  return stg;
-}
-
-TEST(ClusterSeedCache, EmptyCacheMatchesUncachedSweep) {
-  core::StateKey key;
-  core::Stg stg = seeded_stg(&key, 0);
-  core::ClusterOptions opts;
-  core::ClusteringResult plain = core::cluster_stg_parallel(stg, opts, 1);
-  core::ClusterSeedCache cache;
-  core::ClusteringResult cached =
-      core::cluster_stg_parallel(stg, opts, 1, nullptr, &cache);
-  ASSERT_EQ(cached.clusters.size(), plain.clusters.size());
-  for (std::size_t c = 0; c < plain.clusters.size(); ++c) {
-    EXPECT_EQ(cached.clusters[c].members, plain.clusters[c].members);
-    EXPECT_DOUBLE_EQ(cached.clusters[c].seed_norm, plain.clusters[c].seed_norm);
-  }
-  // A cold cache is all misses.
-  EXPECT_EQ(cache.seed_hits(), 0u);
-  EXPECT_GT(cache.seed_misses(), 0u);
-  EXPECT_EQ(cache.entries(), 1u);
-}
-
-TEST(ClusterSeedCache, RecurringWindowHitsCachedSeedsAndKeepsSeedNorm) {
-  core::ClusterOptions opts;
-  core::ClusterSeedCache cache;
-  core::StateKey key;
-  core::Stg w0 = seeded_stg(&key, 0);
-  core::ClusteringResult first =
-      core::cluster_stg_parallel(w0, opts, 1, nullptr, &cache);
-  std::vector<double> first_norms;
-  for (const auto& c : first.clusters) first_norms.push_back(c.seed_norm);
-
-  core::Stg w1 = seeded_stg(&key, 1);
-  core::ClusteringResult second =
-      core::cluster_stg_parallel(w1, opts, 1, nullptr, &cache);
-  // Same two classes: every fragment attaches to a cached seed, and the
-  // clusters keep the first window's seed norms (stable baseline keys).
-  EXPECT_GT(cache.seed_hits(), 0u);
-  ASSERT_EQ(second.clusters.size(), first.clusters.size());
-  std::vector<double> second_norms;
-  for (const auto& c : second.clusters) second_norms.push_back(c.seed_norm);
-  EXPECT_EQ(second_norms, first_norms);
-}
-
-TEST(ClusterSeedCache, InvalidateDropsSeeds) {
-  core::ClusterOptions opts;
-  core::ClusterSeedCache cache;
-  core::StateKey key;
-  core::Stg w0 = seeded_stg(&key, 0);
-  core::cluster_stg_parallel(w0, opts, 1, nullptr, &cache);
-  const std::uint64_t misses_before = cache.seed_misses();
-  cache.invalidate();
-  EXPECT_EQ(cache.invalidations(), 1u);
-  // Next window misses again: the seeds are gone.
-  core::Stg w1 = seeded_stg(&key, 1);
-  core::cluster_stg_parallel(w1, opts, 1, nullptr, &cache);
-  EXPECT_GT(cache.seed_misses(), misses_before);
-}
-
-TEST(ClusterSeedCache, PrepareAlignsEntriesWithKeys) {
-  core::ClusterSeedCache cache;
-  std::vector<core::ClusterSeedCache::Entry*> entries =
-      cache.prepare({42, 7, 42});
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0], entries[2]);  // same key, same node
-  EXPECT_NE(entries[0], entries[1]);
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
-// --- Sharded clustering & region growing properties -----------------------
 
 // Several vertices so the shard pool has real multi-item fan-out: kSites
 // vertices, each with two well-separated workload classes across kRanks
@@ -631,7 +545,6 @@ void expect_identical_clustering(const core::ClusteringResult& a,
         << what << " #" << c;
     EXPECT_EQ(a.clusters[c].rare, b.clusters[c].rare) << what << " #" << c;
   }
-  EXPECT_EQ(a.assignment, b.assignment) << what;
 }
 
 TEST(ShardedClustering, EdgePartitionInvarianceAcrossLaneCounts) {
@@ -661,27 +574,6 @@ TEST(ShardedClustering, PermutationStabilityUnderShuffledFragmentOrder) {
         shuffled, core::cluster_stg_parallel(shuffled, opts, &pool));
     EXPECT_EQ(got, baseline) << "shuffle seed " << seed;
   }
-}
-
-TEST(ShardedClustering, SeedCacheEquivalenceWithShardsEnabled) {
-  core::ClusterOptions opts;
-  core::ClusterSeedCache serial_cache, sharded_cache;
-  util::WorkerPool pool(4);
-  core::StateKey key;
-  for (int window = 0; window < 3; ++window) {
-    core::Stg stg = seeded_stg(&key, window);
-    const core::ClusteringResult serial =
-        core::cluster_stg_parallel(stg, opts, 1, nullptr, &serial_cache);
-    const core::ClusteringResult sharded =
-        core::cluster_stg_parallel(stg, opts, &pool, nullptr, &sharded_cache);
-    expect_identical_clustering(serial, sharded,
-                                "window " + std::to_string(window));
-  }
-  // The caches themselves evolved identically: same hit/miss history means
-  // the same seeds were carried forward on both paths.
-  EXPECT_EQ(sharded_cache.seed_hits(), serial_cache.seed_hits());
-  EXPECT_EQ(sharded_cache.seed_misses(), serial_cache.seed_misses());
-  EXPECT_EQ(sharded_cache.entries(), serial_cache.entries());
 }
 
 TEST(ShardedRegions, StripeCountInvarianceOnBoundaryCrossingRegions) {
@@ -884,25 +776,20 @@ std::string detection_fingerprint(const core::AnalysisServer& server) {
 }
 
 TEST(PipelinedServer, AllConcurrencyModesMatchSerialByteForByte) {
-  auto run = [](int depth, int threads, bool cache) {
+  auto run = [](int depth, int threads) {
     core::ServerOptions opts;
     opts.run_diagnosis = false;
     opts.pipeline_depth = depth;
     opts.analysis_threads = threads;
-    opts.cluster_seed_cache = cache;
     core::AnalysisServer server(6, opts);
     int sites = 0;
     for (int w = 0; w < 4; ++w) server.process_window(server_batch(w, &sites));
     return detection_fingerprint(server);  // accessors sync() internally
   };
-  const std::string serial = run(1, 1, false);
-  EXPECT_EQ(run(3, 1, false), serial);
-  EXPECT_EQ(run(2, 4, false), serial);
-  EXPECT_EQ(run(4, 2, false), serial);
-  // The seed cache changes which fragment seeds a cluster (documented),
-  // but must itself be pipeline-invariant.
-  const std::string serial_cached = run(1, 1, true);
-  EXPECT_EQ(run(3, 4, true), serial_cached);
+  const std::string serial = run(1, 1);
+  EXPECT_EQ(run(3, 1), serial);
+  EXPECT_EQ(run(2, 4), serial);
+  EXPECT_EQ(run(4, 2), serial);
 }
 
 TEST(PipelinedServer, SyncExposesAllSubmittedWindows) {

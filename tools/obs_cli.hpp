@@ -22,6 +22,8 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -41,20 +43,17 @@ namespace vapro::tools {
 //   --pipeline-depth=N     windows admitted past the hand-off before the
 //                          drain blocks (1 = synchronous, default)
 //   --analysis-threads=N   clustering worker threads per server
-//   --cluster-cache        carry cluster seeds across windows
 //
 // All combinations produce byte-identical reports and journal tables; see
 // docs/ARCHITECTURE.md "Threading & pipeline model".
 struct PipelineCli {
   int pipeline_depth = 1;
   int analysis_threads = 1;
-  bool cluster_seed_cache = false;
 
   // False (with a message on stderr) when a value is out of range.
   bool parse(const util::CliArgs& args) {
     pipeline_depth = args.get_int("pipeline-depth", 1);
     analysis_threads = args.get_int("analysis-threads", 1);
-    cluster_seed_cache = args.get_bool("cluster-cache");
     if (pipeline_depth < 1) {
       std::cerr << "--pipeline-depth must be >= 1\n";
       return false;
@@ -71,8 +70,7 @@ struct PipelineCli {
            "                         drain; N windows may be in flight\n"
            "                         (default 1 = synchronous; results are\n"
            "                         byte-identical at any depth)\n"
-           "  --analysis-threads=N   clustering worker threads (default 1)\n"
-           "  --cluster-cache        carry cluster seeds across windows\n";
+           "  --analysis-threads=N   clustering worker threads (default 1)\n";
   }
 };
 
@@ -95,20 +93,35 @@ struct ObsCli {
   std::unique_ptr<obs::JournalAlertSink> journal_alert_sink;
   std::unique_ptr<obs::WebhookFileSink> webhook_sink;
 
-  void parse(const util::CliArgs& args) {
+  // False (with a message on stderr) when a value is out of range.
+  bool parse(const util::CliArgs& args) {
     metrics_path = args.get("metrics-out", "");
     trace_out_path = args.get("trace-out", "");
     journal_path = args.get("journal-out", "");
     journal_dir = args.get("journal-dir", "");
-    journal_rotate_bytes = static_cast<std::uint64_t>(
-        args.get_double("journal-rotate-bytes", 1 << 20));
+    // Range-checked before the cast: a double outside [0, 2^64) has no
+    // uint64 value (the conversion is undefined behavior), and NaN fails
+    // every comparison.
+    const double rotate_bytes =
+        args.get_double("journal-rotate-bytes", 1 << 20);
+    if (!(rotate_bytes >= 0.0 && rotate_bytes < 0x1p64)) {
+      std::cerr << "--journal-rotate-bytes must be in [0, 2^64)\n";
+      return false;
+    }
+    journal_rotate_bytes = static_cast<std::uint64_t>(rotate_bytes);
     journal_rotate_seconds = args.get_double("journal-rotate-seconds", 0.0);
+    if (!(journal_rotate_seconds >= 0.0) ||
+        !std::isfinite(journal_rotate_seconds)) {
+      std::cerr << "--journal-rotate-seconds must be finite and >= 0\n";
+      return false;
+    }
     journal_jsonl = args.get_bool("journal-jsonl");
     listen = args.get("listen", "");
     listen_linger = args.get_double("listen-linger", 0.0);
     alert_file = args.get("alert-file", "");
     alert_specs = args.get_all("alert-rule");
     obs_table = args.get_bool("obs-table");
+    return true;
   }
 
   // Any flag that needs an ObsContext attached?

@@ -106,11 +106,10 @@ int main(int argc, char** argv) {
   if (!pipeline_cli.parse(args)) return 2;
   opts.pipeline_depth = pipeline_cli.pipeline_depth;
   opts.analysis_threads = pipeline_cli.analysis_threads;
-  opts.cluster_seed_cache = pipeline_cli.cluster_seed_cache;
 
   // ObsCli before ObsContext: the journal borrows the alert engine.
   tools::ObsCli obs_cli;
-  obs_cli.parse(args);
+  if (!obs_cli.parse(args)) return 2;
   obs::ObsContext obs_ctx;
   if (obs_cli.want_obs()) {
     opts.obs = &obs_ctx;

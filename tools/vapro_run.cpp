@@ -167,13 +167,12 @@ int main(int argc, char** argv) {
   if (!pipeline_cli.parse(args)) return 2;
   options.pipeline_depth = pipeline_cli.pipeline_depth;
   options.analysis_threads = pipeline_cli.analysis_threads;
-  options.cluster_seed_cache = pipeline_cli.cluster_seed_cache;
 
   // Self-telemetry: attach an ObsContext when any observability output is
   // requested; the default path keeps the library instrument-free.
   // ObsCli before ObsContext: the journal borrows the alert engine.
   tools::ObsCli obs_cli;
-  obs_cli.parse(args);
+  if (!obs_cli.parse(args)) return 2;
   obs::ObsContext obs_ctx;
   const bool want_obs = obs_cli.want_obs();
   if (want_obs) {

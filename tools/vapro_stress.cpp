@@ -75,8 +75,7 @@ int usage() {
       "  --equivalence      serial/parallel equivalence property mode: run\n"
       "                     every round at --pipeline-depth=1\n"
       "                     --analysis-threads=1 and then across the full\n"
-      "                     depth {1,2} x threads {2,4,1} variant matrix\n"
-      "                     (cluster-seed cache flipping per round), and\n"
+      "                     depth {1,2} x threads {2,4,1} variant matrix, and\n"
       "                     byte-compare region tables, rare-path tables,\n"
       "                     journal-replay tables and the seq-normalized\n"
       "                     journal event stream against the serial base;\n"
@@ -306,7 +305,6 @@ const core::FragmentKind kKinds[3] = {core::FragmentKind::kComputation,
 struct PipeCfg {
   int depth = 1;
   int threads = 1;
-  bool cache = false;
   // SoA leg: rebuild every window's FragmentColumns through the
   // materialize/view shim before feeding the server — proves the columnar
   // conversion is lossless (artifacts byte-identical to the direct path).
@@ -396,8 +394,7 @@ RoundResult run_round(int round, std::uint64_t seed,
             << " dup=" << (sc.dup_prob > 0 ? 1 : 0)
             << " reorder=" << (sc.reorder ? 1 : 0)
             << " slow_rank=" << sc.slow_rank << " depth=" << cfg.depth
-            << " threads=" << cfg.threads << " cache=" << (cfg.cache ? 1 : 0)
-            << "\n";
+            << " threads=" << cfg.threads << "\n";
 
   // Virtual time: the whole round runs on a scripted clock, so stage
   // timings and window ages in the journal are deterministic too.
@@ -432,7 +429,6 @@ RoundResult run_round(int round, std::uint64_t seed,
   opts.run_diagnosis = false;  // diagnosis needs the simulator's noise model
   opts.analysis_threads = cfg.threads;
   opts.pipeline_depth = cfg.depth;
-  opts.cluster_seed_cache = cfg.cache;
   opts.obs = &ctx;
   opts.clock = &vclock;
 
@@ -988,7 +984,7 @@ int run_score_mode(const util::CliArgs& args, int argc, char** argv) {
   }
 
   tools::ObsCli obs_cli;
-  obs_cli.parse(args);
+  if (!obs_cli.parse(args)) return 2;
   // Scoreboard before the context: the exposition server (owned by the
   // context) borrows it through /v1/quality until the context dies.
   obs::QualityScoreboard scoreboard;
@@ -1130,13 +1126,11 @@ int main(int argc, char** argv) {
     // The property: the same scenario produces byte-identical detection
     // artifacts for EVERY pipeline-depth x analysis-threads combination.
     // Each round runs the serial base (depth 1, 1 thread) and then the
-    // full variant matrix against it.  The seed cache flips per round, so
-    // over any two consecutive rounds the complete depth {1,2} x threads
-    // {1,2,4} x cache {off,on} grid is covered.  The two `soa` legs rebuild
-    // every window's columns through the materialize/view shim
-    // (rebuild_columns) — serially and at the widest pipeline point — so
-    // the SoA layout's conversion surfaces are part of the same
-    // byte-identity property as the threading matrix.
+    // full depth {1,2} x threads {1,2,4} variant matrix against it.  The
+    // two `soa` legs rebuild every window's columns through the
+    // materialize/view shim (rebuild_columns) — serially and at the
+    // widest pipeline point — so the SoA layout's conversion surfaces are
+    // part of the same byte-identity property as the threading matrix.
     struct Variant {
       int depth;
       int threads;
@@ -1148,8 +1142,7 @@ int main(int argc, char** argv) {
         {2, 2, false, "d2t2"}, {2, 4, false, "d2t4"}, {1, 1, true, "soa"},
         {2, 4, true, "soa-d2t4"}};
     for (int r = 0; r < rounds; ++r) {
-      const bool cache = r % 2 == 1;
-      const PipeCfg serial{1, 1, cache};
+      const PipeCfg serial{1, 1};
       RoundArtifacts base;
       // Re-arm before each run so every variant sees the identical
       // per-site fault sequence (arm() resets every per-(site, rule)
@@ -1161,7 +1154,7 @@ int main(int argc, char** argv) {
       bool round_ok = ra.pass;
       std::size_t variants_ok = 0;
       for (const Variant& v : kVariants) {
-        const PipeCfg variant{v.depth, v.threads, cache, v.soa};
+        const PipeCfg variant{v.depth, v.threads, v.soa};
         const std::string tag = v.tag;
         RoundArtifacts b;
         if (!plan_path.empty())
@@ -1207,8 +1200,7 @@ int main(int argc, char** argv) {
     }
   } else {
     const PipeCfg cfg{pipeline_cli.pipeline_depth,
-                      pipeline_cli.analysis_threads,
-                      pipeline_cli.cluster_seed_cache};
+                      pipeline_cli.analysis_threads};
     for (int r = 0; r < rounds; ++r) {
       RoundResult rr = run_round(r, seed, scratch, verbose, cfg,
                                  /*tag=*/"", /*art=*/nullptr);
