@@ -1,9 +1,9 @@
 // Sustained throughput of the segmented journal store
-// (src/obs/journal_segment): events/sec written through the sink in both
-// framings (length+CRC binary vs JSONL debug), events/sec read back from a
-// rotated segment directory, on-disk bytes/event, and offline compaction
-// rate.  The numbers bound how much conclusion traffic a production run
-// can journal inside the paper's <1% overhead budget (PAPER.md §1), and
+// (src/obs/journal_segment): events/sec written through a rotating
+// JournalFileSink, events/sec read back from the JSONL segment directory,
+// on-disk bytes/event, segments per run, and offline compaction rate.
+// The numbers bound how much conclusion traffic a production run can
+// journal inside the paper's <1% overhead budget (PAPER.md §1), and
 // BENCH_journal.json is the committed baseline successive commits diff
 // against (scripts/journal_schema.py validates the shape in CI).
 //
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "src/obs/journal.hpp"
 #include "src/obs/journal_segment.hpp"
 #include "src/util/table.hpp"
 
@@ -83,7 +82,7 @@ std::uintmax_t dir_bytes(const std::string& dir) {
   return total;
 }
 
-struct FramingResult {
+struct SegmentResult {
   std::vector<double> write_eps;
   std::vector<double> read_eps;
   double bytes_per_event = 0.0;
@@ -91,21 +90,19 @@ struct FramingResult {
   std::string last_dir;
 };
 
-FramingResult run_framing(const std::string& scratch, bool binary) {
-  FramingResult res;
+SegmentResult run_segments(const std::string& scratch) {
+  SegmentResult res;
   for (int rep = 0; rep < kReps; ++rep) {
-    const std::string dir = scratch + "/" + (binary ? "bin" : "jsonl") + "-" +
-                            std::to_string(rep);
+    const std::string dir = scratch + "/jsonl-" + std::to_string(rep);
     std::filesystem::remove_all(dir);
     obs::SegmentOptions seg;
     seg.directory = dir;
     seg.max_segment_bytes = 1u << 20;  // rotation is part of the cost
-    seg.binary = binary;
 
     const auto t0 = std::chrono::steady_clock::now();
     {
       obs::Journal journal;
-      obs::JournalSegmentSink sink(seg);
+      obs::JournalFileSink sink(seg);
       if (!sink.ok()) {
         std::cerr << "cannot create segment dir " << dir << "\n";
         std::exit(1);
@@ -144,21 +141,20 @@ int main(int argc, char** argv) {
   const std::string scratch = "/tmp/vapro_journal_bench";
   std::filesystem::remove_all(scratch);
 
-  const FramingResult jsonl = run_framing(scratch, /*binary=*/false);
-  const FramingResult binary = run_framing(scratch, /*binary=*/true);
+  const SegmentResult jsonl = run_segments(scratch);
 
-  // Offline compaction over the binary directory of the last rep: the
+  // Offline compaction over the segment directory of the last rep: the
   // event mix leaves one live region sweep + one live quality snapshot,
   // so most of the stream is superseded.
   std::vector<double> compact_eps;
   double drop_ratio = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     const std::string out =
-        scratch + "/compacted-" + std::to_string(rep) + ".vjseg";
+        scratch + "/compacted-" + std::to_string(rep) + ".jsonl";
     obs::CompactionStats stats;
     std::string error;
     const auto t0 = std::chrono::steady_clock::now();
-    if (!obs::compact_journal(binary.last_dir, out, &stats, &error)) {
+    if (!obs::compact_journal(jsonl.last_dir, out, &stats, &error)) {
       std::cerr << "compaction failed: " << error << "\n";
       return 1;
     }
@@ -175,36 +171,22 @@ int main(int argc, char** argv) {
                    util::fmt(bench::percentile(s, 0.95), precision)});
   };
   add("jsonl_write_events_per_sec", jsonl.write_eps, 0);
-  add("binary_write_events_per_sec", binary.write_eps, 0);
   add("jsonl_read_events_per_sec", jsonl.read_eps, 0);
-  add("binary_read_events_per_sec", binary.read_eps, 0);
   add("jsonl_bytes_per_event", {jsonl.bytes_per_event}, 1);
-  add("binary_bytes_per_event", {binary.bytes_per_event}, 1);
-  add("segments_per_run", {static_cast<double>(binary.segments)}, 0);
+  add("segments_per_run", {static_cast<double>(jsonl.segments)}, 0);
   add("compact_events_per_sec", compact_eps, 0);
   add("compact_drop_ratio", {drop_ratio}, 3);
   table.print(std::cout);
 
-  // Sanity bars (loose: this is a baseline recorder, not a perf gate — the
-  // committed JSON diff is the regression signal).  The binary frame is
-  // len+CRC (8 bytes) where JSONL spends a newline (1), so integrity
-  // costs exactly 7 bytes/event plus the amortized per-segment magic;
-  // anything beyond 8 means the framing grew.  And compaction must
+  // Sanity bar (loose: this is a baseline recorder, not a perf gate — the
+  // committed JSON diff is the regression signal): compaction must
   // actually drop superseded events.
-  if (binary.bytes_per_event > jsonl.bytes_per_event + 8.0) {
-    std::cout << "BAR FAILED: binary framing overhead exceeds its 8-byte "
-                 "header ("
-              << binary.bytes_per_event << " vs " << jsonl.bytes_per_event
-              << " bytes/event)\n";
-    return 1;
-  }
   if (drop_ratio <= 0.5) {
     std::cout << "BAR FAILED: compaction dropped only " << drop_ratio * 100
               << "% of a mostly-superseded stream\n";
     return 1;
   }
-  std::cout << "bars OK: binary framing overhead <= 8 bytes/event, "
-               "compaction drops "
-            << util::fmt(drop_ratio * 100, 1) << "% of the mix\n";
+  std::cout << "bar OK: compaction drops " << util::fmt(drop_ratio * 100, 1)
+            << "% of the mix\n";
   return report.write() ? 0 : 1;
 }

@@ -29,7 +29,7 @@ cmake --build build --target pipeline_scaling obs_overhead latency_profile journ
 # Per-stage latency profile on the deterministic TickClock: also
 # byte-identical per commit; scripts/latency_schema.py validates it in CI.
 ./build/bench/latency_profile --json BENCH_latency.json
-# Segmented journal store throughput (both framings, read-back,
+# Segmented journal store throughput (JSONL segment writes, read-back,
 # compaction); scripts/journal_schema.py validates the shape in CI.
 ./build/bench/journal_throughput --json BENCH_journal.json
 

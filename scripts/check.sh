@@ -135,7 +135,7 @@ fi
 ./build/tools/vapro_replay --from-journal "$obs_tmp/run.jsonl" \
   > "$obs_tmp/replay_file.txt" \
   || { echo "FAIL: vapro_replay --from-journal" >&2; exit 1; }
-# The same run also journaled into rotated binary segments: replaying the
+# The same run also journaled into rotated JSONL segments: replaying the
 # directory must reproduce the single-file replay byte for byte.
 [ -d "$obs_tmp/segments" ] \
   || { echo "FAIL: --journal-dir wrote no segments" >&2; exit 1; }
@@ -150,9 +150,9 @@ cmp "$obs_tmp/replay_file.txt" "$obs_tmp/replay_dir.txt" \
 # Offline compaction must preserve replay byte-identity while dropping
 # superseded quality/region revisions.
 ./build/tools/vapro_replay --compact-journal "$obs_tmp/run.jsonl" \
-  --compact-out="$obs_tmp/compacted.vjseg" \
+  --compact-out="$obs_tmp/compacted.jsonl" \
   || { echo "FAIL: vapro_replay --compact-journal" >&2; exit 1; }
-./build/tools/vapro_replay --from-journal "$obs_tmp/compacted.vjseg" \
+./build/tools/vapro_replay --from-journal "$obs_tmp/compacted.jsonl" \
   > "$obs_tmp/replay_compacted.txt" \
   || { echo "FAIL: vapro_replay on compacted journal" >&2; exit 1; }
 cmp "$obs_tmp/replay_file.txt" "$obs_tmp/replay_compacted.txt" \

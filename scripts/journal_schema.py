@@ -3,14 +3,12 @@
 
 Checks the journal_throughput bench output (bench::JsonReport shape) for
 the series the segmented journal store promises: write and read
-events/sec for both framings (JSONL debug, length+CRC binary), on-disk
-bytes/event for both, segment count, and the offline-compaction rate and
-drop ratio.  Values must be finite and non-negative, the throughput
-series must share one rep count, the binary framing's per-event overhead
-over JSONL must stay within its 8-byte header, and the drop ratio must
-sit in (0.5, 1] — the bench's event mix is mostly superseded by
-construction, so a lower ratio means compaction stopped recognizing
-supersession.
+events/sec of the JSONL segments, on-disk bytes/event, segment count, and
+the offline-compaction rate and drop ratio.  Values must be finite and
+non-negative, the throughput series must share one rep count, rotation
+must produce at least two segments, and the drop ratio must sit in
+(0.5, 1] — the bench's event mix is mostly superseded by construction,
+so a lower ratio means compaction stopped recognizing supersession.
 
 Usage:
   scripts/journal_schema.py BENCH_journal.json
@@ -22,11 +20,10 @@ import json
 import math
 import sys
 
-THROUGHPUT = ("jsonl_write_events_per_sec", "binary_write_events_per_sec",
-              "jsonl_read_events_per_sec", "binary_read_events_per_sec",
+THROUGHPUT = ("jsonl_write_events_per_sec", "jsonl_read_events_per_sec",
               "compact_events_per_sec")
-SINGLETONS = ("jsonl_bytes_per_event", "binary_bytes_per_event",
-              "segments_per_run", "compact_drop_ratio")
+SINGLETONS = ("jsonl_bytes_per_event", "segments_per_run",
+              "compact_drop_ratio")
 
 
 def main():
@@ -77,11 +74,6 @@ def main():
             errors.append(f"missing series {series}")
 
     if not errors:
-        jsonl = rows["jsonl_bytes_per_event"]["median"]
-        binary = rows["binary_bytes_per_event"]["median"]
-        if binary > jsonl + 8.0:
-            errors.append(f"binary framing overhead {binary - jsonl:.2f} "
-                          "bytes/event exceeds its 8-byte header")
         drop = rows["compact_drop_ratio"]["median"]
         if not 0.5 < drop <= 1.0:
             errors.append(f"compact_drop_ratio {drop!r} outside (0.5, 1]: "

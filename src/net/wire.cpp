@@ -151,8 +151,6 @@ const char* ack_status_name(AckStatus s) {
 }
 
 std::uint32_t crc32(const void* data, std::size_t len) {
-  // One shared table for every length-prefixed framing in the tree — the
-  // binary journal segments (src/obs) use the same checksum.
   return util::crc32(data, len);
 }
 

@@ -1,5 +1,6 @@
 #include "src/obs/context.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -13,12 +14,11 @@ namespace vapro::obs {
 ObsContext::~ObsContext() {
   // Stop serving before any member the route handlers might read dies.
   if (exposition_) exposition_->stop();
-  // Flush only the file sink the context owns: borrowed sinks (alert
+  // Flush only the file sinks the context owns: borrowed sinks (alert
   // engines, test collectors) are routinely declared after the context and
   // are already gone by now — fanning out through the journal here would
   // call through their dead vptrs.
-  if (journal_file_) journal_file_->flush();
-  if (journal_segments_) journal_segments_->flush();
+  for (const auto& sink : journal_files_) sink->flush();
 }
 
 TraceRecorder* ObsContext::enable_trace() {
@@ -32,20 +32,18 @@ Journal* ObsContext::enable_journal() {
 }
 
 bool ObsContext::attach_journal_file(const std::string& path) {
-  Journal* journal = enable_journal();
-  auto sink = std::make_unique<JournalFileSink>(path);
-  if (!sink->ok()) return false;
-  journal_file_ = std::move(sink);
-  journal->add_sink(journal_file_.get());
-  return true;
+  return attach_owned(std::make_unique<JournalFileSink>(path));
 }
 
-bool ObsContext::attach_journal_segments(SegmentOptions options) {
+bool ObsContext::attach_journal_file(SegmentOptions options) {
+  return attach_owned(std::make_unique<JournalFileSink>(std::move(options)));
+}
+
+bool ObsContext::attach_owned(std::unique_ptr<JournalFileSink> sink) {
   Journal* journal = enable_journal();
-  auto sink = std::make_unique<JournalSegmentSink>(std::move(options));
   if (!sink->ok()) return false;
-  journal_segments_ = std::move(sink);
-  journal->add_sink(journal_segments_.get());
+  journal->add_sink(sink.get());
+  journal_files_.push_back(std::move(sink));
   return true;
 }
 
@@ -138,10 +136,11 @@ ExpositionServer* ObsContext::start_exposition(int port, std::string* error) {
   // Readiness, distinct from liveness: /healthz answers "is the process
   // up", /readyz answers "should this instance take more traffic".  503
   // while the ingest plane is shedding (vapro.net.degraded), while the
-  // admission queues are saturated, or after the journal file has gone
-  // unwritable — a load balancer drains the instance while detection keeps
-  // running on what was already admitted.  Find, don't create: a process
-  // without an ingest plane must not fail readiness over absent gauges.
+  // admission queues are saturated, or after any owned journal sink has
+  // gone unwritable — a load balancer drains the instance while detection
+  // keeps running on what was already admitted.  Find, don't create: a
+  // process without an ingest plane must not fail readiness over absent
+  // gauges.
   server->add_route("/readyz", [this] {
     HttpResponse resp;
     resp.content_type = "application/json";
@@ -153,7 +152,9 @@ ExpositionServer* ObsContext::start_exposition(int port, std::string* error) {
     const Gauge* capacity = metrics_.find_gauge("vapro.net.queue_capacity");
     if (depth && capacity && capacity->value() > 0.0)
       saturated = depth->value() >= capacity->value();
-    const bool journal_ok = !journal_file_ || journal_file_->ok();
+    const bool journal_ok =
+        std::all_of(journal_files_.begin(), journal_files_.end(),
+                    [](const auto& sink) { return sink->ok(); });
     const bool ready = !degraded && !saturated && journal_ok;
     resp.status = ready ? 200 : 503;
     std::ostringstream body;

@@ -19,7 +19,6 @@
 
 #include "src/obs/exposition.hpp"
 #include "src/obs/journal.hpp"
-#include "src/obs/journal_segment.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/overhead.hpp"
 #include "src/obs/pipeline.hpp"
@@ -45,15 +44,13 @@ class ObsContext {
   Journal* journal() { return journal_.get(); }
   const Journal* journal() const { return journal_.get(); }
   Journal* enable_journal();
-  // enable_journal() + attach an owned JSONL file sink (parent directories
-  // are created).  False when the file cannot be opened.
+  // enable_journal() + attach an owned JournalFileSink writing one JSONL
+  // file at `path` or rotating segments into options.directory (parent
+  // directories are created).  False when the sink cannot open: the file
+  // or first segment cannot be created, or the directory already holds
+  // journal segments.
   bool attach_journal_file(const std::string& path);
-  // enable_journal() + attach an owned rotating segment-directory sink
-  // (src/obs/journal_segment.hpp).  False when the first segment cannot
-  // be created.
-  bool attach_journal_segments(SegmentOptions options);
-  // The owned segment sink, if attach_journal_segments succeeded.
-  JournalSegmentSink* journal_segments() { return journal_segments_.get(); }
+  bool attach_journal_file(SegmentOptions options);
 
   // Null until start_exposition().  Starting binds 127.0.0.1:`port`
   // (0 = ephemeral) and registers the built-in routes (/, /metrics,
@@ -97,14 +94,16 @@ class ObsContext {
   util::Clock* clock() const { return clock_; }
 
  private:
+  bool attach_owned(std::unique_ptr<JournalFileSink> sink);
+
   MetricsRegistry metrics_;
   OverheadAccountant overhead_;
   CollectingSink windows_;
   std::vector<PipelineSink*> extra_sinks_;
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<Journal> journal_;
-  std::unique_ptr<JournalFileSink> journal_file_;
-  std::unique_ptr<JournalSegmentSink> journal_segments_;
+  // Owned sinks, in attach order; /readyz needs every one of them ok().
+  std::vector<std::unique_ptr<JournalFileSink>> journal_files_;
   std::unique_ptr<ExpositionServer> exposition_;
   std::mutex emit_mu_;
   std::atomic<std::uint64_t> windows_emitted_{0};

@@ -13,7 +13,6 @@
 
 #include "src/obs/journal_segment.hpp"
 #include "src/testing/fault.hpp"
-#include "src/util/crc32.hpp"
 #include "src/util/fs.hpp"
 
 namespace vapro::obs {
@@ -208,118 +207,103 @@ std::uint64_t Journal::events_emitted() const {
 
 // --- JournalFileSink ------------------------------------------------------
 
-namespace {
-
-std::string header_line() {
+std::string journal_header_line(std::uint64_t dropped_events) {
   std::ostringstream oss;
   oss << "{\"type\":\"journal_header\",\"schema\":\"" << kJournalSchemaName
-      << "\",\"schema_version\":" << kJournalSchemaVersion << "}\n";
+      << "\",\"schema_version\":" << kJournalSchemaVersion;
+  if (dropped_events > 0) oss << ",\"dropped_events\":" << dropped_events;
+  oss << "}\n";
   return oss.str();
+}
+
+std::string journal_segment_name(std::size_t index) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "journal-%06zu.jsonl", index);
+  return buf;
+}
+
+bool is_journal_segment_name(const std::string& name) {
+  return name.starts_with("journal-") && name.ends_with(".jsonl");
+}
+
+namespace {
+
+bool holds_segment(const std::string& directory) {
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(directory, ec))
+    if (is_journal_segment_name(entry.path().filename().string())) return true;
+  return false;  // a missing directory holds nothing
 }
 
 }  // namespace
 
-JournalFileSink::JournalFileSink(const std::string& path, OpenMode mode) {
-  ok_ = open_file(path, mode);
+JournalFileSink::JournalFileSink(const std::string& path) : path_(path) {
+  ok_ = open_segment_locked();
+}
+
+JournalFileSink::JournalFileSink(SegmentOptions options)
+    : options_(std::move(options)) {
+  ok_ = !holds_segment(options_.directory) && open_segment_locked();
 }
 
 JournalFileSink::~JournalFileSink() {
   if (file_) std::fclose(file_);
 }
 
-bool JournalFileSink::open_file(const std::string& path, OpenMode mode) {
+bool JournalFileSink::open_segment_locked() {
+  const std::string path =
+      options_.directory.empty()
+          ? path_
+          : options_.directory + "/" + journal_segment_name(segments_opened_);
   util::ensure_parent_dirs(path);
-  std::FILE* f = nullptr;
-  if (mode == OpenMode::kAppend) {
-    f = std::fopen(path.c_str(), "r+b");
-    if (f) {
-      // Recover a torn tail: everything after the last complete line is a
-      // partial write from a killed writer — truncate it away and resume.
-      std::fseek(f, 0, SEEK_END);
-      const long size = std::ftell(f);
-      long keep = 0;
-      if (size > 0) {
-        std::string content(static_cast<std::size_t>(size), '\0');
-        std::fseek(f, 0, SEEK_SET);
-        if (std::fread(content.data(), 1, content.size(), f) != content.size()) {
-          std::fclose(f);
-          return false;
-        }
-        const std::size_t last_nl = content.rfind('\n');
-        keep = last_nl == std::string::npos
-                   ? 0
-                   : static_cast<long>(last_nl) + 1;
-      }
-      recovered_tail_bytes_ = static_cast<std::uint64_t>(size - keep);
-      if (keep != size &&
-          (std::fflush(f) != 0 || ::ftruncate(fileno(f), keep) != 0)) {
-        std::fclose(f);
-        return false;
-      }
-      std::fseek(f, keep, SEEK_SET);
-      // An existing file shrunk to nothing needs its header back.
-      if (keep == 0) {
-        const std::string header = header_line();
-        if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
-          std::fclose(f);
-          return false;
-        }
-      }
-      path_ = path;
-      file_ = f;
-      return true;
-    }
-    // No existing file: fall through to a fresh create.
-  }
-  f = std::fopen(path.c_str(), "wb");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) return false;
-  const std::string header = header_line();
+  const std::string header = journal_header_line();
   if (std::fwrite(header.data(), 1, header.size(), f) != header.size()) {
     std::fclose(f);
     return false;
   }
-  path_ = path;
+  if (file_) std::fclose(file_);
   file_ = f;
+  ++segments_opened_;
+  segment_bytes_ = header.size();
+  segment_lines_ = 0;
   return true;
 }
 
-void JournalFileSink::sync_locked() {
-  if (!file_) return;
-  std::fflush(file_);
-  ::fsync(fileno(file_));
-}
-
-bool JournalFileSink::rotate(const std::string& new_path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!ok_) return false;
-  // The finished segment must be durable before the switch: a crash right
-  // after rotate() must never lose events the old file acknowledged.
-  sync_locked();
-  if (VAPRO_FAULT("journal.rotate") == testing::FaultAction::kFail) {
-    ++write_faults_;
-    return false;  // new segment unwritable; keep appending to the old one
-  }
-  std::FILE* old = file_;
-  const std::string old_path = std::move(path_);
-  file_ = nullptr;
-  if (!open_file(new_path, OpenMode::kTruncate)) {
-    // Could not create the new segment: keep the old one active.
-    path_ = old_path;
-    file_ = old;
-    return false;
-  }
-  std::fclose(old);
-  return true;
+bool JournalFileSink::should_rotate_locked(std::size_t line_bytes,
+                                           double virtual_time) const {
+  // Never rotate an event-less segment: a line larger than the size cap
+  // must still land somewhere, and rotation loops would otherwise spin.
+  if (segment_lines_ == 0) return false;
+  if (options_.max_segment_bytes > 0 &&
+      segment_bytes_ + line_bytes > options_.max_segment_bytes)
+    return true;
+  if (options_.max_segment_seconds > 0.0 &&
+      virtual_time - segment_open_vt_ >= options_.max_segment_seconds)
+    return true;
+  return false;
 }
 
 void JournalFileSink::on_event(const JournalEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!ok_) return;
   const std::string line = event.to_json_line() + '\n';
+  if (should_rotate_locked(line.size(), event.virtual_time)) {
+    // The finished segment must be durable before the next one opens; on
+    // failure the active segment keeps growing and the next write retries.
+    std::fflush(file_);
+    ::fsync(fileno(file_));
+    if (VAPRO_FAULT("journal.rotate") == testing::FaultAction::kFail ||
+        !open_segment_locked())
+      ++rotate_faults_;
+  }
   switch (VAPRO_FAULT("journal.write")) {
     case testing::FaultAction::kShortWrite:
       // Torn write: a prefix reaches the disk and the writer dies.  The
-      // sink goes quiet like a crashed process; kAppend reopen recovers.
+      // sink goes quiet like a crashed process; the reader's torn-tail
+      // recovery drops the partial line.
       std::fwrite(line.data(), 1, line.size() / 2, file_);
       std::fflush(file_);
       ok_ = false;
@@ -337,6 +321,9 @@ void JournalFileSink::on_event(const JournalEvent& event) {
     ++write_faults_;
     return;
   }
+  if (segment_lines_ == 0) segment_open_vt_ = event.virtual_time;
+  ++segment_lines_;
+  segment_bytes_ += line.size();
   ++lines_written_;
 }
 
@@ -450,84 +437,11 @@ JournalReadResult fail_result(const std::string& error) {
   return r;
 }
 
-// Journal payload lines, decoded from either framing.  `torn_tail` means a
-// trailing partial record was already discarded at the framing layer (only
-// the binary decoder reports this; for JSONL the torn final line surfaces
-// as an unparseable last element and the line parser handles it).
-struct DecodedLines {
-  bool ok = false;
-  std::string error;
+}  // namespace
+
+JournalReadResult parse_journal(std::istream& in, JournalReadOptions opts) {
   std::vector<std::string> lines;
-  bool torn_tail = false;
-};
-
-std::uint32_t load_le32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-bool has_binary_magic(const std::string& bytes) {
-  return bytes.size() >= sizeof(kJournalBinaryMagic) &&
-         std::memcmp(bytes.data(), kJournalBinaryMagic,
-                     sizeof(kJournalBinaryMagic)) == 0;
-}
-
-// A frame longer than this is corruption, not data — no journal event
-// approaches it, and trusting a garbage length would make a flipped bit
-// swallow the rest of the file as "torn tail".
-constexpr std::uint32_t kMaxFramePayload = 1u << 24;
-
-DecodedLines decode_binary_frames(const std::string& bytes,
-                                  bool recover_truncated_tail) {
-  DecodedLines out;
-  std::size_t pos = sizeof(kJournalBinaryMagic);
-  std::size_t frame_no = 0;
-  while (pos < bytes.size()) {
-    ++frame_no;
-    // A complete frame needs its 8-byte header plus the payload; anything
-    // shorter at EOF is a torn write from a killed writer.
-    if (bytes.size() - pos < 8) {
-      if (recover_truncated_tail) {
-        out.torn_tail = true;
-        break;
-      }
-      out.error = "torn frame header at byte " + std::to_string(pos);
-      return out;
-    }
-    const std::uint32_t len = load_le32(bytes.data() + pos);
-    const std::uint32_t crc = load_le32(bytes.data() + pos + 4);
-    if (len > kMaxFramePayload) {
-      out.error = "frame " + std::to_string(frame_no) +
-                  ": implausible payload length " + std::to_string(len);
-      return out;
-    }
-    if (bytes.size() - pos - 8 < len) {
-      if (recover_truncated_tail) {
-        out.torn_tail = true;
-        break;
-      }
-      out.error = "torn frame payload at byte " + std::to_string(pos);
-      return out;
-    }
-    // CRC failure on a *complete* frame is corruption (a torn write can
-    // only truncate the file), so it is fatal even under recovery.
-    if (util::crc32(bytes.data() + pos + 8, len) != crc) {
-      out.error = "frame " + std::to_string(frame_no) + ": CRC mismatch";
-      return out;
-    }
-    out.lines.emplace_back(bytes, pos + 8, len);
-    pos += 8 + static_cast<std::size_t>(len);
-  }
-  out.ok = true;
-  return out;
-}
-
-JournalReadResult parse_journal_lines(const std::vector<std::string>& lines,
-                                      bool framing_torn_tail,
-                                      JournalReadOptions opts) {
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
   JournalReadResult result;
   bool saw_header = false;
   std::int64_t last_seq = -1;
@@ -600,39 +514,8 @@ JournalReadResult parse_journal_lines(const std::vector<std::string>& lines,
     result.events.push_back(std::move(ev));
   }
   if (!saw_header) return fail_result("empty journal (no header line)");
-  if (framing_torn_tail) result.truncated_tail = true;
   result.ok = true;
   return result;
-}
-
-JournalReadResult parse_journal_bytes(const std::string& bytes,
-                                      JournalReadOptions opts) {
-  if (has_binary_magic(bytes)) {
-    DecodedLines decoded =
-        decode_binary_frames(bytes, opts.recover_truncated_tail);
-    if (!decoded.ok) return fail_result(decoded.error);
-    return parse_journal_lines(decoded.lines, decoded.torn_tail, opts);
-  }
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos <= bytes.size()) {
-    const std::size_t nl = bytes.find('\n', pos);
-    if (nl == std::string::npos) {
-      if (pos < bytes.size()) lines.emplace_back(bytes, pos);
-      break;
-    }
-    lines.emplace_back(bytes, pos, nl - pos);
-    pos = nl + 1;
-  }
-  return parse_journal_lines(lines, /*framing_torn_tail=*/false, opts);
-}
-
-}  // namespace
-
-JournalReadResult parse_journal(std::istream& in, JournalReadOptions opts) {
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return parse_journal_bytes(oss.str(), opts);
 }
 
 JournalReadResult read_journal(const std::string& path,

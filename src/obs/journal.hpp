@@ -14,14 +14,16 @@
 // and lets `vapro_replay --from-journal` reproduce the original run's
 // detection/diagnosis summaries character for character.
 //
-// Sinks observe the event stream live: JournalFileSink appends JSONL
-// (flushed on every window boundary by ObsContext), and the alert engine
-// (alerts.hpp) subscribes as just another sink.  Emission from inside a
-// sink callback (e.g. an alert recording itself as an event) is legal —
-// the journal queues re-entrant events and drains them after the current
-// dispatch, preserving sequence order without recursive locking.
+// Sinks observe the event stream live: JournalFileSink appends JSONL to
+// one file or to rotating segments (flushed on every window boundary by
+// ObsContext), and the alert engine (alerts.hpp) subscribes as just
+// another sink.  Emission from inside a sink callback (e.g. an alert
+// recording itself as an event) is legal — the journal queues re-entrant
+// events and drains them after the current dispatch, preserving sequence
+// order without recursive locking.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -115,58 +117,79 @@ class Journal {
   std::vector<JournalSink*> sinks_;
 };
 
-// Appends events as JSONL; writes the schema header line on open and
-// creates missing parent directories instead of failing.
+// The schema header line every journal file and segment opens with;
+// `dropped_events` > 0 records how many events an offline compaction
+// removed (see src/obs/journal_segment.hpp).
+std::string journal_header_line(std::uint64_t dropped_events = 0);
+
+// Segment file name for index `i`: "journal-%06zu.jsonl".  Zero-padded, so
+// name order is write order.
+std::string journal_segment_name(std::size_t index);
+// True for the names journal_segment_name produces.
+bool is_journal_segment_name(const std::string& name);
+
+struct SegmentOptions {
+  std::string directory;                // created if missing
+  std::uint64_t max_segment_bytes = 0;  // 0 = never rotate on size
+  double max_segment_seconds = 0.0;     // 0 = never rotate on event age
+};
+
+// The journal writer: appends events as JSONL, one line per event, after
+// the schema header line.  Missing parent directories are created.
 //
-// Crash durability: a writer killed mid-line leaves a torn final line.
-// Opening the same path in kAppend mode recovers — the partial tail is
-// truncated away and appending resumes after the last complete line (the
-// header is only written when the file is new/empty).  rotate() makes the
-// finished segment durable (flush + fsync) before switching to a fresh
-// file, so a rotation boundary never loses acknowledged events.
+// Constructed with a path it writes that one file and never rotates.
+// Constructed with SegmentOptions it writes journal-%06zu.jsonl segments
+// into the directory, rotating on size (`max_segment_bytes`) and/or event
+// age (`max_segment_seconds`, virtual time so tests are deterministic);
+// every segment starts with its own header, so any segment reads alone and
+// the directory reads as one stream (read_journal_dir).  A directory that
+// already holds a segment is refused and left untouched: this run's
+// segments would interleave with the older run's, and their seqs could
+// still rise across the seam.  A finished segment is flushed and fsynced
+// before the next one opens, so a rotation never loses written events.
+//
+// A writer killed mid-line leaves a torn final line; readers drop it with
+// JournalReadOptions::recover_truncated_tail.
 //
 // Fault sites (src/testing): "journal.write" honors short_write (torn
-// line, sink stops as a crashed writer would) and fail (ENOSPC: the line
-// is dropped and counted, seq numbers keep a gap); "journal.rotate"
-// honors fail (the new segment cannot be created; the old file stays
-// active and rotate() returns false).
+// line, the sink stops as a crashed writer would) and fail (ENOSPC: the
+// line is dropped and counted, seq numbers keep a gap); "journal.rotate"
+// honors fail (the next segment cannot be created; the active segment
+// keeps growing and a later write retries the rotation).
 class JournalFileSink final : public JournalSink {
  public:
-  enum class OpenMode {
-    kTruncate,  // fresh file, write the schema header
-    kAppend,    // reopen: recover a torn tail, append after the last line
-  };
-
-  explicit JournalFileSink(const std::string& path,
-                           OpenMode mode = OpenMode::kTruncate);
+  explicit JournalFileSink(const std::string& path);
+  explicit JournalFileSink(SegmentOptions options);
   ~JournalFileSink() override;
+
+  // False once the sink cannot write: it never opened, or a torn write
+  // stopped it.  Safe to call from any thread.
   bool ok() const { return ok_; }
-  const std::string& path() const { return path_; }
-
-  // Flushes + fsyncs the current segment, then starts a fresh file at
-  // `new_path` (with a new header).  On failure the current segment stays
-  // active and false is returned.
-  bool rotate(const std::string& new_path);
-
+  std::size_t segments_opened() const { return segments_opened_; }
   std::uint64_t lines_written() const { return lines_written_; }
-  // Writes dropped or torn by injected/real write errors.
+  // Lines dropped or torn by injected/real write errors.
   std::uint64_t write_faults() const { return write_faults_; }
-  // Bytes of torn final line discarded by kAppend recovery (0 = clean).
-  std::uint64_t recovered_tail_bytes() const { return recovered_tail_bytes_; }
+  // Rotations that could not open their next segment.
+  std::uint64_t rotate_faults() const { return rotate_faults_; }
 
   void on_event(const JournalEvent& event) override;
   void flush() override;
 
  private:
-  bool open_file(const std::string& path, OpenMode mode);
-  void sync_locked();
+  bool open_segment_locked();
+  bool should_rotate_locked(std::size_t line_bytes, double virtual_time) const;
 
-  std::string path_;
+  std::string path_;        // the single file; empty in directory mode
+  SegmentOptions options_;  // directory mode when options_.directory is set
   std::FILE* file_ = nullptr;
-  bool ok_ = false;
+  std::atomic<bool> ok_{false};
+  std::size_t segments_opened_ = 0;
+  std::uint64_t segment_bytes_ = 0;    // bytes in the active segment
+  std::uint64_t segment_lines_ = 0;    // event lines in the active segment
+  double segment_open_vt_ = 0.0;       // virtual time of its first event
   std::uint64_t lines_written_ = 0;
   std::uint64_t write_faults_ = 0;
-  std::uint64_t recovered_tail_bytes_ = 0;
+  std::uint64_t rotate_faults_ = 0;
   std::mutex mu_;
 };
 
@@ -184,7 +207,7 @@ struct JournalReadResult {
   bool ok = false;
   std::string error;            // set when !ok (schema mismatch, bad JSON…)
   int schema_version = 0;       // from the header line
-  bool truncated_tail = false;  // a torn final line/frame was dropped
+  bool truncated_tail = false;  // a torn final line was dropped
   // Events removed by offline compaction, from the `dropped_events` header
   // field (summed across segments).  Replay adds them back into its event
   // count so a compacted journal renders identically to the original.
@@ -198,11 +221,8 @@ struct JournalReadResult {
 // object of scalars, or a non-monotonic sequence number.  Sequence numbers
 // may be sparse (a writer may drop lines on ENOSPC) but never reorder.
 //
-// Both journal formats are accepted: JSONL (first byte '{') and the
-// length-prefixed binary segment framing from src/obs/journal_segment.hpp
-// (first bytes "VJS1") — the reader auto-detects.  When `path` names a
-// directory, the call forwards to read_journal_dir (all segments, one
-// stream).
+// When `path` names a directory, the call forwards to read_journal_dir
+// (all segments, one stream; src/obs/journal_segment.hpp).
 JournalReadResult read_journal(const std::string& path,
                                JournalReadOptions opts = {});
 JournalReadResult parse_journal(std::istream& in, JournalReadOptions opts = {});

@@ -1,186 +1,15 @@
 #include "src/obs/journal_segment.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
-#include "src/testing/fault.hpp"
-#include "src/util/crc32.hpp"
 #include "src/util/fs.hpp"
 
 namespace vapro::obs {
 
-namespace {
-
 namespace fs = std::filesystem;
-
-void store_le32(std::uint32_t v, std::string* out) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-// One on-disk record for `payload` (a JSON line without its newline):
-// framed with length+CRC in binary mode, newline-terminated in JSONL mode.
-std::string encode_record(const std::string& payload, bool binary) {
-  if (!binary) return payload + '\n';
-  std::string out;
-  out.reserve(payload.size() + 8);
-  store_le32(static_cast<std::uint32_t>(payload.size()), &out);
-  store_le32(util::crc32(payload.data(), payload.size()), &out);
-  out += payload;
-  return out;
-}
-
-std::string header_payload(std::uint64_t dropped_events) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"journal_header\",\"schema\":\"" << kJournalSchemaName
-      << "\",\"schema_version\":" << kJournalSchemaVersion;
-  if (dropped_events > 0) oss << ",\"dropped_events\":" << dropped_events;
-  oss << '}';
-  return oss.str();
-}
-
-bool is_segment_name(const std::string& name) {
-  if (name.rfind("journal-", 0) != 0) return false;
-  return name.size() > 6 && (name.ends_with(".vjseg") || name.ends_with(".jsonl"));
-}
-
-}  // namespace
-
-std::string journal_segment_name(std::size_t index, bool binary) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "journal-%06zu.%s", index,
-                binary ? "vjseg" : "jsonl");
-  return buf;
-}
-
-// --- JournalSegmentSink ---------------------------------------------------
-
-JournalSegmentSink::JournalSegmentSink(SegmentOptions options)
-    : options_(std::move(options)) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ok_ = open_segment_locked();
-}
-
-JournalSegmentSink::~JournalSegmentSink() {
-  if (file_) std::fclose(file_);
-}
-
-std::string JournalSegmentSink::active_path() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return paths_.empty() ? std::string() : paths_.back();
-}
-
-std::vector<std::string> JournalSegmentSink::segment_paths() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return paths_;
-}
-
-std::size_t JournalSegmentSink::segments_opened() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return paths_.size();
-}
-
-bool JournalSegmentSink::open_segment_locked() {
-  const std::string path =
-      options_.directory + "/" +
-      journal_segment_name(paths_.size(), options_.binary);
-  // ensure_parent_dirs creates everything above the file — which is the
-  // segment directory itself.
-  util::ensure_parent_dirs(path);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  std::string bytes;
-  if (options_.binary)
-    bytes.assign(kJournalBinaryMagic, sizeof(kJournalBinaryMagic));
-  bytes += encode_record(header_payload(0), options_.binary);
-  if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    return false;
-  }
-  if (file_) std::fclose(file_);
-  file_ = f;
-  paths_.push_back(path);
-  segment_bytes_ = bytes.size();
-  segment_records_ = 0;
-  return true;
-}
-
-void JournalSegmentSink::sync_locked() {
-  if (!file_) return;
-  std::fflush(file_);
-  ::fsync(fileno(file_));
-}
-
-bool JournalSegmentSink::should_rotate_locked(std::size_t record_bytes,
-                                              double virtual_time) const {
-  // Never rotate an event-less segment: a record larger than the size cap
-  // must still land somewhere, and rotation loops would otherwise spin.
-  if (segment_records_ == 0) return false;
-  if (options_.max_segment_bytes > 0 &&
-      segment_bytes_ + record_bytes > options_.max_segment_bytes)
-    return true;
-  if (options_.max_segment_seconds > 0.0 &&
-      virtual_time - segment_open_vt_ >= options_.max_segment_seconds)
-    return true;
-  return false;
-}
-
-void JournalSegmentSink::on_event(const JournalEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!ok_) return;
-  const std::string record =
-      encode_record(event.to_json_line(), options_.binary);
-  if (should_rotate_locked(record.size(), event.virtual_time)) {
-    // The finished segment must be durable before the switch; on rotation
-    // failure the active segment simply keeps growing and the next write
-    // retries.
-    sync_locked();
-    if (VAPRO_FAULT("journal.rotate") == testing::FaultAction::kFail ||
-        !open_segment_locked()) {
-      ++rotate_faults_;
-    }
-  }
-  switch (VAPRO_FAULT("journal.write")) {
-    case testing::FaultAction::kShortWrite:
-      // Torn write: a prefix of the frame reaches the disk and the writer
-      // dies.  The sink goes quiet like a crashed process; the reader's
-      // torn-tail recovery drops the partial frame.
-      std::fwrite(record.data(), 1, record.size() / 2, file_);
-      std::fflush(file_);
-      ok_ = false;
-      ++write_faults_;
-      return;
-    case testing::FaultAction::kFail:
-      // ENOSPC: this record is lost but the writer keeps going — readers
-      // see a seq gap, never a reorder.
-      ++write_faults_;
-      return;
-    default:
-      break;
-  }
-  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size()) {
-    ++write_faults_;
-    return;
-  }
-  if (segment_records_ == 0) segment_open_vt_ = event.virtual_time;
-  ++segment_records_;
-  segment_bytes_ += record.size();
-  ++records_written_;
-}
-
-void JournalSegmentSink::flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ok_) std::fflush(file_);
-}
 
 // --- directory reader -----------------------------------------------------
 
@@ -192,7 +21,7 @@ JournalReadResult read_journal_dir(const std::string& directory,
   for (const fs::directory_entry& entry : fs::directory_iterator(directory, ec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
-    if (is_segment_name(name)) names.push_back(name);
+    if (is_journal_segment_name(name)) names.push_back(name);
   }
   if (ec) {
     result.error = "cannot list " + directory + ": " + ec.message();
@@ -241,17 +70,14 @@ JournalReadResult read_journal_dir(const std::string& directory,
 bool write_journal_file(const std::string& path,
                         const std::vector<JournalEvent>& events,
                         std::uint64_t dropped_events, std::string* error) {
-  const bool binary = path.ends_with(".vjseg");
   util::ensure_parent_dirs(path);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     if (error) *error = "cannot open " + path + " for writing";
     return false;
   }
-  if (binary) out.write(kJournalBinaryMagic, sizeof(kJournalBinaryMagic));
-  out << encode_record(header_payload(dropped_events), binary);
-  for (const JournalEvent& ev : events)
-    out << encode_record(ev.to_json_line(), binary);
+  out << journal_header_line(dropped_events);
+  for (const JournalEvent& ev : events) out << ev.to_json_line() << '\n';
   out.flush();
   if (!out) {
     if (error) *error = "short write to " + path;

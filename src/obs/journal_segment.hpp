@@ -1,39 +1,16 @@
 // Segmented journal store — the production-run shape of the event journal.
 //
 // A single ever-growing JSONL file is fine for a test run; a long-lived
-// daemon needs bounded segments it can rotate, ship, and compact.  The
-// JournalSegmentSink writes a directory of segments
+// daemon needs bounded segments it can rotate, ship, and compact.
+// JournalFileSink (src/obs/journal.hpp), constructed with SegmentOptions,
+// writes a directory of JSONL segments
 //
-//   journal-000000.vjseg, journal-000001.vjseg, ...
+//   journal-000000.jsonl, journal-000001.jsonl, ...
 //
-// rotating on size (`max_segment_bytes`) and/or event age
-// (`max_segment_seconds`, measured in virtual time so tests are
-// deterministic).  Each segment is self-describing: record 0 is the same
-// schema header line a JSONL journal carries, so any segment can be read
-// alone and a directory can be read as one stream.
-//
-// The default framing is binary: the file opens with the magic "VJS1" and
-// every record is
-//
-//   u32 payload_len (LE) | u32 crc32(payload) (LE) | payload
-//
-// where the payload is the event's JSON line text without the trailing
-// newline — the same bytes the JSONL sink would write, so the two formats
-// are interconvertible and `read_journal` auto-detects which one it was
-// handed (a JSONL file starts with '{', never 'V').  The CRC is the same
-// CRC-32/IEEE the wire codec uses (util::crc32); a torn final frame (a
-// writer killed mid-write) is recoverable exactly like a torn JSONL line,
-// while a CRC mismatch anywhere before the tail stays fatal — that is
-// corruption, not a crash.
-//
-// JSONL segments (`binary = false`) remain available as a debug sink:
-// human-greppable, byte-identical payloads, same rotation rules.
-//
-// Fault sites mirror JournalFileSink: "journal.write" honors short_write
-// (torn frame/line, the sink goes quiet like a crashed writer) and fail
-// (ENOSPC: the record is dropped and counted, seq numbers keep a gap);
-// "journal.rotate" honors fail (the new segment cannot be created; the
-// current segment stays active and rotation is retried on a later write).
+// each opening with the same schema header line a single-file journal
+// carries, so any segment can be read alone and a directory can be read as
+// one stream.  This header holds the directory reader and offline
+// compaction.
 //
 // Offline compaction (`compact_journal`) drops events that replay can no
 // longer observe — variance_region/variance_clear snapshots below the
@@ -46,8 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,72 +30,11 @@
 
 namespace vapro::obs {
 
-// First four bytes of a binary segment.  'V' (0x56) can never begin a
-// JSONL journal (those start with the header object's '{'), so one byte
-// is enough to tell the formats apart.
-inline constexpr char kJournalBinaryMagic[4] = {'V', 'J', 'S', '1'};
-
-// Segment file name for index `i`: "journal-%06d.vjseg" (binary) or
-// "journal-%06d.jsonl" (debug JSONL).
-std::string journal_segment_name(std::size_t index, bool binary);
-
-struct SegmentOptions {
-  std::string directory;             // created if missing
-  std::uint64_t max_segment_bytes = 0;  // 0 = never rotate on size
-  double max_segment_seconds = 0.0;     // 0 = never rotate on event age
-  bool binary = true;                   // false: JSONL debug segments
-};
-
-// Journal sink writing rotating segments into a directory.  Thread-safe
-// like JournalFileSink; flush() flushes the active segment, rotation
-// fsyncs the finished segment before switching so a rotation boundary
-// never loses acknowledged events.
-class JournalSegmentSink final : public JournalSink {
- public:
-  explicit JournalSegmentSink(SegmentOptions options);
-  ~JournalSegmentSink() override;
-
-  bool ok() const { return ok_; }
-  const SegmentOptions& options() const { return options_; }
-  // Path of the segment currently being written.
-  std::string active_path() const;
-  // Paths of every segment opened so far, oldest first.
-  std::vector<std::string> segment_paths() const;
-  std::size_t segments_opened() const;
-
-  std::uint64_t records_written() const { return records_written_; }
-  // Records dropped or torn by injected/real write errors.
-  std::uint64_t write_faults() const { return write_faults_; }
-  // Rotations that could not open their new segment (site journal.rotate).
-  std::uint64_t rotate_faults() const { return rotate_faults_; }
-
-  void on_event(const JournalEvent& event) override;
-  void flush() override;
-
- private:
-  bool open_segment_locked();
-  void sync_locked();
-  bool should_rotate_locked(std::size_t record_bytes, double virtual_time) const;
-
-  SegmentOptions options_;
-  std::FILE* file_ = nullptr;
-  bool ok_ = false;
-  std::vector<std::string> paths_;       // opened segments, oldest first
-  std::uint64_t segment_bytes_ = 0;      // bytes written to the active segment
-  std::uint64_t segment_records_ = 0;    // event records in the active segment
-  double segment_open_vt_ = 0.0;         // virtual time of its first event
-  std::uint64_t records_written_ = 0;
-  std::uint64_t write_faults_ = 0;
-  std::uint64_t rotate_faults_ = 0;
-  mutable std::mutex mu_;
-};
-
 // --- directory reader -----------------------------------------------------
 
-// Reads every journal segment in `directory` (files named
-// journal-*.vjseg / journal-*.jsonl, sorted by name; formats may be
-// mixed) as one event stream.  Each segment must carry a valid header;
-// sequence numbers must stay monotonic across segment boundaries.
+// Reads every journal segment in `directory` (files named journal-*.jsonl,
+// sorted by name) as one event stream.  Each segment must carry a valid
+// header; sequence numbers must stay monotonic across segment boundaries.
 // Torn-tail recovery (opts.recover_truncated_tail) applies only to the
 // final segment — an earlier segment was sealed by a rotation and can
 // only be short through corruption.  `compacted_dropped` sums the
@@ -130,9 +44,8 @@ JournalReadResult read_journal_dir(const std::string& directory,
 
 // --- writer / compaction --------------------------------------------------
 
-// Writes `events` as a single journal file at `path`; binary framing when
-// the path ends in ".vjseg", JSONL otherwise.  The header records
-// `dropped_events` when non-zero.  Events keep their seq / raw field
+// Writes `events` as a single JSONL journal file at `path`.  The header
+// records `dropped_events` when non-zero.  Events keep their seq / raw field
 // text, so write → read → write round-trips byte-identically.
 bool write_journal_file(const std::string& path,
                         const std::vector<JournalEvent>& events,

@@ -1,11 +1,6 @@
-// CRC-32/IEEE (polynomial 0xEDB88320, the zlib/Ethernet checksum).
-//
-// One implementation shared by every length-prefixed framing in the tree:
-// the net wire protocol (src/net/wire.hpp) and the binary journal
-// segments (src/obs/journal_segment.hpp) both frame records as
-// {length, crc, payload} and must agree on the checksum — keeping the
-// table here means they cannot drift.  Known-answer: crc32("123456789")
-// == 0xCBF43926.
+// CRC-32/IEEE (polynomial 0xEDB88320, the zlib/Ethernet checksum), which
+// the net wire protocol (src/net/wire.hpp) stamps on every frame payload.
+// Known-answer: crc32("123456789") == 0xCBF43926.
 #pragma once
 
 #include <cstddef>

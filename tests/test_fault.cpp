@@ -1,8 +1,9 @@
 // Tests for src/testing (fault plans, the injector, the virtual clock) and
 // for the hardened hazard sites they drive: journal short-write/ENOSPC and
-// torn-tail recovery, rotation failure, alert-sink drop/throw survival,
-// client ingest drops, and skipped window publication.  Everything here is
-// deterministic — seeded plans, no sleeps, no real time.
+// torn-tail recovery, alert-sink drop/throw survival, client ingest drops,
+// and skipped window publication (rotation failure is covered by the
+// segment tests in test_journal.cpp).  Everything here is deterministic —
+// seeded plans, no sleeps, no real time.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -221,96 +222,6 @@ TEST(JournalFault, ShortWriteLeavesTornTailAndReaderRecovers) {
   EXPECT_TRUE(read.truncated_tail);
   ASSERT_EQ(read.events.size(), 2u);
   EXPECT_EQ(read.events[1].seq, 1u);
-}
-
-TEST(JournalFault, AppendReopenTruncatesTornTailAndResumes) {
-  const std::string path = temp_path("journal_reopen.jsonl");
-  std::remove(path.c_str());
-  {
-    testing_::FaultScope scope(
-        plan_from("seed 1\njournal.write on=2 short_write\n"));
-    obs::Journal journal;
-    obs::JournalFileSink sink(path);
-    journal.add_sink(&sink);
-    journal.emit("window", 0, 0.0, {});
-    journal.emit("window", 1, 0.1, {});  // torn mid-line
-  }
-  // Reopen as a restarted writer: the torn tail is cut, appending resumes.
-  {
-    obs::Journal journal;
-    obs::JournalFileSink sink(path, obs::JournalFileSink::OpenMode::kAppend);
-    ASSERT_TRUE(sink.ok());
-    EXPECT_GT(sink.recovered_tail_bytes(), 0u);
-    journal.add_sink(&sink);
-    obs::JournalEvent ev;
-    ev.seq = 5;  // journal seq restarts; the sink doesn't renumber
-    ev.type = "window";
-    ev.window = 2;
-    sink.on_event(ev);
-    sink.flush();
-  }
-  obs::JournalReadResult read = obs::read_journal(path);
-  ASSERT_TRUE(read.ok) << read.error;  // no torn line left: strict read is OK
-  ASSERT_EQ(read.events.size(), 2u);
-  EXPECT_EQ(read.events[0].seq, 0u);
-  EXPECT_EQ(read.events[1].seq, 5u);
-}
-
-TEST(JournalFault, CleanAppendReopenRecoversNothing) {
-  const std::string path = temp_path("journal_clean_reopen.jsonl");
-  std::remove(path.c_str());
-  {
-    obs::JournalFileSink sink(path);
-    obs::JournalEvent ev;
-    ev.type = "window";
-    sink.on_event(ev);
-  }
-  obs::JournalFileSink sink(path, obs::JournalFileSink::OpenMode::kAppend);
-  ASSERT_TRUE(sink.ok());
-  EXPECT_EQ(sink.recovered_tail_bytes(), 0u);
-}
-
-TEST(JournalFault, RotateFailureKeepsOldSegmentActive) {
-  const std::string a = temp_path("journal_rot_a.jsonl");
-  const std::string b = temp_path("journal_rot_b.jsonl");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  testing_::FaultScope scope(plan_from("seed 1\njournal.rotate on=1 fail\n"));
-  obs::JournalFileSink sink(a);
-  obs::JournalEvent ev;
-  ev.type = "window";
-  sink.on_event(ev);
-  EXPECT_FALSE(sink.rotate(b));  // injected rotation failure
-  EXPECT_EQ(sink.path(), a);
-  ev.seq = 1;
-  sink.on_event(ev);  // still writable after the failed rotation
-  sink.flush();
-  EXPECT_EQ(sink.lines_written(), 2u);
-  obs::JournalReadResult read = obs::read_journal(a);
-  ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_EQ(read.events.size(), 2u);
-}
-
-TEST(JournalFault, RotateStartsFreshSegmentWithHeader) {
-  const std::string a = temp_path("journal_rot2_a.jsonl");
-  const std::string b = temp_path("journal_rot2_b.jsonl");
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-  obs::JournalFileSink sink(a);
-  obs::JournalEvent ev;
-  ev.type = "window";
-  sink.on_event(ev);
-  ASSERT_TRUE(sink.rotate(b));
-  EXPECT_EQ(sink.path(), b);
-  ev.seq = 1;
-  sink.on_event(ev);
-  sink.flush();
-  obs::JournalReadResult ra = obs::read_journal(a);
-  obs::JournalReadResult rb = obs::read_journal(b);
-  ASSERT_TRUE(ra.ok) << ra.error;
-  ASSERT_TRUE(rb.ok) << rb.error;
-  EXPECT_EQ(ra.events.size(), 1u);  // sealed segment
-  EXPECT_EQ(rb.events.size(), 1u);  // fresh segment with its own header
 }
 
 // --- alert dispatch -------------------------------------------------------

@@ -1,9 +1,9 @@
 // Tests for src/obs/journal + src/obs/journal_segment + src/obs/alerts +
 // src/core/journal_replay: byte-identical write→read round-trips,
 // schema-version rejection, parent directory creation, segment rotation
-// (size/age/faults), binary-framing torn-tail and CRC semantics, mixed
-// JSONL+binary directory readback, compaction replay byte-identity, alert
-// rule parsing/firing, and the acceptance criterion that a journal
+// (size/age/faults), refusal of a directory that already holds segments,
+// torn-tail semantics across segments, compaction replay byte-identity,
+// alert rule parsing/firing, and the acceptance criterion that a journal
 // re-ingested by the replay path reproduces the live run's detection and
 // diagnosis summaries exactly.
 #include <gtest/gtest.h>
@@ -188,33 +188,6 @@ TEST(Journal, RecoveryDoesNotExcuseMidFileCorruption) {
   EXPECT_FALSE(read.ok);  // only the FINAL line may be torn
 }
 
-TEST(Journal, AppendReopenResumesAfterTornTail) {
-  const std::string path = temp_path("journal_append_resume.jsonl");
-  {
-    std::ofstream out(path);
-    out << "{\"type\":\"journal_header\",\"schema\":\"vapro.journal\","
-           "\"schema_version\":1}\n"
-        << "{\"seq\":0,\"type\":\"window\",\"window\":0,\"t\":0.1}\n"
-        << "{\"seq\":1,\"type\":\"wind";  // torn by a crash
-  }
-  obs::JournalFileSink sink(path, obs::JournalFileSink::OpenMode::kAppend);
-  ASSERT_TRUE(sink.ok());
-  EXPECT_GT(sink.recovered_tail_bytes(), 0u);
-  obs::JournalEvent ev;
-  ev.seq = 1;
-  ev.type = "window";
-  ev.window = 1;
-  ev.virtual_time = 0.2;
-  sink.on_event(ev);
-  sink.flush();
-  // The resumed file reads back clean — no recovery flag needed.
-  obs::JournalReadResult read = obs::read_journal(path);
-  ASSERT_TRUE(read.ok) << read.error;
-  ASSERT_EQ(read.events.size(), 2u);
-  EXPECT_EQ(read.events[0].seq, 0u);
-  EXPECT_EQ(read.events[1].seq, 1u);
-}
-
 TEST(Journal, FileSinkCreatesParentDirectories) {
   const std::string path = temp_path("journal_nest/a/b/run.jsonl");
   obs::JournalFileSink sink(path);
@@ -252,18 +225,18 @@ TEST(JournalSegments, RotatesBySizeAndReadsBackAsOneStream) {
   std::size_t segments = 0;
   {
     obs::Journal journal;
-    obs::JournalSegmentSink sink(seg);
+    obs::JournalFileSink sink(seg);
     ASSERT_TRUE(sink.ok());
     journal.add_sink(&sink);
     emit_windows(journal, 20);
     journal.flush();
-    EXPECT_EQ(sink.records_written(), 20u);
+    EXPECT_EQ(sink.lines_written(), 20u);
     segments = sink.segments_opened();
     EXPECT_GT(segments, 3u);
     // Every opened segment is on disk under its canonical name.
     for (std::size_t i = 0; i < segments; ++i)
       EXPECT_TRUE(std::filesystem::exists(
-          dir + "/" + obs::journal_segment_name(i, /*binary=*/true)));
+          dir + "/" + obs::journal_segment_name(i)));
   }
   obs::JournalReadResult read = obs::read_journal_dir(dir);
   ASSERT_TRUE(read.ok) << read.error;
@@ -285,7 +258,7 @@ TEST(JournalSegments, RotatesByVirtualTimeAge) {
   seg.max_segment_seconds = 0.5;  // events arrive every 0.1s of virtual time
   {
     obs::Journal journal;
-    obs::JournalSegmentSink sink(seg);
+    obs::JournalFileSink sink(seg);
     ASSERT_TRUE(sink.ok());
     journal.add_sink(&sink);
     emit_windows(journal, 20);  // spans 2.0s of virtual time
@@ -296,40 +269,33 @@ TEST(JournalSegments, RotatesByVirtualTimeAge) {
   EXPECT_EQ(read.events.size(), 20u);
 }
 
-TEST(JournalSegments, BinaryPayloadsMatchJsonlByteForByte) {
-  const std::string dir_bin = temp_path("seg_fmt_bin");
-  const std::string dir_txt = temp_path("seg_fmt_txt");
-  std::filesystem::remove_all(dir_bin);
-  std::filesystem::remove_all(dir_txt);
-  obs::SegmentOptions bin;
-  bin.directory = dir_bin;
-  obs::SegmentOptions txt;
-  txt.directory = dir_txt;
-  txt.binary = false;
+TEST(JournalSegments, RefusesDirectoryHoldingSegments) {
+  // A leftover segment from an earlier run: writing next to it would let
+  // the reader stitch both runs into one stream.
+  const std::string dir = temp_path("seg_stale");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string stale = dir + "/" + obs::journal_segment_name(3);
+  const std::string stale_bytes = obs::journal_header_line();
   {
-    obs::Journal journal;
-    obs::JournalSegmentSink bsink(bin);
-    obs::JournalSegmentSink tsink(txt);
-    ASSERT_TRUE(bsink.ok());
-    ASSERT_TRUE(tsink.ok());
-    journal.add_sink(&bsink);
-    journal.add_sink(&tsink);
-    emit_windows(journal, 6);
-    journal.flush();
+    std::ofstream out(stale, std::ios::binary);
+    out << stale_bytes;
   }
-  obs::JournalReadResult rb = obs::read_journal_dir(dir_bin);
-  obs::JournalReadResult rt = obs::read_journal_dir(dir_txt);
-  ASSERT_TRUE(rb.ok) << rb.error;
-  ASSERT_TRUE(rt.ok) << rt.error;
-  ASSERT_EQ(rb.events.size(), rt.events.size());
-  // The binary frame payloads are the JSONL lines: every event re-renders
-  // to the identical byte string regardless of which framing carried it.
-  for (std::size_t i = 0; i < rb.events.size(); ++i)
-    EXPECT_EQ(rb.events[i].to_json_line(), rt.events[i].to_json_line());
+  obs::SegmentOptions seg;
+  seg.directory = dir;
+  obs::JournalFileSink sink(seg);
+  EXPECT_FALSE(sink.ok());
+  EXPECT_EQ(sink.segments_opened(), 0u);
+  // Nothing was deleted, overwritten or added.
+  EXPECT_EQ(slurp(stale), stale_bytes);
+  EXPECT_FALSE(
+      std::filesystem::exists(dir + "/" + obs::journal_segment_name(0)));
+  obs::ObsContext ctx;
+  EXPECT_FALSE(ctx.attach_journal_file(seg));
 }
 
 #if defined(VAPRO_FAULT_INJECTION) && VAPRO_FAULT_INJECTION
-TEST(JournalSegments, BinaryTornTailIsFatalStrictlyButRecoverable) {
+TEST(JournalSegments, TornTailIsFatalStrictlyButRecoverable) {
   const std::string dir = temp_path("seg_torn");
   std::filesystem::remove_all(dir);
   obs::SegmentOptions seg;
@@ -338,16 +304,19 @@ TEST(JournalSegments, BinaryTornTailIsFatalStrictlyButRecoverable) {
     testing_::FaultScope scope(
         plan_from("seed 1\njournal.write on=4 short_write\n"));
     obs::Journal journal;
-    obs::JournalSegmentSink sink(seg);
+    obs::JournalFileSink sink(seg);
     journal.add_sink(&sink);
     emit_windows(journal, 5);
     EXPECT_FALSE(sink.ok());  // crashed writer went quiet
-    EXPECT_EQ(sink.records_written(), 3u);
+    EXPECT_EQ(sink.lines_written(), 3u);
     EXPECT_EQ(sink.write_faults(), 1u);
   }
+  // The torn line follows the header and three complete events.
   obs::JournalReadResult strict = obs::read_journal_dir(dir);
   EXPECT_FALSE(strict.ok);
-  EXPECT_NE(strict.error.find("torn"), std::string::npos) << strict.error;
+  EXPECT_NE(strict.error.find(obs::journal_segment_name(0) + ": line 5"),
+            std::string::npos)
+      << strict.error;
 
   obs::JournalReadOptions opts;
   opts.recover_truncated_tail = true;
@@ -359,33 +328,37 @@ TEST(JournalSegments, BinaryTornTailIsFatalStrictlyButRecoverable) {
 }
 #endif  // VAPRO_FAULT_INJECTION
 
-TEST(JournalSegments, CrcCorruptionIsFatalEvenWithRecovery) {
-  const std::string dir = temp_path("seg_crc");
+TEST(JournalSegments, TornLineInFinishedSegmentIsFatalEvenWithRecovery) {
+  const std::string dir = temp_path("seg_torn_sealed");
   std::filesystem::remove_all(dir);
   obs::SegmentOptions seg;
   seg.directory = dir;
+  seg.max_segment_bytes = 256;
   {
     obs::Journal journal;
-    obs::JournalSegmentSink sink(seg);
+    obs::JournalFileSink sink(seg);
     journal.add_sink(&sink);
-    emit_windows(journal, 4);
+    emit_windows(journal, 8);
     journal.flush();
+    ASSERT_GE(sink.segments_opened(), 3u);
   }
-  const std::string path = dir + "/" + obs::journal_segment_name(0, true);
-  std::string bytes = slurp(path);
-  ASSERT_GT(bytes.size(), 64u);
-  // Flip one payload byte in the middle of the file: the frame stays
-  // structurally complete, so only the CRC can catch it.
-  bytes[bytes.size() / 2] ^= 0x01;
+  // Tear the last line of the first segment.  A rotation fsynced it before
+  // the next segment opened, so no crash can leave it short: recovery,
+  // which forgives only the last segment's tail, must not excuse it.
+  const std::string first = dir + "/" + obs::journal_segment_name(0);
+  std::string bytes = slurp(first);
+  ASSERT_GT(bytes.size(), 16u);
+  bytes.resize(bytes.size() - 10);
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    std::ofstream out(first, std::ios::binary | std::ios::trunc);
     out << bytes;
   }
   obs::JournalReadOptions opts;
-  opts.recover_truncated_tail = true;  // recovery must NOT excuse corruption
+  opts.recover_truncated_tail = true;
   obs::JournalReadResult read = obs::read_journal_dir(dir, opts);
   EXPECT_FALSE(read.ok);
-  EXPECT_NE(read.error.find("CRC"), std::string::npos) << read.error;
+  EXPECT_NE(read.error.find(obs::journal_segment_name(0)), std::string::npos)
+      << read.error;
 }
 
 #if defined(VAPRO_FAULT_INJECTION) && VAPRO_FAULT_INJECTION
@@ -398,12 +371,12 @@ TEST(JournalSegments, EnospcLeavesSeqGapNeverReorder) {
   {
     testing_::FaultScope scope(plan_from("seed 1\njournal.write on=3 fail\n"));
     obs::Journal journal;
-    obs::JournalSegmentSink sink(seg);
+    obs::JournalFileSink sink(seg);
     journal.add_sink(&sink);
     emit_windows(journal, 10);
     journal.flush();
     EXPECT_EQ(sink.write_faults(), 1u);
-    EXPECT_EQ(sink.records_written(), 9u);
+    EXPECT_EQ(sink.lines_written(), 9u);
   }
   obs::JournalReadResult read = obs::read_journal_dir(dir);
   ASSERT_TRUE(read.ok) << read.error;
@@ -425,12 +398,12 @@ TEST(JournalSegments, RotateFaultKeepsActiveSegmentGrowing) {
     // The first rotation attempt fails; later ones succeed.
     testing_::FaultScope scope(plan_from("seed 1\njournal.rotate on=1 fail\n"));
     obs::Journal journal;
-    obs::JournalSegmentSink sink(seg);
+    obs::JournalFileSink sink(seg);
     journal.add_sink(&sink);
     emit_windows(journal, 20);
     journal.flush();
     EXPECT_TRUE(sink.ok());  // rotation failure never wedges the sink
-    EXPECT_EQ(sink.records_written(), 20u);
+    EXPECT_EQ(sink.lines_written(), 20u);
     segments = sink.segments_opened();
     rotate_faults = sink.rotate_faults();
   }
@@ -445,9 +418,9 @@ TEST(JournalSegments, RotateFaultKeepsActiveSegmentGrowing) {
 // committed plan file — the documented repro for the segment sink's hazard
 // sites — is itself what this test executes.  The expected accounting is a
 // pure function of the plan: `journal.write every=5 fail limit=2` drops
-// event records 5 and 10 (seqs 4 and 9), `journal.rotate on=1 fail` makes
+// event lines 5 and 10 (seqs 4 and 9), `journal.rotate on=1 fail` makes
 // the first size-triggered rotation fail while the segment keeps growing,
-// and `journal.write on=17 short_write` tears record 17 (seq 16) mid-frame
+// and `journal.write on=17 short_write` tears line 17 (seq 16) mid-line
 // and silences the writer.
 TEST(JournalSegments, PlanFileDrivesSegmentFaultSites) {
   const std::string dir = temp_path("seg_planfile");
@@ -464,12 +437,12 @@ TEST(JournalSegments, PlanFileDrivesSegmentFaultSites) {
   {
     testing_::FaultScope scope(std::move(plan));
     obs::Journal journal;
-    obs::JournalSegmentSink sink(seg);
+    obs::JournalFileSink sink(seg);
     journal.add_sink(&sink);
     emit_windows(journal, 20);
     journal.flush();
     EXPECT_FALSE(sink.ok());  // the short write silenced the sink
-    EXPECT_EQ(sink.records_written(), 14u);  // 17 attempts - 2 ENOSPC - 1 torn
+    EXPECT_EQ(sink.lines_written(), 14u);  // 17 attempts - 2 ENOSPC - 1 torn
     EXPECT_EQ(sink.write_faults(), 3u);
     EXPECT_GE(sink.rotate_faults(), 1u);
     segments = sink.segments_opened();
@@ -490,42 +463,6 @@ TEST(JournalSegments, PlanFileDrivesSegmentFaultSites) {
 }
 #endif  // VAPRO_FAULT_INJECTION
 
-TEST(JournalSegments, MixedJsonlAndBinarySegmentsReadAsOneStream) {
-  const std::string dir = temp_path("seg_mixed");
-  std::filesystem::remove_all(dir);
-  // Collect one event stream, then split it across a JSONL segment and a
-  // binary segment by hand — the reader must not care which framing holds
-  // which half.
-  CollectingJournalSink events;
-  {
-    obs::Journal journal;
-    journal.add_sink(&events);
-    emit_windows(journal, 8);
-  }
-  ASSERT_EQ(events.events.size(), 8u);
-  const std::vector<obs::JournalEvent> first(events.events.begin(),
-                                             events.events.begin() + 4);
-  const std::vector<obs::JournalEvent> second(events.events.begin() + 4,
-                                              events.events.end());
-  std::string error;
-  ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(0, /*binary=*/false), first, 0,
-      &error))
-      << error;
-  ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(1, /*binary=*/true), second, 0,
-      &error))
-      << error;
-  obs::JournalReadResult read = obs::read_journal_dir(dir);
-  ASSERT_TRUE(read.ok) << read.error;
-  EXPECT_EQ(read.segments, 2u);
-  ASSERT_EQ(read.events.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(read.events[i].seq, i);
-    EXPECT_EQ(read.events[i].to_json_line(), events.events[i].to_json_line());
-  }
-}
-
 TEST(JournalSegments, DirReadRejectsCrossSegmentSeqRegression) {
   const std::string dir = temp_path("seg_seq_regress");
   std::filesystem::remove_all(dir);
@@ -538,10 +475,10 @@ TEST(JournalSegments, DirReadRejectsCrossSegmentSeqRegression) {
   std::string error;
   // Segment 1 replays seqs that segment 0 already covered.
   ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(0, true), events.events, 0,
+      dir + "/" + obs::journal_segment_name(0), events.events, 0,
       &error));
   ASSERT_TRUE(obs::write_journal_file(
-      dir + "/" + obs::journal_segment_name(1, true), events.events, 0,
+      dir + "/" + obs::journal_segment_name(1), events.events, 0,
       &error));
   obs::JournalReadResult read = obs::read_journal_dir(dir);
   EXPECT_FALSE(read.ok);
@@ -549,8 +486,8 @@ TEST(JournalSegments, DirReadRejectsCrossSegmentSeqRegression) {
 }
 
 TEST(JournalSegments, WriteReadRewriteIsByteIdentical) {
-  const std::string a = temp_path("seg_rt_a.vjseg");
-  const std::string b = temp_path("seg_rt_b.vjseg");
+  const std::string a = temp_path("seg_rt_a.jsonl");
+  const std::string b = temp_path("seg_rt_b.jsonl");
   CollectingJournalSink events;
   {
     obs::Journal journal;
@@ -649,7 +586,7 @@ TEST(JournalCompaction, DropsOnlySupersededEvents) {
 
 TEST(JournalCompaction, CompactedJournalReplaysByteIdentically) {
   const std::string full = temp_path("compact_full.jsonl");
-  const std::string compacted = temp_path("compact_out.vjseg");
+  const std::string compacted = temp_path("compact_out.jsonl");
   const std::vector<obs::JournalEvent> events = compactable_stream();
   std::string error;
   ASSERT_TRUE(obs::write_journal_file(full, events, 0, &error)) << error;
@@ -675,7 +612,7 @@ TEST(JournalCompaction, CompactedJournalReplaysByteIdentically) {
 
   // Compacting an already-compacted journal carries the drop count
   // forward instead of forgetting it.
-  const std::string twice = temp_path("compact_twice.vjseg");
+  const std::string twice = temp_path("compact_twice.jsonl");
   ASSERT_TRUE(obs::compact_journal(compacted, twice, &stats, &error)) << error;
   EXPECT_EQ(stats.dropped, 0u);  // nothing left to supersede
   const core::JournalSummary stwice = core::summarize_journal_file(twice);

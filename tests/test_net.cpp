@@ -9,7 +9,8 @@
 //   * Loopback end-to-end — socket-fed analysis is byte-identical to
 //     feeding the same batches in process.
 //   * /readyz — readiness flips to 503 on the degraded gauge, on admission
-//     saturation, and reports the probe fields.
+//     saturation, and (fault builds) on any stopped journal sink, and
+//     reports the probe fields.
 //   * Fault sites (VAPRO_FAULT_INJECTION builds) — net.frame_torn,
 //     net.conn_reset, net.dup_batch, net.reorder, net.slow_peer each hit
 //     their resilience mechanism with exact fragment accounting.
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -745,6 +747,41 @@ TEST(NetFault, SlowPeerShedsWithJournaledAccounting) {
   EXPECT_EQ(sheds[0].str("policy"), "forced");
   EXPECT_FALSE(rig.tenant->degraded())
       << "degraded clears once the queue drains";
+}
+
+// A journal sink stopped by a torn write makes the instance not ready,
+// whether it writes one file (--journal-out) or a segment directory
+// (--journal-dir).
+TEST(Readyz, StoppedJournalSinkIs503ForFileAndSegmentDirectory) {
+  for (const bool segmented : {false, true}) {
+    SCOPED_TRACE(segmented ? "segment directory" : "single file");
+    obs::ObsContext ctx;
+    const std::string target =
+        scratch_path(segmented ? "readyz_journal_dir" : "readyz_journal.jsonl");
+    std::filesystem::remove_all(target);
+    if (segmented) {
+      obs::SegmentOptions seg;
+      seg.directory = target;
+      ASSERT_TRUE(ctx.attach_journal_file(seg));
+    } else {
+      ASSERT_TRUE(ctx.attach_journal_file(target));
+    }
+    ASSERT_NE(ctx.start_exposition(0), nullptr);
+    const int port = ctx.exposition()->port();
+    EXPECT_EQ(http_get(port, "/readyz").status, 200);
+
+    {
+      testing::FaultScope scope(
+          net_plan("seed 1\njournal.write on=1 short_write\n"));
+      ctx.journal()->emit("window", 0, 0.1, {});
+    }
+    HttpReply stopped = http_get(port, "/readyz");
+    ASSERT_TRUE(stopped.ok);
+    EXPECT_EQ(stopped.status, 503);
+    EXPECT_NE(stopped.body.find("\"journal_writable\":false"),
+              std::string::npos)
+        << stopped.body;
+  }
 }
 
 #endif  // VAPRO_FAULT_INJECTION

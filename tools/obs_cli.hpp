@@ -3,11 +3,10 @@
 //   --metrics-out=FILE   self-telemetry JSON (parent dirs created)
 //   --trace-out=FILE     Chrome trace-event JSON of the pipeline
 //   --journal-out=FILE   schema-versioned JSONL event journal
-//   --journal-dir=DIR    rotating journal segments instead of one file
-//                        (binary framing; see src/obs/journal_segment.hpp)
+//   --journal-dir=DIR    rotating JSONL journal segments in a fresh
+//                        directory (see src/obs/journal_segment.hpp)
 //   --journal-rotate-bytes=N    segment size cap (default 1 MiB)
 //   --journal-rotate-seconds=S  segment age cap in virtual time (default off)
-//   --journal-jsonl      write JSONL debug segments instead of binary
 //   --listen=PORT        embedded HTTP endpoint (0 = ephemeral port):
 //                        / (endpoint index) /metrics /healthz /v1/heatmap
 //                        /v1/variance /v1/latency /v1/critical_path
@@ -81,7 +80,6 @@ struct ObsCli {
   std::string journal_dir;
   std::uint64_t journal_rotate_bytes = 1u << 20;
   double journal_rotate_seconds = 0.0;
-  bool journal_jsonl = false;
   std::string listen;
   double listen_linger = 0.0;
   std::string alert_file;
@@ -115,7 +113,6 @@ struct ObsCli {
       std::cerr << "--journal-rotate-seconds must be finite and >= 0\n";
       return false;
     }
-    journal_jsonl = args.get_bool("journal-jsonl");
     listen = args.get("listen", "");
     listen_linger = args.get_double("listen-linger", 0.0);
     alert_file = args.get("alert-file", "");
@@ -148,8 +145,7 @@ struct ObsCli {
       seg.directory = journal_dir;
       seg.max_segment_bytes = journal_rotate_bytes;
       seg.max_segment_seconds = journal_rotate_seconds;
-      seg.binary = !journal_jsonl;
-      if (!ctx.attach_journal_segments(std::move(seg))) {
+      if (!ctx.attach_journal_file(std::move(seg))) {
         *error = "cannot create --journal-dir segments in " + journal_dir;
         return false;
       }
@@ -224,9 +220,7 @@ struct ObsCli {
       journal->flush();
       std::cout << "journal: " << journal->events_emitted() << " events";
       if (!journal_path.empty()) std::cout << " -> " << journal_path;
-      if (const obs::JournalSegmentSink* seg = ctx.journal_segments())
-        std::cout << " -> " << journal_dir << " (" << seg->segments_opened()
-                  << " segment(s))";
+      if (!journal_dir.empty()) std::cout << " -> " << journal_dir;
       std::cout << "\n";
     }
     if (alert_engine.rules() > 0)

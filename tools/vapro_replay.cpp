@@ -14,14 +14,14 @@
 //
 // reconstructs the original run's detection/diagnosis summaries from its
 // `--journal-out` event journal alone (no raw trace needed): the journal
-// carries every conclusion at full precision.  A directory of rotated
-// segments (JSONL or binary .vjseg, mixed is fine) replays as one stream.
+// carries every conclusion at full precision.  A `--journal-dir`
+// directory of rotated JSONL segments replays as one stream.
 //
 //   vapro_replay --compact-journal SRC --compact-out DST
 //
 // offline compaction: drops superseded variance-region revisions and
-// quality-scoreboard snapshots, writes a single journal at DST (binary if
-// it ends in .vjseg).  The compacted journal replays byte-identically.
+// quality-scoreboard snapshots, writes a single JSONL journal at DST.  The
+// compacted journal replays byte-identically.
 #include <chrono>
 #include <iostream>
 
@@ -73,8 +73,9 @@ int main(int argc, char** argv) {
                  "analysis pipeline flags (as in vapro_run):\n"
               << tools::PipelineCli::usage_lines()
               << "extra observability flags (as in vapro_run): "
-                 "[--journal-out=FILE] [--listen=PORT] [--listen-linger=S] "
-                 "[--alert-rule=SPEC]... [--alert-file=FILE]\n";
+                 "[--journal-out=FILE] [--journal-dir=DIR] [--listen=PORT] "
+                 "[--listen-linger=S] [--alert-rule=SPEC]... "
+                 "[--alert-file=FILE]\n";
     return 2;
   }
 

@@ -66,12 +66,12 @@ int usage() {
       "  --journal-out=FILE     write the schema-versioned JSONL event\n"
       "                         journal (variance regions, rare paths,\n"
       "                         diagnosis verdicts, PMU reprograms)\n"
-      "  --journal-dir=DIR      write rotating journal segments instead\n"
-      "                         (compact binary framing; replayable with\n"
-      "                         vapro_replay --from-journal DIR)\n"
+      "  --journal-dir=DIR      write the journal as rotating JSONL\n"
+      "                         segments into DIR, which must hold none\n"
+      "                         yet (replayable with vapro_replay\n"
+      "                         --from-journal DIR)\n"
       "  --journal-rotate-bytes=N    segment size cap (default 1 MiB)\n"
       "  --journal-rotate-seconds=S  segment age cap, virtual time\n"
-      "  --journal-jsonl        JSONL debug segments instead of binary\n"
       "  --listen=PORT          serve /metrics (Prometheus), /healthz,\n"
       "                         /v1/heatmap, /v1/variance on\n"
       "                         127.0.0.1:PORT (0 = ephemeral)\n"
