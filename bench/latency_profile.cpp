@@ -1,14 +1,16 @@
-// Self-diagnosis latency profile: per-stage timing of the analysis
-// pipeline (queue_wait/drain/stg/cluster/normalize/deposit/diagnose/
-// publish) and the critical-path attribution built from it.
+// TickClock clock-read determinism check for the self-diagnosis pipeline:
+// per-stage timing of the analysis pipeline (queue_wait/drain/stg/cluster/
+// normalize/deposit/diagnose/publish) and the critical-path attribution
+// built from it.  This is NOT latency data.
 //
-// Unlike the wall-clock benches, this one is *byte-deterministic*: stage
-// timings come from a util::TickClock (every clock read advances virtual
-// time by a fixed tick), so each stage's "seconds" counts clock reads, not
-// machine speed, and BENCH_latency.json is identical on every run for the
-// fixed seed — the committed file diffs cleanly across commits, and CI
-// verifies two runs match byte-for-byte.  Pass --wall to profile with the
-// real clock instead (informational; not committed).
+// Stage timings come from a util::TickClock (every clock read advances
+// virtual time by a fixed tick), so each stage's "seconds" counts clock
+// reads, not machine speed: every stage reads exactly one tick and queue
+// wait reads 0 on this serial server.  BENCH_latency.json is therefore
+// identical on every run for the fixed seed, and a diff in it means the
+// pipeline's clock-read pattern changed; CI regenerates it and cmp's it
+// against the committed file.  Pass --wall to profile with the real clock
+// instead (informational; not committed).
 //
 //   latency_profile [--json PATH] [--wall] [--windows N]
 //   (scripts/bench.sh -> BENCH_latency.json)
@@ -100,7 +102,8 @@ int main(int argc, char** argv) {
   }
   bench::print_header(
       "Self-diagnosis latency profile: per-stage time + critical path",
-      "repo self-diagnosis; deterministic TickClock unless --wall");
+      "repo self-diagnosis; TickClock clock-read determinism check, not "
+      "latency data (--wall: real clock)");
   bench::JsonReport json("latency_profile", argc, argv);
 
   // One TickClock read = 1 ms of virtual time, so "stage seconds" counts
@@ -120,7 +123,7 @@ int main(int argc, char** argv) {
   core::AnalysisServer server(kRanks, sopts);
   util::Rng rng(7);
 
-  std::vector<double> per_stage[obs::kLatencyStageCount];
+  std::vector<double> per_stage[obs::kStageCount];
   std::vector<double> totals;
   for (int w = 0; w < windows; ++w) {
     core::FragmentBatch batch = make_window(w, rng);
@@ -131,8 +134,8 @@ int main(int argc, char** argv) {
     server.process_window(std::move(batch), drain);
     const auto& recent = server.latency_tracker().recent();
     if (!recent.empty()) {
-      const obs::WindowLatencyRecord& r = recent.back();
-      for (std::size_t s = 0; s < obs::kLatencyStageCount; ++s)
+      const obs::PipelineStats& r = recent.back();
+      for (std::size_t s = 0; s < obs::kStageCount; ++s)
         per_stage[s].push_back(r.stage_seconds[s]);
       totals.push_back(r.total_seconds());
     }
@@ -143,11 +146,10 @@ int main(int argc, char** argv) {
                                                tracker.summary());
 
   const obs::CriticalPathTracker::Summary sum = tracker.summary();
-  for (std::size_t s = 0; s < obs::kLatencyStageCount; ++s) {
-    json.record(std::string("stage_") + obs::kLatencyStageNames[s] +
-                    "_seconds",
+  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+    json.record(std::string("stage_") + obs::kStageNames[s] + "_seconds",
                 per_stage[s]);
-    json.record(std::string("bound_windows_") + obs::kLatencyStageNames[s],
+    json.record(std::string("bound_windows_") + obs::kStageNames[s],
                 {static_cast<double>(sum.bound_windows[s])});
   }
   json.record("window_total_seconds", totals);

@@ -35,7 +35,7 @@
 #include "bench/bench_common.hpp"
 #include "src/core/server.hpp"
 #include "src/core/stg.hpp"
-#include "src/obs/context.hpp"
+#include "src/obs/latency.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
 
@@ -160,7 +160,6 @@ unsigned physical_cores() {
 // One timed pass: construct the server, feed kWindows windows (assembling
 // each batch on this thread), sync.
 ConfigRun run_config(int threads, int depth) {
-  obs::ObsContext ctx;
   core::ServerOptions sopts;
   sopts.analysis_threads = threads;
   sopts.pipeline_depth = depth;
@@ -169,8 +168,6 @@ ConfigRun run_config(int threads, int depth) {
   // A tight threshold keeps the constant-norm ranks in separate clusters
   // (more seeds -> more sweep passes -> more parallelizable work).
   sopts.cluster.threshold = 0.01;
-  const bool debug = std::getenv("PIPE_DEBUG") != nullptr;
-  if (debug) sopts.obs = &ctx;
   core::AnalysisServer server(kRanks, sopts);
   util::Rng rng(7);
 
@@ -207,16 +204,13 @@ ConfigRun run_config(int threads, int depth) {
   run.shard_imbalance = mean_lane > 0.0 ? max_lane / mean_lane : 1.0;
   run.shard_idle_seconds = breakdown.shard_idle_seconds;
   run.windows_per_sec = kWindows / wall;
-  if (debug) {
-    double stg = 0, cl = 0, norm = 0, dep = 0, diag = 0;
-    for (const auto& wst : ctx.windows().windows()) {
-      stg += wst.stg_seconds; cl += wst.cluster_seconds;
-      norm += wst.normalize_seconds; dep += wst.deposit_seconds;
-      diag += wst.diagnose_seconds;
-    }
-    std::cout << "t" << threads << "d" << depth << " wall=" << wall
-              << " stg=" << stg << " cluster=" << cl << " norm=" << norm
-              << " deposit=" << dep << " diag=" << diag << "\n";
+  if (std::getenv("PIPE_DEBUG") != nullptr) {
+    const obs::CriticalPathTracker::Summary sum =
+        server.latency_tracker().summary();
+    std::cout << "t" << threads << "d" << depth << " wall=" << wall;
+    for (std::size_t s = 0; s < obs::kStageCount; ++s)
+      std::cout << ' ' << obs::kStageNames[s] << '=' << sum.stage_seconds[s];
+    std::cout << '\n';
   }
   return run;
 }

@@ -156,8 +156,7 @@ std::string render_journal_summary(const JournalSummary& s) {
     // live defaults (same keep), so this table matches the producer's
     // render_critical_path_table output character-for-character.
     obs::CriticalPathTracker tracker;
-    for (const obs::WindowLatencyRecord& r : s.window_latency)
-      tracker.record(r);
+    for (const obs::PipelineStats& r : s.window_latency) tracker.record(r);
     oss << "\n## critical path\n"
         << obs::render_critical_path_table(tracker.recent(), tracker.summary());
   }

@@ -39,11 +39,13 @@ struct JournalSummary {
   std::size_t pmu_reprograms = 0;
   std::size_t alerts = 0;
 
-  // Self-diagnosis timing: window_latency events in journal order, plus
-  // whether a terminal critical_path event was seen.  render_journal_summary
-  // re-folds these through a CriticalPathTracker with the live defaults, so
-  // the replayed table is byte-identical to the producer's live view.
-  std::vector<obs::WindowLatencyRecord> window_latency;
+  // Self-diagnosis timing: window_latency events in journal order (each a
+  // PipelineStats holding the window, its virtual time and its stage
+  // times), plus whether a terminal critical_path event was seen.
+  // render_journal_summary re-folds these through a CriticalPathTracker
+  // with the live defaults, so the replayed table is byte-identical to the
+  // producer's live view.
+  std::vector<obs::PipelineStats> window_latency;
   std::size_t critical_path_events = 0;
 };
 

@@ -1,7 +1,9 @@
 #include "src/core/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "src/obs/exposition.hpp"
@@ -17,25 +19,49 @@ namespace {
 constexpr FragmentKind kAllKinds[] = {FragmentKind::kComputation,
                                       FragmentKind::kCommunication,
                                       FragmentKind::kIo};
-// Lap timer splitting process_window into the PipelineStats stages; every
-// statement of the window body is charged to exactly one stage, so the
-// per-stage times sum to the window's tool time.
+// Lap timer splitting analyze_window into the PipelineStats stages: each
+// lap charges the time since the previous one to a stage slot, so every
+// statement of the window body is charged to exactly one stage and the
+// stages sum to the window's tool time.  Queue wait ends at the first
+// clock read; a window that never entered the hand-off queue
+// (`submit_seconds` empty) has none.
 class StageClock {
  public:
-  explicit StageClock(util::Clock* clock)
+  StageClock(util::Clock* clock, obs::PipelineStats& stats,
+             std::optional<double> submit_seconds)
       : clock_(clock ? clock : util::real_clock()),
-        last_(clock_->now_seconds()) {}
-  double lap() {
+        stats_(stats),
+        last_(clock_->now_seconds()) {
+    if (submit_seconds)
+      stats_.seconds(obs::Stage::kQueueWait) =
+          std::max(0.0, last_ - *submit_seconds);
+  }
+  void lap(obs::Stage stage) {
     const double now = clock_->now_seconds();
-    const double s = now - last_;
+    stats_.seconds(stage) = now - last_;
     last_ = now;
-    return s;
   }
 
  private:
   util::Clock* clock_;
+  obs::PipelineStats& stats_;
   double last_;
 };
+
+// The per-stage latency histograms: vapro.server.queue_wait_seconds and
+// vapro.server.stage.<name>_seconds, indexed by obs::Stage.
+const std::string& stage_histogram_name(std::size_t stage) {
+  static const std::array<std::string, obs::kStageCount> names = [] {
+    std::array<std::string, obs::kStageCount> n;
+    for (std::size_t s = 0; s < obs::kStageCount; ++s)
+      n[s] = std::string(static_cast<obs::Stage>(s) == obs::Stage::kQueueWait
+                             ? "vapro.server."
+                             : "vapro.server.stage.") +
+             obs::kStageNames[s] + "_seconds";
+    return n;
+  }();
+  return names[stage];
+}
 
 DiagnosisOptions with_obs(DiagnosisOptions diag, obs::ObsContext* obs) {
   diag.obs = obs;
@@ -132,8 +158,6 @@ void AnalysisServer::refocus_diagnosis(std::optional<FocusRegion> focus) {
 
 void AnalysisServer::process_window(FragmentBatch batch, double drain_seconds) {
   obs::TraceRecorder* trace = opts_.obs ? opts_.obs->trace() : nullptr;
-  util::Clock* clk = opts_.clock ? opts_.clock : util::real_clock();
-  const double submit_seconds = clk->now_seconds();
   std::uint64_t flow_id = 0;
   if (trace) {
     // Producer-side drain slice ending at the hand-off, plus the flow
@@ -147,7 +171,7 @@ void AnalysisServer::process_window(FragmentBatch batch, double drain_seconds) {
     trace->flow_start("window.handoff", "pipeline", flow_id, now_ns);
   }
   if (!pipeline_) {
-    analyze_window(std::move(batch), drain_seconds, submit_seconds, flow_id);
+    analyze_window(std::move(batch), drain_seconds, std::nullopt, flow_id);
     publish_pipeline_gauges();
     return;
   }
@@ -158,6 +182,8 @@ void AnalysisServer::process_window(FragmentBatch batch, double drain_seconds) {
   const bool degrade =
       VAPRO_FAULT("pipeline.handoff") == testing::FaultAction::kFail;
   auto shared = std::make_shared<FragmentBatch>(std::move(batch));
+  const double submit_seconds =
+      (opts_.clock ? opts_.clock : util::real_clock())->now_seconds();
   pipeline_->submit([this, shared, drain_seconds, submit_seconds, flow_id] {
     analyze_window(std::move(*shared), drain_seconds, submit_seconds, flow_id);
   });
@@ -179,7 +205,6 @@ void AnalysisServer::publish_pipeline_gauges() const {
   if (pipeline_) {
     m.gauge("vapro.pipeline.queue_depth")
         ->set(static_cast<double>(pipeline_->depth()));
-    m.gauge("vapro.pipeline.stall_seconds")->set(pipeline_->stall_seconds());
     // Wait-time attribution: producer-block vs consumer-idle vs queued
     // time.
     m.gauge("vapro.pipeline.producer_block_seconds")
@@ -220,7 +245,14 @@ void AnalysisServer::publish_pipeline_gauges() const {
 PipelineBreakdown AnalysisServer::pipeline_breakdown() const {
   sync();
   PipelineBreakdown b;
-  b.analysis_busy_seconds = analysis_busy_seconds_;
+  // Everything but the producer-side queue wait and drain is analysis-stage
+  // occupancy.
+  const obs::CriticalPathTracker::Summary sum = latency_.summary();
+  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+    const auto stage = static_cast<obs::Stage>(s);
+    if (stage != obs::Stage::kQueueWait && stage != obs::Stage::kDrain)
+      b.analysis_busy_seconds += sum.stage_seconds[s];
+  }
   if (pipeline_) {
     b.queue_stall_seconds = pipeline_->stall_seconds();
     b.queue_stalls = pipeline_->stalls();
@@ -239,7 +271,7 @@ PipelineBreakdown AnalysisServer::pipeline_breakdown() const {
 }
 
 void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
-                                    double submit_seconds,
+                                    std::optional<double> submit_seconds,
                                     std::uint64_t flow_id) {
   obs::ObsContext* obs = opts_.obs;
   obs::TraceRecorder* trace = obs ? obs->trace() : nullptr;
@@ -253,22 +285,17 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   std::lock_guard<std::mutex> live_lock(live_mu_);
   // The window span consumes the producer's handoff flow arrow, so the
   // queue hop is visible in the timeline; stage spans nest inside it.
-  obs::SpanScope window_span({trace, nullptr, spans_dropped, flow_id},
+  obs::SpanScope window_span({trace, spans_dropped, flow_id},
                              "analysis.window", "server");
-  StageClock clock(opts_.clock);
-  const double queue_wait =
-      (opts_.clock ? opts_.clock : util::real_clock())->now_seconds() -
-      submit_seconds;
-
   obs::PipelineStats stats;
+  StageClock clock(opts_.clock, stats, submit_seconds);
   stats.window = windows_;
   stats.fragments_drained = batch.fragments.size();
   stats.new_states = batch.new_states.size();
-  stats.drain_seconds = drain_seconds;
-  stats.queue_wait_seconds = queue_wait > 0.0 ? queue_wait : 0.0;
+  stats.seconds(obs::Stage::kDrain) = drain_seconds;
 
   // --- stage: STG growth (vertex/edge ingestion + carry management) ---
-  obs::SpanScope stg_span({trace, nullptr, spans_dropped}, "stage.stg",
+  obs::SpanScope stg_span({trace, spans_dropped}, "stage.stg",
                           "server");
   for (const sim::InvocationInfo& info : batch.new_states)
     stg_.touch_vertex(info);
@@ -297,11 +324,11 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   stats.carry_ins = live_begin;
   stats.virtual_time = window_end;
   last_virtual_time_ = std::max(last_virtual_time_, window_end);
-  stats.stg_seconds = clock.lap();
+  clock.lap(obs::Stage::kStg);
   stg_span.finish();
 
   // --- stage: clustering (Algorithm 1 workers + rare-path scan) ---
-  obs::SpanScope cluster_span({trace, nullptr, spans_dropped}, "stage.cluster",
+  obs::SpanScope cluster_span({trace, spans_dropped}, "stage.cluster",
                               "server");
   util::WorkerPool* pool = workers_.get();
   if (pool && VAPRO_FAULT("pipeline.shard") == testing::FaultAction::kFail) {
@@ -376,11 +403,11 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   }
   stats.clusters_formed = clusters.clusters.size();
   stats.rare_clusters = clusters.rare_count();
-  stats.cluster_seconds = clock.lap();
+  clock.lap(obs::Stage::kCluster);
   cluster_span.finish();
 
   // --- stage: normalization against the cross-window baseline ---
-  obs::SpanScope normalize_span({trace, nullptr, spans_dropped},
+  obs::SpanScope normalize_span({trace, spans_dropped},
                                 "stage.normalize", "server");
   ClusterBaseline* baseline =
       opts_.shared_baseline ? opts_.shared_baseline : &baseline_;
@@ -401,21 +428,21 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
       }
     }
   }
-  stats.normalize_seconds = clock.lap();
+  clock.lap(obs::Stage::kNormalize);
   normalize_span.finish();
 
   // --- stage: heat-map deposit + coverage accounting ---
   {
-    obs::SpanScope deposit_span({trace, nullptr, spans_dropped},
+    obs::SpanScope deposit_span({trace, spans_dropped},
                                 "stage.deposit", "server");
     deposit_fragments(normalized, comp_map_, comm_map_, io_map_);
     coverage_.add(stg_, clusters, live_begin);
-    stats.deposit_seconds = clock.lap();
+    clock.lap(obs::Stage::kDeposit);
   }
 
   // --- stage: progressive diagnosis + observer hooks ---
   {
-    obs::SpanScope diagnose_span({trace, nullptr, spans_dropped},
+    obs::SpanScope diagnose_span({trace, spans_dropped},
                                  "stage.diagnose", "server");
     if (opts_.run_diagnosis) diagnoser_.feed(stg_, clusters, live_begin);
     if (opts_.window_observer) opts_.window_observer(stg_, clusters);
@@ -423,12 +450,12 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     stg_.clear_fragments();
     ++windows_;
     stats.diagnosis_stage = diagnoser_.stage();
-    stats.diagnose_seconds = clock.lap();
+    clock.lap(obs::Stage::kDiagnose);
   }
 
   // --- stage: publish (region growing, health gauges, journal events) ---
   if (obs && opts_.live_detection) {
-    obs::SpanScope publish_span({trace, nullptr, spans_dropped},
+    obs::SpanScope publish_span({trace, spans_dropped},
                                 "stage.publish", "server");
     if (VAPRO_FAULT("server.window") == testing::FaultAction::kFail)
       // Live publish lost for this window (journal/gauges skip a beat);
@@ -437,23 +464,14 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     else
       publish_detection(stats, pool);
   }
-  stats.publish_seconds = clock.lap();
-  // Everything but the producer-side drain is analysis-stage occupancy.
-  analysis_busy_seconds_ += stats.total_seconds() - stats.drain_seconds;
+  clock.lap(obs::Stage::kPublish);
 
   // Fold this window into the critical-path reducer: "window N was bound
   // by stage X for Y ms".  Tracked always; journaled (as a measurement
   // event, distinct from detection conclusions) when live detection is on.
-  obs::WindowLatencyRecord latency_record;
-  latency_record.window = static_cast<std::int64_t>(stats.window);
-  latency_record.virtual_time = stats.virtual_time;
-  latency_record.stage_seconds = {
-      stats.queue_wait_seconds, stats.drain_seconds,    stats.stg_seconds,
-      stats.cluster_seconds,    stats.normalize_seconds, stats.deposit_seconds,
-      stats.diagnose_seconds,   stats.publish_seconds};
-  latency_.record(latency_record);
+  latency_.record(stats);
   if (journal && opts_.live_detection)
-    obs::journal_window_latency(*journal, latency_record);
+    obs::journal_window_latency(*journal, stats);
 
   if (obs) {
     obs::MetricsRegistry& m = obs->metrics();
@@ -464,22 +482,9 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     m.counter("vapro.server.rare_clusters_total")->inc(stats.rare_clusters);
     m.gauge("vapro.server.diagnosis_stage")
         ->set(static_cast<double>(stats.diagnosis_stage));
-    m.histogram("vapro.server.window_seconds")->record(stats.total_seconds());
-    m.histogram("vapro.server.queue_wait_seconds")
-        ->record(stats.queue_wait_seconds);
-    m.histogram("vapro.server.stage.drain_seconds")
-        ->record(stats.drain_seconds);
-    m.histogram("vapro.server.stage.stg_seconds")->record(stats.stg_seconds);
-    m.histogram("vapro.server.stage.cluster_seconds")
-        ->record(stats.cluster_seconds);
-    m.histogram("vapro.server.stage.normalize_seconds")
-        ->record(stats.normalize_seconds);
-    m.histogram("vapro.server.stage.deposit_seconds")
-        ->record(stats.deposit_seconds);
-    m.histogram("vapro.server.stage.diagnose_seconds")
-        ->record(stats.diagnose_seconds);
-    m.histogram("vapro.server.stage.publish_seconds")
-        ->record(stats.publish_seconds);
+    m.histogram("vapro.server.window_seconds")->record(stats.tool_seconds());
+    for (std::size_t s = 0; s < obs::kStageCount; ++s)
+      m.histogram(stage_histogram_name(s))->record(stats.stage_seconds[s]);
     obs->emit_window(stats);
     window_span.add_arg(obs::TraceRecorder::arg(
         "window", static_cast<std::uint64_t>(stats.window)));
@@ -488,7 +493,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     window_span.add_arg(obs::TraceRecorder::arg(
         "clusters", static_cast<std::uint64_t>(stats.clusters_formed)));
     window_span.add_arg(
-        obs::TraceRecorder::arg("bound_by", latency_record.bound_by()));
+        obs::TraceRecorder::arg("bound_by", stats.bound_by()));
   }
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,8 +68,9 @@ struct ServerOptions {
   // each run against the best twin ever seen (between-executions variance,
   // §1).  Must outlive the server.
   ClusterBaseline* shared_baseline = nullptr;
-  // Self-telemetry (src/obs): per-window PipelineStats snapshots, stage
-  // histograms, trace spans, and tool-time accounting; null disables.
+  // Self-telemetry (src/obs): each window's PipelineStats snapshot (the
+  // one record of its stage times, which the stage histograms read), trace
+  // spans, and tool-time accounting; null disables.
   // Borrowed, must outlive the server.
   obs::ObsContext* obs = nullptr;
   // Time source for stage timings (null = the process-wide real clock).
@@ -96,8 +98,9 @@ struct RareFinding {
 
 // Cumulative stage occupancy of the staged pipeline, for throughput
 // benches and capacity planning: where did the wall time go?  Analysis
-// busy counts the window body (STG growth through diagnosis) whether it
-// ran inline (depth 1) or on the worker.  Wait time is split by side so a
+// busy is the critical-path tracker's per-stage totals of the window body
+// (STG growth through publish), whether it ran inline (depth 1) or on the
+// worker.  Wait time is split by side so a
 // flat throughput curve is attributable: producer-block (queue_stall_*)
 // means the analysis worker is the bottleneck, consumer-idle means the
 // producer/drain side is, and handoff_wait is how long admitted windows
@@ -127,7 +130,7 @@ class AnalysisServer {
 
   // Ingests and analyzes one window of client data.  `drain_seconds` is
   // the wall time the caller spent draining the clients — it becomes the
-  // "drain" stage of this window's PipelineStats snapshot.
+  // Stage::kDrain slot of this window's PipelineStats snapshot.
   //
   // With pipeline_depth > 1 this only HANDS OFF the window to the analysis
   // worker: it returns as soon as the pipeline accepts the batch (blocking
@@ -208,8 +211,8 @@ class AnalysisServer {
   std::string render_variance_json() const;
 
   // Self-diagnosis views served at /v1/latency and /v1/critical_path:
-  // per-window stage latency records and their "window N was bound by
-  // stage X" critical-path attribution.  Tracked for every server (cheap),
+  // per-window stage times and their "window N was bound by stage X"
+  // critical-path attribution.  Tracked for every server (cheap),
   // journaled as window_latency/critical_path events when live_detection.
   const obs::CriticalPathTracker& latency_tracker() const {
     sync();
@@ -223,11 +226,13 @@ class AnalysisServer {
   // The full analysis body (STG growth → clustering → normalization →
   // deposit → diagnosis) for one window.  Runs on the caller at
   // pipeline_depth 1, on the single pipeline worker otherwise.
-  // `submit_seconds` is the producer clock at hand-off (queue-wait
-  // attribution); `flow_id` links the producer's handoff flow arrow to the
-  // window span (0 = no trace).
+  // `submit_seconds` is the producer clock at hand-off to the worker
+  // (queue-wait attribution; empty at depth 1, where there is no queue);
+  // `flow_id` links the producer's handoff flow arrow to the window span
+  // (0 = no trace).
   void analyze_window(FragmentBatch batch, double drain_seconds,
-                      double submit_seconds, std::uint64_t flow_id);
+                      std::optional<double> submit_seconds,
+                      std::uint64_t flow_id);
   // Detection-health gauges + window/region journal events for one window;
   // `pool` shards the region growing (null = serial, e.g. a degraded
   // window).
@@ -255,9 +260,6 @@ class AnalysisServer {
   std::size_t publish_faults_ = 0;
   std::size_t handoff_faults_ = 0;
   std::size_t shard_faults_ = 0;
-  // Written by analyze_window (worker thread at depth > 1); read only
-  // after sync(), which establishes the happens-before edge.
-  double analysis_busy_seconds_ = 0.0;
   // Per-window critical-path records (own mutex; safe from worker + serve
   // threads).
   obs::CriticalPathTracker latency_;

@@ -87,8 +87,8 @@ VaproSession::VaproSession(sim::Simulator& simulator, VaproOptions opts,
   simulator_.set_interceptor(client_.get());
   periodic_id_ =
       simulator_.add_periodic(opts.window_seconds, [this, reprogram](double) {
-        // The drain is timed separately: it becomes the "drain" stage of
-        // this window's PipelineStats snapshot.
+        // The drain is timed separately: it becomes the Stage::kDrain slot
+        // of this window's PipelineStats snapshot.
         util::Clock* clock = opts_.clock ? opts_.clock : util::real_clock();
         const double t0 = clock->now_seconds();
         FragmentBatch batch = client_->drain();

@@ -57,9 +57,10 @@ struct VaproOptions {
   std::uint64_t seed = 42;
   // Optional per-window hook (see ServerOptions::window_observer).
   std::function<void(const Stg&, const ClusteringResult&)> window_observer;
-  // Self-telemetry (src/obs): pipeline metrics, PipelineStats snapshots,
-  // Chrome-trace spans, and tool-vs-app overhead accounting across the
-  // whole client → server → diagnoser path.  Null (the default) disables
+  // Self-telemetry (src/obs): pipeline metrics, per-window PipelineStats
+  // snapshots (one stage-time array each), Chrome-trace spans, and
+  // tool-vs-app overhead accounting across the whole client → server →
+  // diagnoser path.  Null (the default) disables
   // every instrument; borrowed, must outlive the session.
   obs::ObsContext* obs = nullptr;
   // Wall-clock source for drain/stage timings (null = the process-wide

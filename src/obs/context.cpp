@@ -171,16 +171,10 @@ ExpositionServer* ObsContext::start_exposition(int port, std::string* error) {
   return exposition_.get();
 }
 
-void ObsContext::add_sink(PipelineSink* sink) {
-  std::lock_guard<std::mutex> lock(emit_mu_);
-  extra_sinks_.push_back(sink);
-}
-
 void ObsContext::emit_window(const PipelineStats& stats) {
   {
     std::lock_guard<std::mutex> lock(emit_mu_);
     windows_.on_window(stats);
-    for (PipelineSink* sink : extra_sinks_) sink->on_window(stats);
   }
   windows_emitted_.fetch_add(1, std::memory_order_relaxed);
   last_window_ns_.store(

@@ -1,13 +1,13 @@
 // ObsContext — the one handle the rest of the system carries.
 //
 // Owns the metrics registry, the self-overhead accountant, an always-on
-// CollectingSink of per-window PipelineStats, optional extra sinks, an
-// optional Chrome trace recorder (off until enable_trace()), an optional
-// event journal (off until enable_journal()), and an optional embedded
-// HTTP exposition server (off until start_exposition()).  Core code takes
-// a borrowed `ObsContext*` through its options structs; a null pointer
-// disables all telemetry at the cost of one branch per call site, so the
-// library has zero observability overhead unless a driver opts in.
+// CollectingSink of per-window PipelineStats, an optional Chrome trace
+// recorder (off until enable_trace()), an optional event journal (off
+// until enable_journal()), and an optional embedded HTTP exposition
+// server (off until start_exposition()).  Core code takes a borrowed
+// `ObsContext*` through its options structs; a null pointer disables all
+// telemetry at the cost of one branch per call site, so the library has
+// zero observability overhead unless a caller opts in.
 #pragma once
 
 #include <atomic>
@@ -60,11 +60,8 @@ class ObsContext {
   const ExpositionServer* exposition() const { return exposition_.get(); }
   ExpositionServer* start_exposition(int port, std::string* error = nullptr);
 
-  // Extra sinks observe each window after the built-in collector; borrowed,
-  // must outlive the context's use.
-  void add_sink(PipelineSink* sink);
-  // Fans a window snapshot out to the collector and every extra sink.
-  // Serialized — safe to call from concurrent leaf servers.
+  // Collects a window snapshot for metrics.json and marks the window for
+  // /healthz.  Serialized — safe to call from concurrent leaf servers.
   void emit_window(const PipelineStats& stats);
 
   const CollectingSink& windows() const { return windows_; }
@@ -99,7 +96,6 @@ class ObsContext {
   MetricsRegistry metrics_;
   OverheadAccountant overhead_;
   CollectingSink windows_;
-  std::vector<PipelineSink*> extra_sinks_;
   std::unique_ptr<TraceRecorder> trace_;
   std::unique_ptr<Journal> journal_;
   // Owned sinks, in attach order; /readyz needs every one of them ok().

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "src/util/log.hpp"
-
 namespace vapro::obs {
 
 namespace {
@@ -17,32 +15,28 @@ void append_double(std::ostringstream& oss, double v) {
 }
 }  // namespace
 
-void CollectingSink::on_window(const PipelineStats& stats) {
-  windows_.push_back(stats);
+double PipelineStats::total_seconds() const {
+  double total = 0.0;
+  for (double s : stage_seconds) total += s;
+  return total;
 }
 
-PipelineStats CollectingSink::totals() const {
-  PipelineStats t;
-  for (const PipelineStats& w : windows_) {
-    t.window = w.window;
-    t.virtual_time = w.virtual_time;
-    t.diagnosis_stage = w.diagnosis_stage;
-    t.fragments_drained += w.fragments_drained;
-    t.carry_ins += w.carry_ins;
-    t.new_states += w.new_states;
-    t.clusters_formed += w.clusters_formed;
-    t.rare_clusters += w.rare_clusters;
-    t.cluster_shards = w.cluster_shards;  // a config, not a volume: keep last
-    t.drain_seconds += w.drain_seconds;
-    t.stg_seconds += w.stg_seconds;
-    t.cluster_seconds += w.cluster_seconds;
-    t.normalize_seconds += w.normalize_seconds;
-    t.deposit_seconds += w.deposit_seconds;
-    t.diagnose_seconds += w.diagnose_seconds;
-    t.publish_seconds += w.publish_seconds;
-    t.queue_wait_seconds += w.queue_wait_seconds;
-  }
-  return t;
+double PipelineStats::tool_seconds() const {
+  double total = 0.0;
+  for (std::size_t s = 0; s < kStageCount; ++s)
+    if (static_cast<Stage>(s) != Stage::kQueueWait) total += stage_seconds[s];
+  return total;
+}
+
+std::size_t PipelineStats::bound_stage() const {
+  std::size_t best = 0;
+  for (std::size_t s = 1; s < kStageCount; ++s)
+    if (stage_seconds[s] > stage_seconds[best]) best = s;
+  return best;
+}
+
+void CollectingSink::on_window(const PipelineStats& stats) {
+  windows_.push_back(stats);
 }
 
 std::string CollectingSink::to_json() const {
@@ -61,34 +55,20 @@ std::string CollectingSink::to_json() const {
         << ",\"rare_clusters\":" << w.rare_clusters
         << ",\"cluster_shards\":" << w.cluster_shards
         << ",\"diagnosis_stage\":" << w.diagnosis_stage << ",\"stages\":{";
-    const std::pair<const char*, double> stages[] = {
-        {"drain", w.drain_seconds},       {"stg", w.stg_seconds},
-        {"cluster", w.cluster_seconds},   {"normalize", w.normalize_seconds},
-        {"deposit", w.deposit_seconds},   {"diagnose", w.diagnose_seconds},
-        {"publish", w.publish_seconds},   {"queue_wait", w.queue_wait_seconds},
-    };
-    bool sfirst = true;
-    for (const auto& [name, secs] : stages) {
-      if (!sfirst) oss << ',';
-      sfirst = false;
-      oss << '"' << name << "\":";
-      append_double(oss, secs);
+    // The tool-time stages in order, then queue_wait (stage 0), which
+    // total_seconds (the window's tool time) leaves out.
+    for (std::size_t k = 1; k <= kStageCount; ++k) {
+      const std::size_t s = k % kStageCount;
+      if (k > 1) oss << ',';
+      oss << '"' << kStageNames[s] << "\":";
+      append_double(oss, w.stage_seconds[s]);
     }
     oss << "},\"total_seconds\":";
-    append_double(oss, w.total_seconds());
+    append_double(oss, w.tool_seconds());
     oss << '}';
   }
   oss << ']';
   return oss.str();
-}
-
-void LoggingSink::on_window(const PipelineStats& stats) {
-  VAPRO_LOG_TAG(::vapro::util::LogLevel::kDebug, "obs")
-      << "window " << stats.window << " @" << stats.virtual_time << "s: "
-      << stats.fragments_drained << " fragments (+" << stats.carry_ins
-      << " carry), " << stats.clusters_formed << " clusters ("
-      << stats.rare_clusters << " rare), S" << stats.diagnosis_stage << ", "
-      << stats.total_seconds() * 1e3 << " ms tool time";
 }
 
 }  // namespace vapro::obs

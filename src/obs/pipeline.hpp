@@ -2,19 +2,39 @@
 //
 // One PipelineStats per processed window carries what the window ingested
 // (fragments, carry-ins, new states), what the analysis produced (clusters,
-// rare paths, diagnosis stage) and where the wall time went across the six
-// canonical stages: drain → STG growth → clustering → normalization →
-// heat-map deposit → diagnosis.  Snapshots flow through pluggable sinks;
-// CollectingSink keeps them all (JSON export + aggregate totals), and
-// LoggingSink narrates each window through the tagged logger at debug
-// level.
+// rare paths, diagnosis stage) and where its wall time went, one slot per
+// canonical stage: queue wait → drain → STG growth → clustering →
+// normalization → heat-map deposit → diagnosis → publish.  That array is
+// the only record of a window's stage times: the stage histograms, the
+// critical-path tracker (src/obs/latency), the journal's window_latency
+// events and metrics.json all read it.  ObsContext keeps every snapshot in
+// a CollectingSink for the metrics.json export.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
 
 namespace vapro::obs {
+
+// The canonical stages, in pipeline order; the earlier stage wins ties in
+// PipelineStats::bound_stage().
+enum class Stage : std::size_t {
+  kQueueWait,  // hand-off queue wait (submit → worker start); 0 when serial
+  kDrain,      // client buffer hand-off
+  kStg,        // vertex/edge growth + carry management
+  kCluster,    // Algorithm 1 + rare-path scan
+  kNormalize,  // baseline normalization + eval pairs
+  kDeposit,    // heat-map deposit + coverage
+  kDiagnose,   // progressive diagnoser + observer
+  kPublish,    // metrics/gauges + journal/export
+};
+inline constexpr std::size_t kStageCount = 8;
+static_assert(static_cast<std::size_t>(Stage::kPublish) + 1 == kStageCount);
+inline constexpr const char* kStageNames[kStageCount] = {
+    "queue_wait", "drain",   "stg",      "cluster",
+    "normalize",  "deposit", "diagnose", "publish"};
 
 struct PipelineStats {
   std::size_t window = 0;            // 0-based window ordinal
@@ -31,48 +51,37 @@ struct PipelineStats {
   std::size_t cluster_shards = 1;
   int diagnosis_stage = 0;           // stage after this window's feed
 
-  // --- per-stage wall time (seconds) ---
-  double drain_seconds = 0.0;        // client buffer hand-off
-  double stg_seconds = 0.0;          // vertex/edge growth + carry management
-  double cluster_seconds = 0.0;      // Algorithm 1 + rare-path scan
-  double normalize_seconds = 0.0;    // baseline normalization + eval pairs
-  double deposit_seconds = 0.0;      // heat-map deposit + coverage
-  double diagnose_seconds = 0.0;     // progressive diagnoser + observer
-  double publish_seconds = 0.0;      // metrics/gauges + journal/export
-  // Hand-off queue wait (enqueue → worker start); 0 in synchronous mode.
-  // NOT part of total_seconds(): it is overlap, not tool work.
-  double queue_wait_seconds = 0.0;
+  // Wall seconds per stage, indexed by Stage.
+  std::array<double, kStageCount> stage_seconds{};
 
-  // Total tool time of the window — by definition the per-stage sum, so
-  // sinks and tests can rely on the invariant without re-deriving it.
-  double total_seconds() const {
-    return drain_seconds + stg_seconds + cluster_seconds + normalize_seconds +
-           deposit_seconds + diagnose_seconds + publish_seconds;
+  double& seconds(Stage s) {
+    return stage_seconds[static_cast<std::size_t>(s)];
   }
+  double seconds(Stage s) const {
+    return stage_seconds[static_cast<std::size_t>(s)];
+  }
+  // Window total: all eight stages, the window's latency from hand-off to
+  // published (/v1/latency, the critical-path table).
+  double total_seconds() const;
+  // Tool time: the total minus queue wait, which is overlap rather than
+  // tool work (vapro.server.window_seconds, metrics.json).
+  double tool_seconds() const;
+  // Index of the dominant stage (first maximum in canonical order).
+  std::size_t bound_stage() const;
+  const char* bound_by() const { return kStageNames[bound_stage()]; }
+  double bound_seconds() const { return stage_seconds[bound_stage()]; }
 };
 
-class PipelineSink {
+// Keeps every window's snapshot for the metrics.json export.
+class CollectingSink {
  public:
-  virtual ~PipelineSink() = default;
-  virtual void on_window(const PipelineStats& stats) = 0;
-};
-
-class CollectingSink final : public PipelineSink {
- public:
-  void on_window(const PipelineStats& stats) override;
+  void on_window(const PipelineStats& stats);
   const std::vector<PipelineStats>& windows() const { return windows_; }
-  // Sum of every per-window field (window ordinal/stage hold the last).
-  PipelineStats totals() const;
   // JSON array of window objects.
   std::string to_json() const;
 
  private:
   std::vector<PipelineStats> windows_;
-};
-
-class LoggingSink final : public PipelineSink {
- public:
-  void on_window(const PipelineStats& stats) override;
 };
 
 }  // namespace vapro::obs

@@ -15,7 +15,6 @@ SpanScope::SpanScope(Options opts, std::string name, std::string category,
     if (opts_.flow_in != 0)
       opts_.trace->flow_end(name_, category_, opts_.flow_in, t0_ns_);
   }
-  if (opts_.hist) t0_ = std::chrono::steady_clock::now();
 }
 
 std::uint64_t SpanScope::flow_out(const std::string& name) {
@@ -25,21 +24,9 @@ std::uint64_t SpanScope::flow_out(const std::string& name) {
   return id;
 }
 
-double SpanScope::finish() {
-  if (finished_) return 0.0;
+void SpanScope::finish() {
+  if (finished_ || !opts_.trace) return;
   finished_ = true;
-  double seconds = 0.0;
-  if (opts_.hist) {
-    const auto dt = std::chrono::steady_clock::now() - t0_;
-    seconds = static_cast<double>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                      .count()) *
-              1e-9;
-    // The measurement always lands: a span whose *emission* faults below
-    // must still be visible in the latency distribution.
-    opts_.hist->record(seconds);
-  }
-  if (!opts_.trace) return seconds;
   std::uint64_t end_ns = opts_.trace->now_ns();
   std::uint64_t dur_ns = end_ns > t0_ns_ ? end_ns - t0_ns_ : 0;
   switch (VAPRO_FAULT("obs.span")) {
@@ -48,7 +35,7 @@ double SpanScope::finish() {
       // Emission lost (e.g. the writer behind the recorder is gone).  The
       // trace simply misses one slice; count it so /metrics shows the gap.
       if (opts_.dropped) opts_.dropped->inc();
-      return seconds;
+      return;
     case testing::FaultAction::kShortWrite: {
       // Torn span: only part of the duration was captured.  Mark it so a
       // timeline reader can discount the slice; the event itself is still
@@ -59,14 +46,13 @@ double SpanScope::finish() {
       opts_.trace->complete_span(name_, category_, t0_ns_, dur_ns,
                                  std::move(args));
       if (opts_.dropped) opts_.dropped->inc();
-      return seconds;
+      return;
     }
     default:
       break;
   }
   opts_.trace->complete_span(name_, category_, t0_ns_, dur_ns,
                              std::move(args_));
-  return seconds;
 }
 
 }  // namespace vapro::obs

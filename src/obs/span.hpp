@@ -2,17 +2,18 @@
 //
 // One span covers one stage of one window (ingest → drain → cluster →
 // region-grow → diagnose → journal/export).  On destruction it emits a
-// complete ('X') event into the Chrome trace recorder and records the
-// elapsed time into a per-stage latency histogram; either target may be
-// null, making that half free.  Causality across threads is expressed with
-// flow arrows: the producer calls flow_out() (a 's' event at the handoff
-// instant) and hands the returned id to the consumer, whose span emits the
-// matching 'f' event at its own start — in Perfetto the queue hop between
-// the drain thread and the analysis worker becomes a visible arrow whose
-// length IS the handoff latency.
+// complete ('X') event into the Chrome trace recorder; a null recorder
+// makes the span free.  Stage times are not measured here: the analysis
+// server laps them into PipelineStats whatever happens to span emission.
+// Causality across threads is expressed with flow arrows: the producer
+// calls flow_out() (a 's' event at the handoff instant) and hands the
+// returned id to the consumer, whose span emits the matching 'f' event at
+// its own start — in Perfetto the queue hop between the drain thread and
+// the analysis worker becomes a visible arrow whose length IS the handoff
+// latency.
 //
 // Emission passes through the `obs.span` fault site: a dropped span (kFail/
-// kDrop) loses its trace event but never its histogram sample, and a torn
+// kDrop) loses its trace event (counted in Options::dropped), and a torn
 // span (kShortWrite) is emitted with a "torn":1 arg and truncated duration
 // — in every case the trace file stays valid JSON and no lock is held
 // across the journal, so a failing span can neither corrupt the trace nor
@@ -33,7 +34,6 @@ class SpanScope {
  public:
   struct Options {
     TraceRecorder* trace = nullptr;  // null: no trace emission
-    Histogram* hist = nullptr;       // null: no histogram sample
     Counter* dropped = nullptr;      // counts obs.span-dropped emissions
     std::uint64_t flow_in = 0;       // consume a producer's flow id
   };
@@ -52,9 +52,8 @@ class SpanScope {
   // the consumer's Options::flow_in (0 when tracing is off).
   std::uint64_t flow_out(const std::string& name);
 
-  // Ends the span now; the destructor then does nothing.  Returns the
-  // elapsed seconds (also what went into the histogram).
-  double finish();
+  // Ends the span now; the destructor then does nothing.
+  void finish();
 
  private:
   Options opts_;
@@ -62,7 +61,6 @@ class SpanScope {
   std::string category_;
   std::vector<TraceArg> args_;
   std::uint64_t t0_ns_ = 0;
-  std::chrono::steady_clock::time_point t0_{};
   bool finished_ = false;
 };
 

@@ -1,11 +1,16 @@
-// Golden-file tests for the human-facing report tables.  The rendered
-// text of render_region_table / render_rare_table is part of the tool's
-// interface — operators diff it, scripts scrape it — so formatting changes
-// must be deliberate.  Expected outputs live in tests/golden/; regenerate
+// Golden-file tests for the human-facing report tables and the
+// self-diagnosis (critical-path) outputs.  The rendered text of
+// render_region_table / render_rare_table, the /v1/latency and
+// /v1/critical_path bodies, the critical-path table and the journaled
+// timing events are part of the tool's interface — operators diff them,
+// scripts scrape them, replays re-render them — so formatting changes must
+// be deliberate.  Expected outputs live in tests/golden/; regenerate
 // them with scripts/update_goldens.sh after an intentional change and
 // review the diff like any other code change.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -14,6 +19,8 @@
 
 #include "src/core/heatmap.hpp"
 #include "src/core/report.hpp"
+#include "src/obs/journal.hpp"
+#include "src/obs/latency.hpp"
 #include "src/util/pipeline.hpp"
 
 namespace vapro {
@@ -160,6 +167,95 @@ TEST(Golden, RareTable) {
 
 TEST(Golden, RareTableEmpty) {
   expect_matches_golden(core::render_rare_table({}), "rare_table_empty.txt");
+}
+
+// Four windows of stage timings through a 3-record ring, so the renderers
+// show both the trimmed ring and the all-window totals: a cluster-bound
+// window (totals only), an exact drain/diagnose tie (the earlier stage
+// wins), an all-zero window (queue_wait by the same rule) and a
+// publish-bound window.  Each stage dominates one window, so the dominant
+// stage is itself a tie.  The values have no short decimal form, so any
+// precision lost on the way to text shows.
+std::vector<obs::PipelineStats> fixture_latency() {
+  const double t = 1.0 / 3.0 * 1e-3;
+  const std::array<double, obs::kStageCount> stages[] = {
+      {t, 2 * t, 0.0, 7 * t, t / 7, 0.0, 1e-9, t},
+      {0.0, 5 * t, t, 0.0, 0.0, t / 11, 5 * t, 0.0},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0},
+      {t / 3, t, 2 * t, t, 0.0, 0.0, t, 9 * t},
+  };
+  std::vector<obs::PipelineStats> records;
+  for (std::size_t w = 0; w < 4; ++w) {
+    obs::PipelineStats r;
+    r.window = w;
+    r.virtual_time = 0.25 * static_cast<double>(w + 1) / 3.0;
+    r.stage_seconds = stages[w];
+    records.push_back(r);
+  }
+  return records;
+}
+
+void fill_tracker(obs::CriticalPathTracker& tracker) {
+  for (const obs::PipelineStats& r : fixture_latency()) tracker.record(r);
+}
+
+TEST(Golden, CriticalPathTable) {
+  obs::CriticalPathTracker tracker(/*keep=*/3);
+  fill_tracker(tracker);
+  expect_matches_golden(
+      obs::render_critical_path_table(tracker.recent(), tracker.summary()),
+      "critical_path_table.txt");
+}
+
+TEST(Golden, CriticalPathTableEmpty) {
+  obs::CriticalPathTracker empty;
+  expect_matches_golden(
+      obs::render_critical_path_table(empty.recent(), empty.summary()),
+      "critical_path_table_empty.txt");
+}
+
+TEST(Golden, LatencyJson) {
+  obs::CriticalPathTracker tracker(/*keep=*/3);
+  fill_tracker(tracker);
+  obs::CriticalPathTracker empty;
+  expect_matches_golden(
+      obs::render_latency_json(tracker.recent(), tracker.summary()) + '\n' +
+          obs::render_latency_json(empty.recent(), empty.summary()) + '\n',
+      "latency_json.txt");
+}
+
+TEST(Golden, CriticalPathJson) {
+  obs::CriticalPathTracker tracker(/*keep=*/3);
+  fill_tracker(tracker);
+  obs::CriticalPathTracker empty;
+  expect_matches_golden(
+      obs::render_critical_path_json(tracker.recent(), tracker.summary()) +
+          '\n' +
+          obs::render_critical_path_json(empty.recent(), empty.summary()) +
+          '\n',
+      "critical_path_json.txt");
+}
+
+// The journaled timing events are what vapro_replay re-renders the
+// critical path from: one window_latency event (the tie window) and the
+// terminal critical_path event over all four windows.
+TEST(Golden, LatencyJournalEvents) {
+  obs::Journal journal;
+  struct Collect final : obs::JournalSink {
+    std::string lines;
+    void on_event(const obs::JournalEvent& ev) override {
+      lines += ev.to_json_line() + '\n';
+    }
+  } sink;
+  journal.add_sink(&sink);
+  const std::vector<obs::PipelineStats> records = fixture_latency();
+  obs::journal_window_latency(journal, records[1]);
+  obs::CriticalPathTracker tracker;
+  fill_tracker(tracker);
+  obs::journal_critical_path(
+      journal, static_cast<std::int64_t>(records.back().window),
+      records.back().virtual_time, tracker.summary());
+  expect_matches_golden(sink.lines, "latency_events.jsonl");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Self-diagnosis latency surfaces (src/obs/latency): critical-path
 // attribution semantics, the tracker ring, the shared JSON/table
 // renderers, the window_latency / critical_path journal round trip
-// (byte-identical replay), and readback of hand-written v1 journals that
-// predate the timing event types.
+// (byte-identical replay), the server's stage timing (no queue wait at
+// depth 1; every stage total read from the one stage array), and readback
+// of hand-written v1 journals that predate the timing event types.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,9 +20,9 @@
 namespace vapro::obs {
 namespace {
 
-WindowLatencyRecord make_record(std::int64_t window,
-                                std::initializer_list<double> stages) {
-  WindowLatencyRecord r;
+PipelineStats make_record(std::size_t window,
+                          std::initializer_list<double> stages) {
+  PipelineStats r;
   r.window = window;
   r.virtual_time = 0.25 * static_cast<double>(window + 1);
   std::size_t i = 0;
@@ -31,7 +32,7 @@ WindowLatencyRecord make_record(std::int64_t window,
 
 TEST(WindowLatency, BoundStageIsTheFirstMaximumInCanonicalOrder) {
   // cluster (index 3) strictly dominates.
-  WindowLatencyRecord r =
+  PipelineStats r =
       make_record(0, {0.001, 0.002, 0.003, 0.010, 0.002, 0.001, 0.0, 0.001});
   EXPECT_EQ(r.bound_stage(), 3u);
   EXPECT_STREQ(r.bound_by(), "cluster");
@@ -40,29 +41,29 @@ TEST(WindowLatency, BoundStageIsTheFirstMaximumInCanonicalOrder) {
 
   // Exact tie between drain (1) and diagnose (6): the earlier stage wins,
   // so attribution is deterministic.
-  WindowLatencyRecord tie =
+  PipelineStats tie =
       make_record(1, {0.0, 0.005, 0.0, 0.0, 0.0, 0.0, 0.005, 0.0});
   EXPECT_EQ(tie.bound_stage(), 1u);
   EXPECT_STREQ(tie.bound_by(), "drain");
 
   // All-zero window: queue_wait (index 0) by the same tie rule.
-  EXPECT_EQ(WindowLatencyRecord{}.bound_stage(), 0u);
+  EXPECT_EQ(PipelineStats{}.bound_stage(), 0u);
 }
 
 TEST(WindowLatency, TrackerKeepsARingAndCumulativeTotals) {
   CriticalPathTracker tracker(/*keep=*/4);
-  EXPECT_EQ(tracker.summary().dominant_stage(), kLatencyStageCount);
+  EXPECT_EQ(tracker.summary().dominant_stage(), kStageCount);
   EXPECT_TRUE(tracker.recent().empty());
 
-  for (int w = 0; w < 10; ++w) {
+  for (std::size_t w = 0; w < 10; ++w) {
     // stg-bound except window 7, which is cluster-bound.
     tracker.record(make_record(
         w, {0.001, 0.002, 0.004, w == 7 ? 0.008 : 0.001, 0.0, 0.0, 0.0, 0.0}));
   }
   const auto recent = tracker.recent();
   ASSERT_EQ(recent.size(), 4u);  // ring trimmed to keep
-  EXPECT_EQ(recent.front().window, 6);
-  EXPECT_EQ(recent.back().window, 9);
+  EXPECT_EQ(recent.front().window, 6u);
+  EXPECT_EQ(recent.back().window, 9u);
 
   const CriticalPathTracker::Summary sum = tracker.summary();
   EXPECT_EQ(sum.windows, 10u);  // totals cover ALL windows, not the ring
@@ -83,9 +84,9 @@ TEST(WindowLatency, RenderersNameEveryStageAndTheDominantOne) {
       render_critical_path_json(tracker.recent(), tracker.summary());
   const std::string table =
       render_critical_path_table(tracker.recent(), tracker.summary());
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s) {
-    EXPECT_NE(critical.find(kLatencyStageNames[s]), std::string::npos)
-        << kLatencyStageNames[s];
+  for (std::size_t s = 0; s < kStageCount; ++s) {
+    EXPECT_NE(critical.find(kStageNames[s]), std::string::npos)
+        << kStageNames[s];
   }
   EXPECT_NE(latency.find("\"bound_by\":\"stg\""), std::string::npos) << latency;
   EXPECT_NE(critical.find("\"dominant\":\"stg\""), std::string::npos)
@@ -102,7 +103,7 @@ TEST(WindowLatency, RenderersNameEveryStageAndTheDominantOne) {
 TEST(WindowLatency, JournalEventsRoundTripBitExactly) {
   // Values with no short decimal form, so anything less than %.17g in the
   // round trip shows up as inequality.
-  WindowLatencyRecord r = make_record(
+  PipelineStats r = make_record(
       3, {1.0 / 3, 0.1, 0.2 / 7, 1e-9, 0.0, 3.14159e-3, 1.0 / 81, 2e-6});
 
   Journal journal;
@@ -115,18 +116,19 @@ TEST(WindowLatency, JournalEventsRoundTripBitExactly) {
 
   CriticalPathTracker tracker;
   tracker.record(r);
-  journal_critical_path(journal, r.window, r.virtual_time, tracker.summary());
+  journal_critical_path(journal, static_cast<std::int64_t>(r.window),
+                        r.virtual_time, tracker.summary());
 
   ASSERT_EQ(sink.events.size(), 2u);
   EXPECT_EQ(sink.events[0].type, "window_latency");
   EXPECT_EQ(sink.events[1].type, "critical_path");
 
-  const WindowLatencyRecord back = window_latency_from_event(sink.events[0]);
+  const PipelineStats back = window_latency_from_event(sink.events[0]);
   EXPECT_EQ(back.window, r.window);
   EXPECT_EQ(back.virtual_time, r.virtual_time);  // bit-exact, not NEAR
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s)
+  for (std::size_t s = 0; s < kStageCount; ++s)
     EXPECT_EQ(back.stage_seconds[s], r.stage_seconds[s])
-        << kLatencyStageNames[s];
+        << kStageNames[s];
 
   CriticalPathTracker replay;
   replay.record(back);
@@ -206,12 +208,11 @@ TEST(WindowLatency, ServerJournalReplaysTheLiveCriticalPathByteIdentically) {
     ASSERT_EQ(summary.window_latency.size(),
               static_cast<std::size_t>(kWindows));
     EXPECT_EQ(summary.critical_path_events, 1u);
-    for (int w = 0; w < kWindows; ++w)
-      EXPECT_EQ(summary.window_latency[static_cast<std::size_t>(w)].window, w);
+    for (std::size_t w = 0; w < kWindows; ++w)
+      EXPECT_EQ(summary.window_latency[w].window, w);
 
     CriticalPathTracker replay;
-    for (const WindowLatencyRecord& r : summary.window_latency)
-      replay.record(r);
+    for (const PipelineStats& r : summary.window_latency) replay.record(r);
     const CriticalPathTracker& live = server.latency_tracker();
     EXPECT_EQ(render_critical_path_table(replay.recent(), replay.summary()),
               render_critical_path_table(live.recent(), live.summary()));
@@ -222,6 +223,85 @@ TEST(WindowLatency, ServerJournalReplaysTheLiveCriticalPathByteIdentically) {
     EXPECT_NE(report.find("dominant stage:"), std::string::npos);
   }
   std::remove(path.c_str());
+}
+
+// Under a TickClock every clock read advances time by one tick, so each
+// stage's seconds count the reads charged to it.  At pipeline_depth 1 no
+// window enters the hand-off queue, so none can have waited in it.
+TEST(WindowLatency, SerialServerHasNoQueueWait) {
+  util::TickClock tick(1e-3);
+  core::ServerOptions opts;
+  opts.run_diagnosis = false;
+  opts.bin_seconds = 0.05;
+  opts.clock = &tick;
+  constexpr int kRanks = 4;
+  core::AnalysisServer server(kRanks, opts);
+  for (int w = 0; w < 4; ++w)
+    server.process_window(tiny_window(kRanks, w), /*drain_seconds=*/1e-3);
+
+  const std::vector<PipelineStats> recent = server.latency_tracker().recent();
+  ASSERT_EQ(recent.size(), 4u);
+  for (const PipelineStats& w : recent) {
+    EXPECT_EQ(w.seconds(Stage::kQueueWait), 0.0) << "window " << w.window;
+    EXPECT_STRNE(w.bound_by(), "queue_wait") << "window " << w.window;
+  }
+}
+
+// The stage histograms, vapro.server.window_seconds, the critical-path
+// tracker and the pipeline breakdown all read each window's one stage
+// array, so their totals agree exactly, serial and pipelined.
+TEST(WindowLatency, EveryStageTotalComesFromTheOneStageArray) {
+  for (int depth : {1, 2}) {
+    SCOPED_TRACE("pipeline_depth " + std::to_string(depth));
+    util::TickClock tick(1e-3);
+    ObsContext ctx;
+    core::ServerOptions opts;
+    opts.run_diagnosis = false;
+    opts.bin_seconds = 0.05;
+    opts.pipeline_depth = depth;
+    opts.obs = &ctx;
+    opts.clock = &tick;
+    constexpr int kRanks = 4;
+    core::AnalysisServer server(kRanks, opts);
+    for (int w = 0; w < 6; ++w)
+      server.process_window(tiny_window(kRanks, w), /*drain_seconds=*/1e-3);
+    server.sync();
+    const std::uint64_t windows = server.windows_processed();
+    ASSERT_EQ(windows, 6u);
+
+    const CriticalPathTracker::Summary sum = server.latency_tracker().summary();
+    MetricsRegistry& m = ctx.metrics();
+    for (std::size_t s = 0; s < kStageCount; ++s) {
+      const std::string name =
+          static_cast<Stage>(s) == Stage::kQueueWait
+              ? std::string("vapro.server.queue_wait_seconds")
+              : std::string("vapro.server.stage.") + kStageNames[s] +
+                    "_seconds";
+      const Histogram* h = m.histogram(name);
+      EXPECT_EQ(h->count(), windows) << name;
+      EXPECT_DOUBLE_EQ(h->sum_seconds(), sum.stage_seconds[s]) << name;
+    }
+
+    double tool = 0.0;
+    for (const PipelineStats& w : ctx.windows().windows())
+      tool += w.tool_seconds();
+    EXPECT_DOUBLE_EQ(m.histogram("vapro.server.window_seconds")->sum_seconds(),
+                     tool);
+
+    double busy = 0.0;
+    for (Stage s : {Stage::kStg, Stage::kCluster, Stage::kNormalize,
+                    Stage::kDeposit, Stage::kDiagnose, Stage::kPublish})
+      busy += sum.stage_seconds[static_cast<std::size_t>(s)];
+    EXPECT_DOUBLE_EQ(server.pipeline_breakdown().analysis_busy_seconds, busy);
+
+    if (depth > 1) {
+      // Producer backpressure is published once, under the name the split
+      // wait account uses.
+      EXPECT_NE(m.find_gauge("vapro.pipeline.producer_block_seconds"),
+                nullptr);
+      EXPECT_EQ(m.find_gauge("vapro.pipeline.stall_seconds"), nullptr);
+    }
+  }
 }
 
 TEST(WindowLatency, HandWrittenV1JournalReadsBackWithoutTimingEvents) {

@@ -573,7 +573,7 @@ RoundResult run_round(int round, std::uint64_t seed,
     if (!group) {
       const obs::CriticalPathTracker& live_tracker = server->latency_tracker();
       obs::CriticalPathTracker replay_tracker;
-      for (const obs::WindowLatencyRecord& r : summary.window_latency)
+      for (const obs::PipelineStats& r : summary.window_latency)
         replay_tracker.record(r);
       rr.check(obs::render_critical_path_table(replay_tracker.recent(),
                                                replay_tracker.summary()) ==
