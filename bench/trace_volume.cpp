@@ -26,8 +26,7 @@ int main() {
 
     core::VaproOptions opts;
     core::VaproSession session(simulator, opts);
-    trace::TraceWriter writer(
-        const_cast<core::VaproClient*>(&session.client()));
+    trace::TraceWriter writer(&session.client());
     simulator.set_interceptor(&writer);
     auto result = simulator.run(app.program);
 

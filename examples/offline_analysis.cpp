@@ -10,7 +10,6 @@
 #include "src/apps/solvers.hpp"
 #include "src/sim/runtime.hpp"
 #include "src/trace/offline.hpp"
-#include "src/trace/trace.hpp"
 
 int main() {
   using namespace vapro;
@@ -38,12 +37,16 @@ int main() {
             << recorder.trace().byte_size() / 1024 << " KiB) to " << path
             << "\n\n";
 
-  // --- question 1: default analysis ---
+  // Each question replays the trace into a fresh detached session; only
+  // the options differ.
   trace::Trace trace = trace::Trace::load(path);
+
+  // --- question 1: default analysis ---
   {
-    trace::OfflineOptions opts;
+    core::VaproOptions opts;
     opts.window_seconds = 0.25;
-    trace::OfflineSession session(trace, opts);
+    core::VaproSession session(trace.ranks(), opts);
+    trace::replay(trace, session);
     auto regions = session.locate(core::FragmentKind::kComputation);
     std::cout << "[default knobs] regions: " << regions.size();
     if (!regions.empty()) {
@@ -56,9 +59,10 @@ int main() {
 
   // --- question 2: only severe variance ---
   {
-    trace::OfflineOptions opts;
+    core::VaproOptions opts;
     opts.variance_threshold = 0.6;
-    trace::OfflineSession session(trace, opts);
+    core::VaproSession session(trace.ranks(), opts);
+    trace::replay(trace, session);
     std::cout << "[threshold 0.6] regions: "
               << session.locate(core::FragmentKind::kComputation).size()
               << " (a ~50% slowdown clears a 0.6 cut, a 20% one does not)\n";
@@ -66,9 +70,10 @@ int main() {
 
   // --- question 3: context-aware view ---
   {
-    trace::OfflineOptions opts;
+    core::VaproOptions opts;
     opts.stg_mode = core::StgMode::kContextAware;
-    trace::OfflineSession session(trace, opts);
+    core::VaproSession session(trace.ranks(), opts);
+    trace::replay(trace, session);
     std::cout << "[context-aware STG] fragments: "
               << session.fragments_recorded() << ", regions: "
               << session.locate(core::FragmentKind::kComputation).size()

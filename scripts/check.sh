@@ -37,8 +37,9 @@ if [ -n "$sanitize" ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DVAPRO_FAULT_INJECTION=ON
   cmake --build "$build"
   ctest --test-dir "$build" --output-on-failure
-  echo "--- $sanitize: fault + stress + net + soa + journal labels ---"
-  ctest --test-dir "$build" -L 'fault|stress|net|soa|journal' --output-on-failure
+  echo "--- $sanitize: fault + stress + net + soa + journal + trace labels ---"
+  ctest --test-dir "$build" -L 'fault|stress|net|soa|journal|trace' \
+    --output-on-failure
   echo "check.sh --sanitize=$sanitize OK"
   exit 0
 fi

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/obs/journal.hpp"
+
 namespace vapro::core {
 
 namespace {
@@ -38,28 +40,6 @@ void append_regions(std::ostringstream& oss, const VaproSession& session,
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::ostringstream oss;
-  for (char c : s) {
-    switch (c) {
-      case '"': oss << "\\\""; break;
-      case '\\': oss << "\\\\"; break;
-      case '\n': oss << "\\n"; break;
-      case '\r': oss << "\\r"; break;
-      case '\t': oss << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          oss << buf;
-        } else {
-          oss << c;
-        }
-    }
-  }
-  return oss.str();
-}
-
 std::string report_json(const VaproSession& session,
                         double total_execution_seconds) {
   std::ostringstream oss;
@@ -85,9 +65,9 @@ std::string report_json(const VaproSession& session,
   for (const RareFinding& f : session.rare_findings()) {
     if (!first) oss << ',';
     first = false;
-    oss << "{\"state\":\"" << json_escape(f.state) << "\",\"kind\":\""
-        << fragment_kind_name(f.kind) << "\",\"executions\":" << f.executions
-        << ",\"total_seconds\":";
+    oss << "{\"state\":\"" << obs::journal_json_escape(f.state)
+        << "\",\"kind\":\"" << fragment_kind_name(f.kind)
+        << "\",\"executions\":" << f.executions << ",\"total_seconds\":";
     append_number(oss, f.total_seconds);
     oss << '}';
   }
@@ -103,7 +83,8 @@ std::string report_json(const VaproSession& session,
   for (const DiagnosisFinding& f : diag.findings) {
     if (!first) oss << ',';
     first = false;
-    oss << "{\"factor\":\"" << json_escape(std::string(factor_name(f.id)))
+    oss << "{\"factor\":\""
+        << obs::journal_json_escape(std::string(factor_name(f.id)))
         << "\",\"stage\":" << f.stage << ",\"share\":";
     append_number(oss, f.share);
     oss << ",\"duration_share\":";
@@ -115,7 +96,8 @@ std::string report_json(const VaproSession& session,
   for (FactorId f : diag.culprits) {
     if (!first) oss << ',';
     first = false;
-    oss << '"' << json_escape(std::string(factor_name(f))) << '"';
+    oss << '"' << obs::journal_json_escape(std::string(factor_name(f)))
+        << '"';
   }
   oss << "]}}";
   return oss.str();

@@ -14,7 +14,4 @@ namespace vapro::core {
 std::string report_json(const VaproSession& session,
                         double total_execution_seconds = 0.0);
 
-// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s);
-
 }  // namespace vapro::core

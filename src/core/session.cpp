@@ -32,93 +32,98 @@ ServerOptions server_options_from(const VaproOptions& opts,
 
 VaproSession::VaproSession(sim::Simulator& simulator, VaproOptions opts,
                            ClusterBaseline* shared_baseline)
-    : simulator_(simulator), opts_(opts) {
-  ClientOptions copts;
-  copts.stg_mode = opts.stg_mode;
-  copts.pmu_budget = opts.pmu_budget;
-  copts.pmu_jitter = opts.pmu_jitter;
-  copts.sampling = opts.sampling;
-  copts.sampling_warmup = opts.sampling_warmup;
-  copts.seed = opts.seed;
-  copts.obs = opts.obs;
-  client_ =
-      std::make_unique<VaproClient>(simulator.config().ranks, copts);
+    : VaproSession(simulator.config().ranks, std::move(opts),
+                   simulator.config().machine, shared_baseline) {
+  simulator_ = &simulator;
+  simulator_->set_interceptor(client_.get());
+  periodic_id_ = simulator_->add_periodic(opts_.window_seconds,
+                                          [this](double) { end_window(); });
+}
 
-  if (opts.batch_transport) {
+VaproSession::VaproSession(int ranks, VaproOptions opts)
+    : VaproSession(ranks, std::move(opts), pmu::MachineParams{}, nullptr) {}
+
+VaproSession::VaproSession(int ranks, VaproOptions opts,
+                           const pmu::MachineParams& machine,
+                           ClusterBaseline* shared_baseline)
+    : opts_(std::move(opts)) {
+  ClientOptions copts;
+  copts.stg_mode = opts_.stg_mode;
+  copts.pmu_budget = opts_.pmu_budget;
+  copts.pmu_jitter = opts_.pmu_jitter;
+  copts.sampling = opts_.sampling;
+  copts.sampling_warmup = opts_.sampling_warmup;
+  copts.seed = opts_.seed;
+  copts.obs = opts_.obs;
+  client_ = std::make_unique<VaproClient>(ranks, copts);
+
+  if (opts_.batch_transport) {
     // Transport-attached: batches travel through the hook (typically the
     // src/net ingest plane) and land on the caller-owned backend.
-    analysis_ = opts.external_server;
+    analysis_ = opts_.external_server;
   } else {
     server_ = std::make_unique<AnalysisServer>(
-        simulator.config().ranks,
-        server_options_from(opts, simulator.config().machine,
-                            shared_baseline));
+        ranks, server_options_from(opts_, machine, shared_baseline));
     analysis_ = server_.get();
   }
-
-  // Stage-1 counters must be live from the start.  User-specified proxy
-  // metrics (§3.4: "users are able to specify other PMU metrics") ride
-  // along with whatever the diagnosis stage needs — they must fit the
-  // programmable budget together.
-  auto with_proxies = [this](std::vector<pmu::Counter> counters) {
-    for (pmu::Counter proxy : opts_.cluster.proxies) {
-      if (pmu::is_free_counter(proxy)) continue;
-      if (std::find(counters.begin(), counters.end(), proxy) == counters.end())
-        counters.push_back(proxy);
-    }
-    return counters;
-  };
-  auto reprogram = [this, with_proxies] {
-    auto wanted = with_proxies(analysis_->counters_needed());
-    if (client_->configure_counters(wanted)) return;
-    if (opts_.allow_multiplexing) {
-      client_->configure_counters_multiplexed(wanted);
-      return;
-    }
-    // Once per window the over-budget set is retried; rate-limit the
-    // complaint so long runs don't get one line per window.
-    VAPRO_LOG_TAG_EVERY_N(::vapro::util::LogLevel::kWarn, "session", 32)
-        << "proxy metrics + stage counters exceed the PMU budget; "
-           "raise pmu_budget or set allow_multiplexing";
-    client_->configure_counters(analysis_->counters_needed());
-  };
-  reprogram();
-
-  simulator_.set_interceptor(client_.get());
-  periodic_id_ =
-      simulator_.add_periodic(opts.window_seconds, [this, reprogram](double) {
-        // The drain is timed separately: it becomes the Stage::kDrain slot
-        // of this window's PipelineStats snapshot.
-        util::Clock* clock = opts_.clock ? opts_.clock : util::real_clock();
-        const double t0 = clock->now_seconds();
-        FragmentBatch batch = client_->drain();
-        const double drain_seconds =
-            opts_.obs ? clock->now_seconds() - t0 : 0.0;
-        if (opts_.batch_transport) {
-          opts_.batch_transport(std::move(batch), drain_seconds);
-        } else {
-          server_->process_window(std::move(batch), drain_seconds);
-        }
-        // Progressive diagnosis may have moved to a finer stage; reprogram
-        // the clients' PMU sets for the next window.  With a pipelined
-        // server the window may still be in flight — sync first so the
-        // PMU feedback loop sees exactly the serial run's state.  Without
-        // diagnosis the counter demand is constant, so the pipeline keeps
-        // its overlap.
-        if (opts_.run_diagnosis) {
-          if (opts_.transport_sync) {
-            opts_.transport_sync();
-          } else if (server_) {
-            server_->sync();
-          }
-        }
-        reprogram();
-      });
+  // Stage-1 counters must be live from the start.
+  reprogram_counters();
 }
 
 VaproSession::~VaproSession() {
-  simulator_.set_interceptor(nullptr);
-  simulator_.remove_periodic(periodic_id_);
+  if (simulator_ == nullptr) return;
+  simulator_->set_interceptor(nullptr);
+  simulator_->remove_periodic(periodic_id_);
+}
+
+void VaproSession::reprogram_counters() {
+  // User-specified proxy metrics (§3.4: "users are able to specify other
+  // PMU metrics") ride along with whatever the diagnosis stage needs —
+  // they must fit the programmable budget together.
+  std::vector<pmu::Counter> wanted = analysis_->counters_needed();
+  for (pmu::Counter proxy : opts_.cluster.proxies) {
+    if (pmu::is_free_counter(proxy)) continue;
+    if (std::find(wanted.begin(), wanted.end(), proxy) == wanted.end())
+      wanted.push_back(proxy);
+  }
+  if (client_->configure_counters(wanted)) return;
+  if (opts_.allow_multiplexing) {
+    client_->configure_counters_multiplexed(wanted);
+    return;
+  }
+  // Once per window the over-budget set is retried; rate-limit the
+  // complaint so long runs don't get one line per window.
+  VAPRO_LOG_TAG_EVERY_N(::vapro::util::LogLevel::kWarn, "session", 32)
+      << "proxy metrics + stage counters exceed the PMU budget; "
+         "raise pmu_budget or set allow_multiplexing";
+  client_->configure_counters(analysis_->counters_needed());
+}
+
+void VaproSession::end_window() {
+  // The drain is timed separately: it becomes the Stage::kDrain slot of
+  // this window's PipelineStats snapshot.
+  util::Clock* clock = opts_.clock ? opts_.clock : util::real_clock();
+  const double t0 = clock->now_seconds();
+  FragmentBatch batch = client_->drain();
+  const double drain_seconds = opts_.obs ? clock->now_seconds() - t0 : 0.0;
+  if (opts_.batch_transport) {
+    opts_.batch_transport(std::move(batch), drain_seconds);
+  } else {
+    server_->process_window(std::move(batch), drain_seconds);
+  }
+  // Progressive diagnosis may have moved to a finer stage; reprogram the
+  // clients' PMU sets for the next window.  With a pipelined server the
+  // window may still be in flight — sync first so the PMU feedback loop
+  // sees exactly the serial run's state.  Without diagnosis the counter
+  // demand is constant, so the pipeline keeps its overlap.
+  if (opts_.run_diagnosis) {
+    if (opts_.transport_sync) {
+      opts_.transport_sync();
+    } else if (server_) {
+      server_->sync();
+    }
+  }
+  reprogram_counters();
 }
 
 std::string VaproSession::detection_summary() const {

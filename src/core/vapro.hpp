@@ -9,11 +9,12 @@
 //   std::cout << vapro.detection_summary();
 //   std::cout << vapro.diagnosis().summary();
 //
-// The session owns the client (interceptor) and the analysis server and
-// wires the periodic window flush (paper Fig 8): every `window_seconds` of
-// virtual time the client buffers are drained into the server, analyzed,
-// and the progressive diagnoser may reconfigure the clients' PMU sets for
-// the next window.
+// The session owns the client (interceptor) and the analysis server, and
+// end_window() is the one window step (paper Fig 8): drain the client
+// buffers, analyze the batch, and let the progressive diagnoser
+// reconfigure the clients' PMU sets for the next window.  An attached
+// session calls it every `window_seconds` of virtual time; a detached one
+// (trace::replay) is fed and stepped by its caller.
 #pragma once
 
 #include <memory>
@@ -67,11 +68,11 @@ struct VaproOptions {
   // real clock); tests install a util::VirtualClock.  Borrowed.
   util::Clock* clock = nullptr;
   // --- external ingest transport (src/net service plane) ---
-  // When `batch_transport` is set the periodic window flush hands each
-  // drained batch to the hook instead of an in-process server; the hook
-  // owns delivery (e.g. a net::IngestClient over loopback).  The session
-  // then reads detection/diagnosis results from `external_server`, the
-  // backend the remote plane feeds — borrowed, must outlive the session.
+  // When `batch_transport` is set end_window() hands each drained batch
+  // to the hook instead of an in-process server; the hook owns delivery
+  // (e.g. a net::IngestClient over loopback).  The session then reads
+  // detection/diagnosis results from `external_server`, the backend the
+  // remote plane feeds — borrowed, must outlive the session.
   // `transport_sync` is called after each hand-off (when run_diagnosis)
   // so the PMU feedback loop observes the window's results before
   // reprogramming counters; it must block until the batch is applied.
@@ -96,9 +97,18 @@ class VaproSession {
   // read/updated there so runs compare against the best twin of any run.
   VaproSession(sim::Simulator& simulator, VaproOptions opts,
                ClusterBaseline* shared_baseline = nullptr);
+  // Detached: nothing drives the session; the caller feeds client() and
+  // calls end_window() (trace::replay).  Uses the default MachineParams.
+  VaproSession(int ranks, VaproOptions opts);
   ~VaproSession();
   VaproSession(const VaproSession&) = delete;
   VaproSession& operator=(const VaproSession&) = delete;
+
+  // Ends the current analysis window: drains the client into the server
+  // (or `batch_transport`), syncs when diagnosis drives the PMU, and
+  // reprograms the clients' counters for the next window.
+  void end_window();
+  const VaproOptions& options() const { return opts_; }
 
   // --- detection ---
   const Heatmap& computation_map() const {
@@ -150,9 +160,17 @@ class VaproSession {
 
   const AnalysisServer& server() const { return *analysis_; }
   const VaproClient& client() const { return *client_; }
+  VaproClient& client() { return *client_; }
 
  private:
-  sim::Simulator& simulator_;
+  VaproSession(int ranks, VaproOptions opts,
+               const pmu::MachineParams& machine,
+               ClusterBaseline* shared_baseline);
+  // Programs the counters the diagnosis stage needs plus the proxy
+  // metrics, multiplexing (or dropping the proxies) when over budget.
+  void reprogram_counters();
+
+  sim::Simulator* simulator_ = nullptr;  // null when detached
   VaproOptions opts_;
   std::unique_ptr<VaproClient> client_;
   std::unique_ptr<AnalysisServer> server_;  // null when transport-attached

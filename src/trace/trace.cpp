@@ -1,7 +1,10 @@
 #include "src/trace/trace.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "src/util/check.hpp"
 
@@ -34,6 +37,13 @@ std::size_t event_bytes(const TraceEvent& ev) {
 }
 
 }  // namespace
+
+int Trace::ranks() const {
+  int ranks = 0;
+  for (const TraceEvent& ev : events_)
+    ranks = std::max(ranks, ev.info.rank + 1);
+  return ranks;
+}
 
 std::size_t Trace::byte_size() const {
   std::size_t total = 12;  // header
@@ -73,14 +83,30 @@ Trace Trace::load(const std::string& path) {
   VAPRO_CHECK_MSG(take<std::uint32_t>(in) == kVersion,
                   "unsupported trace version");
   const auto count = take<std::uint32_t>(in);
+  // Every recorded rank contributes at least its program-end event, so a
+  // rank at or past the event count is corrupt; the INT_MAX cap keeps
+  // ranks() from overflowing.
+  const std::int64_t rank_limit = std::min<std::int64_t>(
+      count, std::numeric_limits<std::int32_t>::max());
   Trace trace;
   for (std::uint32_t i = 0; i < count; ++i) {
     TraceEvent ev;
-    ev.kind = static_cast<EventKind>(take<std::uint8_t>(in));
+    const auto kind = take<std::uint8_t>(in);
+    VAPRO_CHECK_MSG(kind <= static_cast<std::uint8_t>(EventKind::kProgramEnd),
+                    "trace event " << i << ": bad event kind " << int{kind});
+    ev.kind = static_cast<EventKind>(kind);
     ev.time = take<double>(in);
+    VAPRO_CHECK_MSG(std::isfinite(ev.time) && ev.time >= 0.0,
+                    "trace event " << i << ": bad time " << ev.time);
     ev.info.rank = take<std::int32_t>(in);
+    VAPRO_CHECK_MSG(ev.info.rank >= 0 && ev.info.rank < rank_limit,
+                    "trace event " << i << ": rank " << ev.info.rank
+                                   << " out of range");
     ev.info.site = take<sim::CallSiteId>(in);
-    ev.info.kind = static_cast<sim::OpKind>(take<std::uint8_t>(in));
+    const auto op = take<std::uint8_t>(in);
+    VAPRO_CHECK_MSG(op <= static_cast<std::uint8_t>(sim::OpKind::kProbe),
+                    "trace event " << i << ": bad op kind " << int{op});
+    ev.info.kind = static_cast<sim::OpKind>(op);
     ev.info.args.bytes = take<double>(in);
     ev.info.args.peer = static_cast<int>(take<std::int64_t>(in));
     ev.info.args.fd = static_cast<int>(take<std::int64_t>(in));

@@ -12,8 +12,8 @@
 //                   at the same time).
 //   Trace         — the event container; binary save/load.
 //   TraceReplayer — streams a Trace back into any Interceptor.
-//   OfflineSession— client + analysis server driven from a Trace with
-//                   windowing identical to the live VaproSession.
+//   replay()      — (offline.hpp) drives a detached core::VaproSession
+//                   from a Trace through the live session's window step.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +39,16 @@ class Trace {
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
+  // Rank count: one past the largest recorded rank.
+  int ranks() const;
 
   // Serialized size: what a tracing tool would have to move/store.
   std::size_t byte_size() const;
 
   // Binary round trip.  The format is versioned and self-contained;
-  // load() dies on a malformed file (VAPRO_CHECK).
+  // load() dies on a malformed file (VAPRO_CHECK): truncation, an unknown
+  // event or op kind, a rank outside [0, event count), or a time that is
+  // negative or not finite.
   void save(const std::string& path) const;
   static Trace load(const std::string& path);
 

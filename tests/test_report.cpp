@@ -7,6 +7,7 @@
 #include "src/apps/npb.hpp"
 #include "src/core/report.hpp"
 #include "src/core/report_json.hpp"
+#include "src/obs/journal.hpp"
 #include "src/sim/runtime.hpp"
 
 namespace vapro::core {
@@ -122,10 +123,13 @@ TEST_F(SessionFixture, JsonReportIsWellFormedAndComplete) {
 }
 
 TEST(ReportJson, EscapesSpecialCharacters) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\""), "a\\\"b\\\"");
-  EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
+  // report_json escapes its strings with the journal's escaper.
+  using obs::journal_json_escape;
+  EXPECT_EQ(journal_json_escape("plain"), "plain");
+  EXPECT_EQ(journal_json_escape("a\"b\""), "a\\\"b\\\"");
+  EXPECT_EQ(journal_json_escape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(journal_json_escape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(journal_json_escape("\x01"), "\\u0001");
 }
 
 TEST(Report, EmptySessionRendersGracefully) {

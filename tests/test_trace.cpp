@@ -2,7 +2,10 @@
 // fidelity, and offline re-analysis equivalence with the live session.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
+#include <fstream>
+#include <memory>
 
 #include "src/apps/npb.hpp"
 #include "src/apps/solvers.hpp"
@@ -90,6 +93,46 @@ TEST(Trace, LoadRejectsGarbage) {
   std::remove(path.c_str());
 }
 
+// Saves a valid two-event trace, then overwrites the bytes of `value` at
+// `offset`: 12 is the first event's kind byte, 21 its rank.
+template <typename T>
+std::string corrupted_trace(const std::string& name, std::size_t offset,
+                            T value) {
+  Trace trace;
+  TraceEvent ev;
+  ev.kind = EventKind::kProgramEnd;
+  ev.time = 1.0;
+  trace.append(ev);
+  trace.append(ev);
+  const std::string path = "/tmp/vapro_trace_" + name + ".vprt";
+  trace.save(path);
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&value), sizeof(T));
+  return path;
+}
+
+TEST(Trace, LoadRejectsNegativeRank) {
+  const std::string path =
+      corrupted_trace("negative_rank", 21, std::int32_t{-5});
+  EXPECT_DEATH(Trace::load(path), "rank -5 out of range");
+  std::remove(path.c_str());
+}
+
+TEST(Trace, LoadRejectsRankPastEventCount) {
+  // INT_MAX + 1 would overflow the rank count a replay sizes its client by.
+  const std::string path =
+      corrupted_trace("huge_rank", 21, std::int32_t{INT_MAX});
+  EXPECT_DEATH(Trace::load(path), "rank 2147483647 out of range");
+  std::remove(path.c_str());
+}
+
+TEST(Trace, LoadRejectsUnknownEventKind) {
+  const std::string path = corrupted_trace("bad_kind", 12, std::uint8_t{7});
+  EXPECT_DEATH(Trace::load(path), "bad event kind 7");
+  std::remove(path.c_str());
+}
+
 TEST(Trace, ReplayFeedsEveryEvent) {
   Trace trace = record_nekbone();
   struct Counter final : sim::Interceptor {
@@ -108,48 +151,99 @@ TEST(Trace, ReplayFeedsEveryEvent) {
   EXPECT_EQ(sink.begins + sink.ends + sink.finishes, trace.size());
 }
 
+// Replays `trace` into a fresh detached session.
+std::unique_ptr<core::VaproSession> replayed(const Trace& trace,
+                                             core::VaproOptions opts) {
+  auto session =
+      std::make_unique<core::VaproSession>(trace.ranks(), std::move(opts));
+  replay(trace, *session);
+  return session;
+}
+
+// Everything a replay must reproduce of its run: every region at full
+// precision, the diagnosis, covered time, and the rare-finding and
+// fragment counts.
+std::string analysis_fingerprint(const core::VaproSession& session) {
+  std::string out;
+  char line[256];
+  for (core::FragmentKind kind :
+       {core::FragmentKind::kComputation, core::FragmentKind::kCommunication,
+        core::FragmentKind::kIo}) {
+    for (const core::VarianceRegion& r : session.locate(kind)) {
+      std::snprintf(line, sizeof(line),
+                    "%s ranks %d-%d bins %d-%d cells %zu perf %.17g "
+                    "impact %.17g\n",
+                    core::fragment_kind_name(kind), r.rank_lo, r.rank_hi,
+                    r.bin_lo, r.bin_hi, r.cells, r.mean_perf,
+                    r.impact_seconds);
+      out += line;
+    }
+  }
+  const core::CoverageAccumulator& cov = session.coverage_accumulator();
+  std::snprintf(line, sizeof(line),
+                "covered %.17g %.17g %.17g rare %zu fragments %llu\n",
+                cov.covered[0], cov.covered[1], cov.covered[2],
+                session.rare_findings().size(),
+                static_cast<unsigned long long>(session.fragments_recorded()));
+  return out + line + session.diagnosis().summary();
+}
+
 TEST(Offline, MatchesLiveDetection) {
-  // Record with a tee into a live Vapro session, then analyze the trace
-  // offline with the same options — the detected region must agree.
-  sim::Simulator simulator(noisy_config());
-  core::VaproOptions live_opts;
-  live_opts.window_seconds = 0.25;
-  live_opts.pmu_jitter = 0.0;  // align live and offline reads
-  core::VaproSession live(simulator, live_opts);
-  // The session attached itself; re-attach a writer that tees into it
-  // (set_interceptor replaces, so wire the tee explicitly).
-  TraceWriter teeing(const_cast<core::VaproClient*>(&live.client()));
-  simulator.set_interceptor(&teeing);
-  apps::NekboneParams p;
-  p.iters = 120;
-  simulator.run(apps::nekbone(p));
+  // Record a live run through a tee, then replay the trace with the run's
+  // own options: the replay must reproduce the run exactly, including the
+  // PMU jitter (same seed) and the counters diagnosis and proxies program.
+  struct Case {
+    const char* name;
+    std::vector<pmu::Counter> proxies;
+    double overlap;
+    int depth;
+    int threads;
+  };
+  const Case cases[] = {
+      {"defaults", {}, 0.0, 1, 1},
+      {"proxies", {pmu::Counter::kTotIns, pmu::Counter::kMemRefs}, 0.0, 1, 1},
+      {"overlap", {}, 0.05, 1, 1},
+      {"proxies+overlap d2/t3",
+       {pmu::Counter::kTotIns, pmu::Counter::kStallsL2}, 0.1, 2, 3},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::VaproOptions opts;
+    opts.window_seconds = 0.25;
+    opts.cluster.proxies = c.proxies;
+    opts.window_overlap_seconds = c.overlap;
+    opts.pipeline_depth = c.depth;
+    opts.analysis_threads = c.threads;
 
-  auto live_regions = live.locate(core::FragmentKind::kComputation);
-  ASSERT_FALSE(live_regions.empty());
+    sim::Simulator simulator(noisy_config());
+    core::VaproSession live(simulator, opts);
+    // The session attached itself; re-attach a writer that tees into it
+    // (set_interceptor replaces, so wire the tee explicitly).
+    TraceWriter teeing(&live.client());
+    simulator.set_interceptor(&teeing);
+    apps::NekboneParams p;
+    p.iters = 120;
+    simulator.run(apps::nekbone(p));
+    ASSERT_FALSE(live.locate(core::FragmentKind::kComputation).empty());
+    ASSERT_FALSE(live.diagnosis().culprits.empty());
 
-  OfflineOptions oopts;
-  oopts.window_seconds = 0.25;
-  OfflineSession offline(teeing.trace(), oopts);
-  auto offline_regions = offline.locate(core::FragmentKind::kComputation);
-  ASSERT_FALSE(offline_regions.empty());
-  EXPECT_EQ(offline_regions.front().rank_lo, live_regions.front().rank_lo);
-  EXPECT_EQ(offline_regions.front().rank_hi, live_regions.front().rank_hi);
-  EXPECT_NEAR(offline_regions.front().mean_perf,
-              live_regions.front().mean_perf, 0.05);
+    auto offline = replayed(teeing.trace(), opts);
+    EXPECT_EQ(analysis_fingerprint(*offline), analysis_fingerprint(live));
+  }
 }
 
 TEST(Offline, KnobSweepWithoutRerun) {
   Trace trace = record_nekbone();
   // Same trace, different variance thresholds: stricter threshold finds
   // fewer/smaller regions, without re-running anything.
-  OfflineOptions strict;
+  core::VaproOptions strict;
   strict.variance_threshold = 0.5;
-  OfflineOptions lax;
+  core::VaproOptions lax;
   lax.variance_threshold = 0.95;
   const auto strict_regions =
-      OfflineSession(trace, strict).locate(core::FragmentKind::kComputation);
+      replayed(trace, strict)->locate(core::FragmentKind::kComputation);
   const auto lax_regions =
-      OfflineSession(trace, lax).locate(core::FragmentKind::kComputation);
+      replayed(trace, lax)->locate(core::FragmentKind::kComputation);
   std::size_t strict_cells = 0, lax_cells = 0;
   for (const auto& r : strict_regions) strict_cells += r.cells;
   for (const auto& r : lax_regions) lax_cells += r.cells;
@@ -159,12 +253,12 @@ TEST(Offline, KnobSweepWithoutRerun) {
 
 TEST(Offline, DiagnosisWorksFromTrace) {
   Trace trace = record_nekbone();
-  OfflineOptions opts;
+  core::VaproOptions opts;
   opts.window_seconds = 0.25;
-  OfflineSession offline(trace, opts);
-  ASSERT_TRUE(offline.server().diagnosis_finished());
-  ASSERT_FALSE(offline.diagnosis().culprits.empty());
-  EXPECT_EQ(offline.diagnosis().culprits.front(),
+  auto offline = replayed(trace, opts);
+  ASSERT_TRUE(offline->server().diagnosis_finished());
+  ASSERT_FALSE(offline->diagnosis().culprits.empty());
+  EXPECT_EQ(offline->diagnosis().culprits.front(),
             core::FactorId::kDramBound);
 }
 
@@ -173,7 +267,7 @@ TEST(Trace, VolumeDwarfsFragmentSummaries) {
   sim::Simulator simulator(noisy_config());
   core::VaproOptions opts;
   core::VaproSession session(simulator, opts);
-  TraceWriter writer(const_cast<core::VaproClient*>(&session.client()));
+  TraceWriter writer(&session.client());
   simulator.set_interceptor(&writer);
   apps::NekboneParams p;
   p.iters = 120;

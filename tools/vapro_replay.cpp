@@ -8,6 +8,8 @@
 //   vapro_replay trace.vprt --context-aware --no-diagnosis
 //
 // Re-analyzes the same run under different knobs without re-running it.
+// With the flags the run was recorded under it prints the run's own
+// report and journals the run's own analysis (trace::replay).
 //
 //   vapro_replay --from-journal run.jsonl
 //   vapro_replay --from-journal segments_dir/
@@ -31,7 +33,6 @@
 #include "src/obs/context.hpp"
 #include "src/trace/offline.hpp"
 #include "src/util/cli.hpp"
-#include "src/util/table.hpp"
 #include "tools/obs_cli.hpp"
 
 int main(int argc, char** argv) {
@@ -95,7 +96,9 @@ int main(int argc, char** argv) {
   std::cout << "loaded " << trace.size() << " events ("
             << trace.byte_size() / 1024 << " KiB)\n";
 
-  trace::OfflineOptions opts;
+  // The defaults are vapro_run's, so the flags a run was recorded under
+  // replay it exactly (tool_vapro_replay_reproduces_run pins both).
+  core::VaproOptions opts;
   opts.window_seconds = args.get_double("window", 0.25);
   opts.variance_threshold = args.get_double("threshold", 0.85);
   opts.bin_seconds = args.get_double("bins", 0.1);
@@ -122,30 +125,15 @@ int main(int argc, char** argv) {
   }
 
   const auto wall0 = std::chrono::steady_clock::now();
-  trace::OfflineSession session(trace, opts);
+  core::VaproSession session(trace.ranks(), opts);
+  trace::replay(trace, session);
   const double replay_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
 
-  std::cout << "\nfragments: " << session.fragments_recorded() << "\n\n"
-            << session.computation_map().render_ascii() << '\n';
-  for (core::FragmentKind kind :
-       {core::FragmentKind::kComputation, core::FragmentKind::kCommunication,
-        core::FragmentKind::kIo}) {
-    auto regions = session.locate(kind);
-    if (regions.empty()) continue;
-    std::cout << core::fragment_kind_name(kind) << " variance:\n";
-    std::size_t shown = 0;
-    for (const auto& r : regions) {
-      if (++shown > 6) break;
-      std::cout << "  ranks " << r.rank_lo << "-" << r.rank_hi << " t=["
-                << util::fmt(r.time_lo(opts.bin_seconds), 2) << ","
-                << util::fmt(r.time_hi(opts.bin_seconds), 2) << ") loss "
-                << util::fmt(100 * (1 - r.mean_perf), 1) << "%\n";
-    }
-  }
-  if (opts.run_diagnosis)
-    std::cout << '\n' << session.diagnosis().summary() << '\n';
+  core::ReportOptions ropts;
+  ropts.include_diagnosis = opts.run_diagnosis;
+  std::cout << '\n' << core::render_report(session, ropts);
 
   if (opts.obs) {
     obs_ctx.overhead().set_run_wall_seconds(replay_wall_seconds);

@@ -52,6 +52,7 @@ int usage() {
       "                         server; reports must be identical\n"
       << tools::PipelineCli::usage_lines() <<
       "  --ansi                 colored heat maps\n"
+      "  --json                 print the report as one JSON document\n"
       "  --csv=DIR              also dump heat-map CSVs into DIR\n"
       "  --trace=FILE           record the interception stream for\n"
       "                         offline re-analysis with vapro_replay\n"
@@ -236,8 +237,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<trace::TraceWriter> writer;
   const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) {
-    writer = std::make_unique<trace::TraceWriter>(
-        const_cast<core::VaproClient*>(&session.client()));
+    writer = std::make_unique<trace::TraceWriter>(&session.client());
     simulator.set_interceptor(writer.get());
   }
 
