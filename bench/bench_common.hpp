@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/journal.hpp"
 #include "src/sim/runtime.hpp"
 #include "src/util/table.hpp"
 
@@ -104,13 +105,13 @@ class JsonReport {
       std::cerr << "cannot open --json file " << path_ << "\n";
       return false;
     }
-    out.precision(17);
     out << "{\"bench\": \"" << bench_name_ << "\", \"results\": [";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       out << (i ? ", " : "") << "\n  {\"name\": \"" << e.name
-          << "\", \"reps\": " << e.reps << ", \"median\": " << e.median
-          << ", \"p95\": " << e.p95 << "}";
+          << "\", \"reps\": " << e.reps
+          << ", \"median\": " << obs::json_number(e.median)
+          << ", \"p95\": " << obs::json_number(e.p95) << "}";
     }
     out << "\n]}\n";
     if (!out.good()) {

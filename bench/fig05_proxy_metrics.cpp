@@ -43,11 +43,11 @@ Series collect(const sim::NoiseSpec& noise) {
       if (!biggest || c.members.size() > biggest->members.size()) biggest = &c;
     }
     if (!biggest) return;
+    const core::FragmentColumns& frags = stg.fragments();
     for (std::size_t idx : biggest->members) {
-      const core::FragmentView f = stg.fragment(idx);
-      if (f.rank() != 0) continue;
-      series.tot_ins.push_back(f.counters()[pmu::Counter::kTotIns]);
-      series.tsc.push_back(f.counters()[pmu::Counter::kTsc]);
+      if (frags.rank(idx) != 0) continue;
+      series.tot_ins.push_back(frags.counters(idx)[pmu::Counter::kTotIns]);
+      series.tsc.push_back(frags.counters(idx)[pmu::Counter::kTsc]);
     }
   };
   core::VaproSession session(simulator, opts);

@@ -46,6 +46,7 @@ int main() {
   opts.run_diagnosis = false; // hold the PMU at stage-1 counters
   opts.window_observer = [&](const core::Stg& stg,
                              const core::ClusteringResult& clusters) {
+    const core::FragmentColumns& frags = stg.fragments();
     const std::vector<core::FactorId> factors = {core::FactorId::kBackend,
                                                  core::FactorId::kSuspension};
     const core::Cluster* biggest = nullptr;
@@ -57,16 +58,15 @@ int main() {
       // Reference values from the normal fragments of this cluster.
       double fastest = 1e30;
       for (std::size_t idx : c.members)
-        fastest = std::min(fastest, stg.fragment(idx).duration());
+        fastest = std::min(fastest, frags.duration(idx));
       double ref_be = 0, ref_sp = 0;
       int normals = 0;
       for (std::size_t idx : c.members) {
-        const auto& f = stg.fragment(idx);
-        if (f.duration() > 1.2 * fastest) continue;
-        ref_be += core::factor_value(core::FactorId::kBackend, f.counters(),
-                                     machine);
-        ref_sp += core::factor_value(core::FactorId::kSuspension, f.counters(),
-                                     machine);
+        if (frags.duration(idx) > 1.2 * fastest) continue;
+        ref_be += core::factor_value(core::FactorId::kBackend,
+                                     frags.counters(idx), machine);
+        ref_sp += core::factor_value(core::FactorId::kSuspension,
+                                     frags.counters(idx), machine);
         ++normals;
       }
       if (normals == 0) continue;
@@ -74,13 +74,13 @@ int main() {
       ref_sp /= normals;
 
       for (std::size_t idx : c.members) {
-        const auto& f = stg.fragment(idx);
+        const pmu::CounterSample& counters = frags.counters(idx);
         const double be = core::factor_value(core::FactorId::kBackend,
-                                             f.counters(), machine) - ref_be;
+                                             counters, machine) - ref_be;
         const double sp = core::factor_value(core::FactorId::kSuspension,
-                                             f.counters(), machine) - ref_sp;
-        const double slowdown = f.duration() - fastest;
-        const bool abnormal = f.duration() > 1.2 * fastest;
+                                             counters, machine) - ref_sp;
+        const double slowdown = frags.duration(idx) - fastest;
+        const bool abnormal = frags.duration(idx) > 1.2 * fastest;
         std::string cls = "Normal";
         if (abnormal) {
           total_var += slowdown;
@@ -110,24 +110,27 @@ int main() {
       ols_result = core::ols_quantify(stg, biggest->members, factors, machine);
       double fastest = 1e30;
       for (std::size_t idx : biggest->members)
-        fastest = std::min(fastest, stg.fragment(idx).duration());
+        fastest = std::min(fastest, frags.duration(idx));
       double ref_be = 0, ref_sp = 0;
       int normals = 0;
       for (std::size_t idx : biggest->members) {
-        const auto& f = stg.fragment(idx);
-        if (f.duration() > 1.2 * fastest) continue;
-        ref_be += core::factor_value(core::FactorId::kBackend, f.counters(), machine);
-        ref_sp += core::factor_value(core::FactorId::kSuspension, f.counters(), machine);
+        if (frags.duration(idx) > 1.2 * fastest) continue;
+        ref_be += core::factor_value(core::FactorId::kBackend,
+                                     frags.counters(idx), machine);
+        ref_sp += core::factor_value(core::FactorId::kSuspension,
+                                     frags.counters(idx), machine);
         ++normals;
       }
       ref_be /= std::max(1, normals);
       ref_sp /= std::max(1, normals);
       for (std::size_t idx : biggest->members) {
-        const auto& f = stg.fragment(idx);
+        const pmu::CounterSample& counters = frags.counters(idx);
         formula_be += std::max(
-            0.0, core::factor_value(core::FactorId::kBackend, f.counters(), machine) - ref_be);
+            0.0, core::factor_value(core::FactorId::kBackend, counters,
+                                    machine) - ref_be);
         formula_sp += std::max(
-            0.0, core::factor_value(core::FactorId::kSuspension, f.counters(), machine) - ref_sp);
+            0.0, core::factor_value(core::FactorId::kSuspension, counters,
+                                    machine) - ref_sp);
       }
     }
   };

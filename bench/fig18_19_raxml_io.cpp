@@ -60,12 +60,14 @@ int main() {
     opts.bin_seconds = 0.15;
     opts.window_observer = [&](const core::Stg& stg,
                                const core::ClusteringResult&) {
-      for (const core::FragmentView f : stg.fragments()) {
-        if (f.kind() != core::FragmentKind::kIo || f.rank() != 0) continue;
-        if (f.op() == sim::OpKind::kFileRead)
-          read_times.push_back(f.duration());
-        if (f.op() == sim::OpKind::kFileWrite)
-          write_times.push_back(f.duration());
+      const core::FragmentColumns& frags = stg.fragments();
+      for (std::size_t i = 0; i < frags.size(); ++i) {
+        if (frags.kind(i) != core::FragmentKind::kIo || frags.rank(i) != 0)
+          continue;
+        if (frags.op(i) == sim::OpKind::kFileRead)
+          read_times.push_back(frags.duration(i));
+        if (frags.op(i) == sim::OpKind::kFileWrite)
+          write_times.push_back(frags.duration(i));
       }
     };
     core::VaproSession session(simulator, opts);

@@ -33,8 +33,10 @@ Scored score(const sim::Simulator::RankProgram& program, int ranks) {
   std::size_t labelled = 0;
   opts.window_observer = [&](const core::Stg& stg,
                              const core::ClusteringResult&) {
-    for (const core::FragmentView f : stg.fragments()) {
-      if (f.kind() == core::FragmentKind::kComputation && f.truth_class() >= 0)
+    const core::FragmentColumns& frags = stg.fragments();
+    for (std::size_t i = 0; i < frags.size(); ++i) {
+      if (frags.kind(i) == core::FragmentKind::kComputation &&
+          frags.truth_class(i) >= 0)
         ++labelled;
     }
   };

@@ -44,7 +44,8 @@ if [ -n "$sanitize" ]; then
   exit 0
 fi
 
-cmake -B build -G Ninja
+# -Werror as CI's tier-1 job configures it, so a new warning fails here too.
+cmake -B build -G Ninja -DVAPRO_WERROR=ON
 cmake --build build
 ctest --test-dir build --output-on-failure
 
@@ -53,7 +54,10 @@ obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
 ./build/tools/vapro_run --app=CG --ranks=32 --noise=cpu:1:0.4:1.4:1.0 \
   --metrics-out="$obs_tmp/metrics.json" --trace-out="$obs_tmp/trace.json" \
+  --alert-rule='variance_ratio > 1' --alert-file="$obs_tmp/alerts.jsonl" \
   > "$obs_tmp/run.out"
+./build/tools/vapro_run --app=CG --ranks=16 --noise=cpu:0:0.1:0.5:1.0 --json \
+  | tail -n 1 > "$obs_tmp/report.json"
 for f in metrics.json trace.json; do
   [ -s "$obs_tmp/$f" ] || { echo "FAIL: $f not written" >&2; exit 1; }
   if command -v python3 > /dev/null; then
@@ -63,6 +67,21 @@ for f in metrics.json trace.json; do
 done
 grep -q '"traceEvents"' "$obs_tmp/trace.json" \
   || { echo "FAIL: trace.json missing traceEvents" >&2; exit 1; }
+[ -s "$obs_tmp/alerts.jsonl" ] \
+  || { echo "FAIL: alerts.jsonl not written" >&2; exit 1; }
+if command -v python3 > /dev/null; then
+  # The --json report (last stdout line) and every alert-file line are
+  # strict JSON: Python's NaN/Infinity extensions are refused too.
+  if ! python3 - "$obs_tmp/report.json" "$obs_tmp/alerts.jsonl" <<'PYEOF'
+import json, sys
+def refuse(c):
+    raise ValueError("non-JSON constant " + c)
+for path in sys.argv[1:]:
+    for line in open(path):
+        json.loads(line, parse_constant=refuse)
+PYEOF
+  then echo "FAIL: --json report or alert file is not valid JSON" >&2; exit 1; fi
+fi
 echo "observability smoke OK"
 
 echo "--- exposition + journal smoke ---"

@@ -95,15 +95,16 @@ std::vector<Cluster> cluster_fragments(const Stg& stg,
   if (indices.empty()) return out;
   const EntryBlock blk = make_entries(stg, indices, opts);
   const std::vector<NormEntry>& entries = blk.entries;
-  const FragmentView first = stg.fragment(indices.front());
+  const FragmentColumns& cols = stg.fragments();
+  const std::size_t first = indices.front();
   std::vector<bool> used(entries.size(), false);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (used[i]) continue;
     // Smallest-norm unprocessed fragment seeds a new cluster.
     Cluster cluster;
-    cluster.from = first.from();
-    cluster.to = first.to();
-    cluster.kind = first.kind();
+    cluster.from = cols.from(first);
+    cluster.to = cols.to(first);
+    cluster.kind = cols.kind(first);
     cluster.seed_norm = entries[i].norm;
     cluster.members.push_back(entries[i].frag_idx);
     used[i] = true;

@@ -14,21 +14,6 @@ static_assert(std::is_trivially_copyable_v<sim::CommArgs>);
 static_assert(std::is_trivially_copyable_v<FragmentKind>);
 static_assert(std::is_trivially_copyable_v<sim::OpKind>);
 
-Fragment FragmentView::materialize() const {
-  Fragment f;
-  f.kind = kind();
-  f.rank = rank();
-  f.from = from();
-  f.to = to();
-  f.start_time = start_time();
-  f.end_time = end_time();
-  f.counters = counters();
-  f.args = args();
-  f.op = op();
-  f.truth_class = truth_class();
-  return f;
-}
-
 FragmentColumns::FragmentColumns(FragmentColumns&& other) noexcept {
   steal(other);
 }
@@ -171,21 +156,6 @@ void FragmentColumns::push_back(const Fragment& f) {
   truth_[i] = f.truth_class;
 }
 
-void FragmentColumns::push_back(const FragmentView& v) {
-  if (size_ == capacity_) grow(size_ + 1);
-  const std::size_t i = size_++;
-  kind_[i] = v.kind();
-  rank_[i] = v.rank();
-  from_[i] = v.from();
-  to_[i] = v.to();
-  start_[i] = v.start_time();
-  end_[i] = v.end_time();
-  counters_[i] = v.counters();
-  args_[i] = v.args();
-  op_[i] = v.op();
-  truth_[i] = v.truth_class();
-}
-
 void FragmentColumns::append(const FragmentColumns& other) {
   if (other.size_ == 0) return;
   reserve(size_ + other.size_);
@@ -216,13 +186,19 @@ void FragmentColumns::set(std::size_t i, const Fragment& f) {
   truth_[i] = f.truth_class;
 }
 
-WorkloadVector make_workload_vector(
-    const FragmentView& f, const std::vector<pmu::Counter>& proxies) {
-  WorkloadVector v;
-  v.dims.resize(workload_dim_count(f.kind(), proxies.size()));
-  write_workload_dims(f.kind(), f.counters(), f.args(), f.op(), proxies,
-                      v.dims.data());
-  return v;
+Fragment FragmentColumns::materialize(std::size_t i) const {
+  Fragment f;
+  f.kind = kind_[i];
+  f.rank = rank_[i];
+  f.from = from_[i];
+  f.to = to_[i];
+  f.start_time = start_[i];
+  f.end_time = end_[i];
+  f.counters = counters_[i];
+  f.args = args_[i];
+  f.op = op_[i];
+  f.truth_class = truth_[i];
+  return f;
 }
 
 }  // namespace vapro::core

@@ -20,51 +20,19 @@
 //   * clear()   = arena reset — chunks stay reserved, the next window
 //                 refills warm memory.
 //
-// FragmentView is the migration shim: a {columns*, index} pair with
-// field-named accessors, so code written against `const Fragment&` reads
-// (clustering, detection, diagnosis, wire encode, benches) ports by
-// swapping `.field` for `.field()`.  materialize() rebuilds a Fragment
-// when a true value copy is needed (overlap carry, chaos reordering).
+// Readers index the columns directly (`cols.duration(i)`, `cols.rank(i)`);
+// materialize(i) is the one value copy, rebuilding a Fragment where code
+// must own one (overlap carry, ServerGroup's rank demux, chaos reordering,
+// test fixtures).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "src/core/fragment.hpp"
 #include "src/util/arena.hpp"
 
 namespace vapro::core {
-
-class FragmentColumns;
-
-class FragmentView {
- public:
-  FragmentView(const FragmentColumns* cols, std::size_t index)
-      : cols_(cols), i_(index) {}
-
-  FragmentKind kind() const;
-  sim::RankId rank() const;
-  StateKey from() const;
-  StateKey to() const;
-  double start_time() const;
-  double end_time() const;
-  const pmu::CounterSample& counters() const;
-  const sim::CommArgs& args() const;
-  sim::OpKind op() const;
-  std::int64_t truth_class() const;
-  double duration() const { return end_time() - start_time(); }
-
-  // Value copy, for the few sites that need to own a Fragment (overlap
-  // carry-over, wire chaos reordering, test fixtures).
-  Fragment materialize() const;
-
-  std::size_t index() const { return i_; }
-
- private:
-  const FragmentColumns* cols_;
-  std::size_t i_;
-};
 
 class FragmentColumns {
  public:
@@ -89,20 +57,14 @@ class FragmentColumns {
 
   void reserve(std::size_t n);
   void push_back(const Fragment& f);
-  void push_back(const FragmentView& v);
   void append(const FragmentColumns& other);
 
   // Whole-fragment overwrite (test fixtures patch fields through this:
   // materialize → mutate → set).
   void set(std::size_t i, const Fragment& f);
 
-  Fragment materialize(std::size_t i) const {
-    return FragmentView(this, i).materialize();
-  }
-
-  FragmentView operator[](std::size_t i) const {
-    return FragmentView(this, i);
-  }
+  // Value copy of fragment i.
+  Fragment materialize(std::size_t i) const;
 
   // Per-field element access (bounds unchecked; hot paths).
   FragmentKind kind(std::size_t i) const { return kind_[i]; }
@@ -129,29 +91,6 @@ class FragmentColumns {
   const double* end_data() const { return end_; }
   const pmu::CounterSample* counters_data() const { return counters_; }
 
-  class const_iterator {
-   public:
-    using value_type = FragmentView;
-    using difference_type = std::ptrdiff_t;
-
-    const_iterator(const FragmentColumns* cols, std::size_t index)
-        : cols_(cols), i_(index) {}
-    FragmentView operator*() const { return FragmentView(cols_, i_); }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const FragmentColumns* cols_;
-    std::size_t i_;
-  };
-
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size_); }
-
   // Arena telemetry (obs gauges, layout tests).
   std::size_t arena_bytes_reserved() const { return arena_.bytes_reserved(); }
   std::size_t arena_bytes_used() const { return arena_.bytes_used(); }
@@ -175,29 +114,5 @@ class FragmentColumns {
   sim::OpKind* op_ = nullptr;
   std::int64_t* truth_ = nullptr;
 };
-
-inline FragmentKind FragmentView::kind() const { return cols_->kind(i_); }
-inline sim::RankId FragmentView::rank() const { return cols_->rank(i_); }
-inline StateKey FragmentView::from() const { return cols_->from(i_); }
-inline StateKey FragmentView::to() const { return cols_->to(i_); }
-inline double FragmentView::start_time() const {
-  return cols_->start_time(i_);
-}
-inline double FragmentView::end_time() const { return cols_->end_time(i_); }
-inline const pmu::CounterSample& FragmentView::counters() const {
-  return cols_->counters(i_);
-}
-inline const sim::CommArgs& FragmentView::args() const {
-  return cols_->args(i_);
-}
-inline sim::OpKind FragmentView::op() const { return cols_->op(i_); }
-inline std::int64_t FragmentView::truth_class() const {
-  return cols_->truth_class(i_);
-}
-
-// FragmentView flavor of make_workload_vector (src/core/fragment.hpp);
-// same definition via write_workload_dims.
-WorkloadVector make_workload_vector(const FragmentView& f,
-                                    const std::vector<pmu::Counter>& proxies);
 
 }  // namespace vapro::core

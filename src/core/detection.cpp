@@ -29,25 +29,25 @@ double ClusterBaseline::update(const Cluster& c, double window_min) {
 std::vector<NormalizedFragment> normalize_fragments(
     const Stg& stg, const ClusteringResult& clusters,
     ClusterBaseline* baseline, std::size_t live_begin) {
+  const FragmentColumns& cols = stg.fragments();
   std::vector<NormalizedFragment> out;
   for (const Cluster& c : clusters.clusters) {
     if (c.rare) continue;
     double window_min = std::numeric_limits<double>::infinity();
     for (std::size_t idx : c.members)
-      window_min = std::min(window_min, stg.fragment(idx).duration());
+      window_min = std::min(window_min, cols.duration(idx));
     double fastest = baseline ? baseline->update(c, window_min) : window_min;
     if (fastest <= 0.0) continue;  // zero-duration cluster: nothing to rank
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;  // carry-in: context only
-      const FragmentView f = stg.fragment(idx);
       NormalizedFragment nf;
       nf.frag_idx = idx;
-      nf.rank = f.rank();
-      nf.start = f.start_time();
-      nf.end = f.end_time();
-      nf.kind = f.kind();
-      nf.perf = f.duration() > 0.0
-                    ? std::min(1.0, fastest / f.duration())
+      nf.rank = cols.rank(idx);
+      nf.start = cols.start_time(idx);
+      nf.end = cols.end_time(idx);
+      nf.kind = cols.kind(idx);
+      nf.perf = cols.duration(idx) > 0.0
+                    ? std::min(1.0, fastest / cols.duration(idx))
                     : 1.0;
       out.push_back(nf);
     }
@@ -57,13 +57,13 @@ std::vector<NormalizedFragment> normalize_fragments(
 
 void CoverageAccumulator::add(const Stg& stg, const ClusteringResult& clusters,
                               std::size_t live_begin) {
+  const FragmentColumns& cols = stg.fragments();
   for (const Cluster& c : clusters.clusters) {
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;  // carry-in: already counted
-      const FragmentView f = stg.fragment(idx);
-      const auto k = static_cast<std::size_t>(f.kind());
-      observed[k] += f.duration();
-      if (!c.rare) covered[k] += f.duration();
+      const auto k = static_cast<std::size_t>(cols.kind(idx));
+      observed[k] += cols.duration(idx);
+      if (!c.rare) covered[k] += cols.duration(idx);
     }
   }
 }

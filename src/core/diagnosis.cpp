@@ -18,12 +18,13 @@ namespace {
 std::vector<std::vector<double>> factor_columns(
     const Stg& stg, const std::vector<std::size_t>& members,
     const std::vector<FactorId>& factors, const pmu::MachineParams& machine) {
+  const FragmentColumns& frags = stg.fragments();
   std::vector<std::vector<double>> cols(factors.size());
   for (std::size_t f = 0; f < factors.size(); ++f) {
     cols[f].reserve(members.size());
     for (std::size_t idx : members) {
       cols[f].push_back(
-          factor_value(factors[f], stg.fragment(idx).counters(), machine));
+          factor_value(factors[f], frags.counters(idx), machine));
     }
   }
   return cols;
@@ -53,7 +54,7 @@ OlsQuantification ols_quantify(const Stg& stg,
 
   std::vector<double> y;
   y.reserve(members.size());
-  for (std::size_t idx : members) y.push_back(stg.fragment(idx).duration());
+  for (std::size_t idx : members) y.push_back(stg.fragments().duration(idx));
 
   auto raw = factor_columns(stg, members, factors, machine);
 
@@ -126,6 +127,7 @@ ContributionWindow analyze_contributions(const Stg& stg,
                                          const std::vector<FactorId>& factors,
                                          const pmu::MachineParams& machine,
                                          const DiagnosisOptions& opts) {
+  const FragmentColumns& frags = stg.fragments();
   ContributionWindow window;
   window.factors.reserve(factors.size());
   for (FactorId f : factors) window.factors.push_back(FactorContribution{f});
@@ -146,7 +148,7 @@ ContributionWindow analyze_contributions(const Stg& stg,
     durations.reserve(c.members.size());
     double fastest = std::numeric_limits<double>::infinity();
     for (std::size_t idx : c.members) {
-      durations.push_back(stg.fragment(idx).duration());
+      durations.push_back(frags.duration(idx));
       fastest = std::min(fastest, durations.back());
     }
     if (fastest <= 0.0) continue;
@@ -215,8 +217,9 @@ ContributionWindow analyze_contributions(const Stg& stg,
       window.observed_seconds += durations[i];
       if (durations[i] <= abnormal_cut) continue;
       if (opts.focus) {
-        const FragmentView f = stg.fragment(c.members[i]);
-        if (!opts.focus->contains(f.rank(), f.start_time(), f.end_time()))
+        const std::size_t idx = c.members[i];
+        if (!opts.focus->contains(frags.rank(idx), frags.start_time(idx),
+                                  frags.end_time(idx)))
           continue;
       }
       ++window.abnormal_fragments;

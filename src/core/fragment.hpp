@@ -66,9 +66,9 @@ struct WorkloadVector {
 WorkloadVector make_workload_vector(const Fragment& f,
                                     const std::vector<pmu::Counter>& proxies);
 
-// Field-wise flavors of the same definition, shared by the AoS overload
-// above, the FragmentView overload (src/core/columns.hpp), and the
-// clustering hot path, which writes dims straight into a flat column
+// Field-wise flavors of the same definition, shared by the overload above
+// and the clustering hot path, which reads the FragmentColumns fields
+// (src/core/columns.hpp) and writes dims straight into a flat column
 // instead of per-fragment vectors.  Keeping one definition here is what
 // guarantees the SoA layout clusters byte-identically to the AoS one.
 std::size_t workload_dim_count(FragmentKind kind, std::size_t proxy_count);

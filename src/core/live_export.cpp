@@ -5,14 +5,6 @@
 
 namespace vapro::core {
 
-namespace {
-
-// %.17g number text — the journal's formatter, so live JSON views and
-// journaled events agree exactly.
-std::string num_text(double v) { return obs::JournalField::num("x", v).json; }
-
-}  // namespace
-
 DetectionHealth detection_health(const Heatmap* const maps[3],
                                  const RegionCache* const caches[3],
                                  const CoverageAccumulator& coverage) {
@@ -106,7 +98,8 @@ void RegionJournal::emit(obs::Journal& journal, FragmentKind kind,
 std::string render_heatmap_json(const Heatmap* const maps[3], int ranks,
                                 double bin_seconds) {
   std::ostringstream oss;
-  oss << "{\"ranks\":" << ranks << ",\"bin_seconds\":" << num_text(bin_seconds)
+  oss << "{\"ranks\":" << ranks
+      << ",\"bin_seconds\":" << obs::json_number(bin_seconds)
       << ",\"maps\":{";
   for (int k = 0; k < 3; ++k) {
     if (k) oss << ',';
@@ -121,8 +114,8 @@ std::string render_heatmap_json(const Heatmap* const maps[3], int ranks,
         first = false;
         // [rank, bin, mean normalized perf, fragment-seconds of weight]
         oss << '[' << rank << ',' << bin << ','
-            << num_text(map.cell(rank, bin)) << ','
-            << num_text(map.weight(rank, bin)) << ']';
+            << obs::json_number(map.cell(rank, bin)) << ','
+            << obs::json_number(map.weight(rank, bin)) << ']';
       }
     oss << "]}";
   }
@@ -130,14 +123,10 @@ std::string render_heatmap_json(const Heatmap* const maps[3], int ranks,
   return oss.str();
 }
 
-std::string render_variance_json(const std::vector<VarianceRegion> regions[3],
-                                 std::size_t windows, double virtual_time,
-                                 double bin_seconds, double threshold) {
+std::string regions_json(const std::vector<VarianceRegion> regions[3],
+                         double bin_seconds) {
   std::ostringstream oss;
-  oss << "{\"windows\":" << windows
-      << ",\"virtual_time\":" << num_text(virtual_time)
-      << ",\"bin_seconds\":" << num_text(bin_seconds)
-      << ",\"threshold\":" << num_text(threshold) << ",\"regions\":{";
+  oss << '{';
   for (int k = 0; k < 3; ++k) {
     if (k) oss << ',';
     oss << '"' << fragment_kind_name(static_cast<FragmentKind>(k)) << "\":[";
@@ -146,15 +135,27 @@ std::string render_variance_json(const std::vector<VarianceRegion> regions[3],
       if (!first) oss << ',';
       first = false;
       oss << "{\"rank_lo\":" << r.rank_lo << ",\"rank_hi\":" << r.rank_hi
-          << ",\"t_lo\":" << num_text(r.time_lo(bin_seconds))
-          << ",\"t_hi\":" << num_text(r.time_hi(bin_seconds))
-          << ",\"mean_perf\":" << num_text(r.mean_perf)
-          << ",\"impact_seconds\":" << num_text(r.impact_seconds)
+          << ",\"t_lo\":" << obs::json_number(r.time_lo(bin_seconds))
+          << ",\"t_hi\":" << obs::json_number(r.time_hi(bin_seconds))
+          << ",\"mean_perf\":" << obs::json_number(r.mean_perf)
+          << ",\"impact_seconds\":" << obs::json_number(r.impact_seconds)
           << ",\"cells\":" << r.cells << '}';
     }
     oss << ']';
   }
-  oss << "}}";
+  oss << '}';
+  return oss.str();
+}
+
+std::string render_variance_json(const std::vector<VarianceRegion> regions[3],
+                                 std::size_t windows, double virtual_time,
+                                 double bin_seconds, double threshold) {
+  std::ostringstream oss;
+  oss << "{\"windows\":" << windows
+      << ",\"virtual_time\":" << obs::json_number(virtual_time)
+      << ",\"bin_seconds\":" << obs::json_number(bin_seconds)
+      << ",\"threshold\":" << obs::json_number(threshold)
+      << ",\"regions\":" << regions_json(regions, bin_seconds) << '}';
   return oss.str();
 }
 

@@ -7,7 +7,8 @@
 //  - RegionJournal: revision-deduped variance_region/variance_clear
 //    journal emission, so a region set is re-journaled only when its
 //    bounding boxes change between windows;
-//  - JSON renderers for the /v1/heatmap and /v1/variance HTTP routes.
+//  - JSON renderers for the /v1/heatmap and /v1/variance HTTP routes, and
+//    the region-list writer they share with report_json.
 //
 // A single server publishes from its own maps; a ServerGroup publishes the
 // merged root view (its leaves are constructed with live_detection=false).
@@ -74,9 +75,16 @@ class RegionJournal {
   std::vector<Box> boxes_[3];
 };
 
-// JSON bodies for the /v1 routes.  Region fields match report_json's
-// ("rank_lo"/"rank_hi"/"t_lo"/"t_hi"/"mean_perf"/"impact_seconds"/"cells")
-// so consumers parse one shape; numbers are %.17g like the journal.
+// The one JSON writer of region lists: {"computation":[...],
+// "communication":[...],"io":[...]}, each region as "rank_lo"/"rank_hi"/
+// "t_lo"/"t_hi"/"mean_perf"/"impact_seconds"/"cells".  /v1/variance and
+// report_json (vapro_run --json) both embed it, so consumers parse one
+// shape with the same digits.
+std::string regions_json(const std::vector<VarianceRegion> regions[3],
+                         double bin_seconds);
+
+// JSON bodies for the /v1 routes.  Numbers go through obs::json_number,
+// like the journal.
 std::string render_heatmap_json(const Heatmap* const maps[3], int ranks,
                                 double bin_seconds);
 std::string render_variance_json(const std::vector<VarianceRegion> regions[3],

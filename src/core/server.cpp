@@ -358,6 +358,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   // Algorithm 1 line 8: surface rare-but-expensive execution paths
   // (carry-ins were reported by the previous window already).
   const std::size_t rare_before = rare_findings_.size();
+  const FragmentColumns& frags = stg_.fragments();
   for (const Cluster& c : clusters.clusters) {
     if (!c.rare) continue;
     RareFinding finding;
@@ -365,11 +366,11 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     double first_start = 1e300;
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;
-      const FragmentView f = stg_.fragment(idx);
       ++finding.executions;
-      finding.total_seconds += f.duration();
-      finding.longest_seconds = std::max(finding.longest_seconds, f.duration());
-      first_start = std::min(first_start, f.start_time());
+      finding.total_seconds += frags.duration(idx);
+      finding.longest_seconds =
+          std::max(finding.longest_seconds, frags.duration(idx));
+      first_start = std::min(first_start, frags.start_time(idx));
     }
     if (finding.total_seconds < opts_.rare_report_min_seconds) continue;
     finding.state = c.kind == FragmentKind::kComputation
@@ -421,9 +422,9 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
       const std::uint64_t label = baseline_.key_of(c);
       for (std::size_t idx : c.members) {
         if (idx < live_begin) continue;
-        const FragmentView f = stg_.fragment(idx);
-        if (f.truth_class() < 0) continue;
-        eval_truth_.push_back(static_cast<int>(f.truth_class() % 1000000007));
+        const std::int64_t truth = frags.truth_class(idx);
+        if (truth < 0) continue;
+        eval_truth_.push_back(static_cast<int>(truth % 1000000007));
         eval_predicted_.push_back(static_cast<int>(label % 1000000007));
       }
     }

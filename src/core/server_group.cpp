@@ -88,9 +88,9 @@ void ServerGroup::process_window(FragmentBatch batch) {
   // State announcements go to every leaf (cheap, idempotent).
   for (auto& shard : shards) shard.new_states = batch.new_states;
   // Demux by rank with two contiguous column scans (window end, then
-  // shard routing); each shard's columns receive the fragment via a view
-  // copy — the shard batch then moves into its leaf's pipeline by arena
-  // swap.
+  // shard routing); each shard's columns receive a materialized copy of
+  // the fragment — the shard batch then moves into its leaf's pipeline by
+  // arena swap.
   double window_end = 0.0;
   const double* ends = batch.fragments.end_data();
   for (std::size_t i = 0; i < total_fragments; ++i)
@@ -98,7 +98,7 @@ void ServerGroup::process_window(FragmentBatch batch) {
   const sim::RankId* ranks = batch.fragments.rank_data();
   for (std::size_t i = 0; i < total_fragments; ++i)
     shards[static_cast<std::size_t>(ranks[i] % n)].fragments.push_back(
-        batch.fragments[i]);
+        batch.fragments.materialize(i));
   if (pipelined_) {
     // Pipelined leaves already own an analysis worker each: hand every
     // shard to its leaf's pipeline (the hand-off only blocks for

@@ -69,7 +69,6 @@ class Stg {
   void adopt_fragments(FragmentColumns&& cols);
 
   const FragmentColumns& fragments() const { return fragments_; }
-  FragmentView fragment(std::size_t idx) const { return fragments_[idx]; }
 
   std::size_t vertex_count() const { return vertices_.size(); }
   std::size_t edge_count() const { return edges_.size(); }

@@ -231,18 +231,19 @@ std::string encode_batch(const core::FragmentBatch& batch,
     put_i64(out, info.truth_class_since_last);
     put_u8(out, info.statically_fixed_since_last ? 1 : 0);
   }
-  put_u32(out, static_cast<std::uint32_t>(batch.fragments.size()));
-  for (const core::FragmentView f : batch.fragments) {
-    put_u8(out, static_cast<std::uint8_t>(f.kind()));
-    put_i32(out, f.rank());
-    put_u64(out, f.from());
-    put_u64(out, f.to());
-    put_f64(out, f.start_time());
-    put_f64(out, f.end_time());
+  const core::FragmentColumns& frags = batch.fragments;
+  put_u32(out, static_cast<std::uint32_t>(frags.size()));
+  for (std::size_t idx = 0; idx < frags.size(); ++idx) {
+    put_u8(out, static_cast<std::uint8_t>(frags.kind(idx)));
+    put_i32(out, frags.rank(idx));
+    put_u64(out, frags.from(idx));
+    put_u64(out, frags.to(idx));
+    put_f64(out, frags.start_time(idx));
+    put_f64(out, frags.end_time(idx));
     // Sparse counter sample: (slot, value) pairs for non-zero slots only.
     // "Zero" means the all-zero BIT PATTERN, not numeric zero: -0.0 and the
     // rest of the weird doubles must survive the round trip bit-identical.
-    const pmu::CounterSample& counters = f.counters();
+    const pmu::CounterSample& counters = frags.counters(idx);
     auto slot_active = [&counters](std::size_t i) {
       std::uint64_t bits;
       std::memcpy(&bits, &counters.values[i], sizeof(bits));
@@ -257,9 +258,9 @@ std::string encode_batch(const core::FragmentBatch& batch,
       put_u8(out, static_cast<std::uint8_t>(i));
       put_f64(out, counters.values[i]);
     }
-    put_args(out, f.args());
-    put_u8(out, static_cast<std::uint8_t>(f.op()));
-    put_i64(out, f.truth_class());
+    put_args(out, frags.args(idx));
+    put_u8(out, static_cast<std::uint8_t>(frags.op(idx)));
+    put_i64(out, frags.truth_class(idx));
   }
   return out;
 }

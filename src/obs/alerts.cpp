@@ -1,6 +1,6 @@
 #include "src/obs/alerts.hpp"
 
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -110,6 +110,8 @@ bool parse_alert_rule(const std::string& spec, AlertRule* out,
   char* end = nullptr;
   rule.threshold = std::strtod(tokens[i].c_str(), &end);
   if (!end || *end != '\0') return fail("bad threshold '" + tokens[i] + "'");
+  if (!std::isfinite(rule.threshold))
+    return fail("threshold '" + tokens[i] + "' is not finite");
   ++i;
 
   if (i < tokens.size()) {
@@ -154,14 +156,12 @@ WebhookFileSink::WebhookFileSink(const std::string& path) {
 void WebhookFileSink::on_alert(const Alert& alert) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!ok_) return;
-  char value[40], threshold[40];
-  std::snprintf(value, sizeof(value), "%.17g", alert.value);
-  std::snprintf(threshold, sizeof(threshold), "%.17g", alert.threshold);
   out_ << "{\"event\":\"vapro.alert\",\"rule\":\""
        << journal_json_escape(alert.rule_text) << "\",\"metric\":\""
-       << journal_json_escape(alert.metric) << "\",\"value\":" << value
-       << ",\"threshold\":" << threshold << ",\"window\":" << alert.window
-       << "}\n";
+       << journal_json_escape(alert.metric)
+       << "\",\"value\":" << json_number(alert.value)
+       << ",\"threshold\":" << json_number(alert.threshold)
+       << ",\"window\":" << alert.window << "}\n";
   out_.flush();
 }
 

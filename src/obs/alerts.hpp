@@ -48,7 +48,9 @@ struct AlertRule {
   bool compare(double value) const;
 };
 
-// Parses one rule spec; on failure returns false and sets `error`.
+// Parses one rule spec; on failure returns false and sets `error`.  The
+// threshold must be finite: inf/nan (or an overflowing 1e999) would make
+// a rule that always or never fires.
 bool parse_alert_rule(const std::string& spec, AlertRule* out,
                       std::string* error);
 

@@ -79,13 +79,10 @@ ExpositionServer* ObsContext::start_exposition(int port, std::string* error) {
     resp.body = render_prometheus(metrics_);
     // A few context-level samples the registry does not own.
     std::ostringstream extra;
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", overhead_.tool_seconds());
     extra << "# TYPE vapro_obs_tool_seconds gauge\nvapro_obs_tool_seconds "
-          << buf << '\n';
-    std::snprintf(buf, sizeof(buf), "%.17g", uptime_seconds());
+          << prometheus_number(overhead_.tool_seconds()) << '\n';
     extra << "# TYPE vapro_obs_uptime_seconds gauge\nvapro_obs_uptime_seconds "
-          << buf << '\n';
+          << prometheus_number(uptime_seconds()) << '\n';
     extra << "# TYPE vapro_obs_journal_events_total counter\n"
           << "vapro_obs_journal_events_total "
           << (journal_ ? journal_->events_emitted() : 0) << '\n';

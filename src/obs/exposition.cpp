@@ -7,10 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 
+#include "src/obs/journal.hpp"
 #include "src/testing/fault.hpp"
 #include "src/util/log.hpp"
 #include "src/util/socket.hpp"
@@ -33,15 +34,7 @@ std::string sanitize_metric_name(const std::string& name) {
 
 void append_sample(std::ostringstream& oss, const std::string& name,
                    double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Prometheus spells special values differently from printf.
-  if (std::strstr(buf, "nan"))
-    oss << name << " NaN\n";
-  else if (std::strstr(buf, "inf"))
-    oss << name << (buf[0] == '-' ? " -Inf\n" : " +Inf\n");
-  else
-    oss << name << ' ' << buf << '\n';
+  oss << name << ' ' << prometheus_number(v) << '\n';
 }
 
 const char* status_text(int status) {
@@ -56,6 +49,12 @@ const char* status_text(int status) {
 }
 
 }  // namespace
+
+std::string prometheus_number(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  return json_number(v);
+}
 
 std::string render_prometheus(const MetricsRegistry& registry) {
   std::ostringstream oss;
@@ -82,11 +81,8 @@ std::string render_prometheus(const MetricsRegistry& registry) {
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i < last; ++i) {
       cum += snap.buckets[i];
-      char label[96], le[32];
-      std::snprintf(le, sizeof(le), "%.17g", Histogram::bucket_hi(i));
-      std::snprintf(label, sizeof(label), "%s_bucket{le=\"%s\"}", n.c_str(),
-                    le);
-      oss << label << ' ' << cum << '\n';
+      oss << n << "_bucket{le=\"" << prometheus_number(Histogram::bucket_hi(i))
+          << "\"} " << cum << '\n';
     }
     oss << n << "_bucket{le=\"+Inf\"} " << snap.count << '\n';
     append_sample(oss, n + "_sum", snap.sum_seconds);

@@ -105,6 +105,11 @@ class ExpositionServer {
 // Metric names are sanitized ('.' → '_').
 std::string render_prometheus(const MetricsRegistry& registry);
 
+// A sample value in Prometheus text: json_number's digits (journal.hpp)
+// for finite values, and Prometheus's own NaN, +Inf and -Inf for the
+// values JSON spells null.
+std::string prometheus_number(double v);
+
 // The scrape Content-Type Prometheus expects.
 inline constexpr const char* kPrometheusContentType =
     "text/plain; version=0.0.4; charset=utf-8";

@@ -3,9 +3,9 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,15 +18,6 @@
 namespace vapro::obs {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // %.17g never produces JSON-invalid text for finite values; inf/nan are
-  // not valid JSON, so clamp them to null (consumers treat as absent).
-  if (std::strstr(buf, "inf") || std::strstr(buf, "nan")) return "null";
-  return buf;
-}
 
 std::string unescape_json_string(const std::string& raw) {
   // `raw` includes the surrounding quotes.
@@ -83,8 +74,16 @@ std::string journal_json_escape(const std::string& s) {
   return out;
 }
 
+std::string json_number(double v) {
+  // inf/nan are not valid JSON: null (consumers treat it as absent).
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 JournalField JournalField::num(const std::string& key, double v) {
-  return {key, format_double(v)};
+  return {key, json_number(v)};
 }
 
 JournalField JournalField::num(const std::string& key, std::uint64_t v) {
@@ -108,7 +107,7 @@ std::string JournalEvent::to_json_line() const {
   oss << "{\"seq\":" << seq << ",\"type\":\"" << journal_json_escape(type)
       << '"';
   if (window >= 0) oss << ",\"window\":" << window;
-  oss << ",\"t\":" << format_double(virtual_time);
+  oss << ",\"t\":" << json_number(virtual_time);
   for (const JournalField& f : fields)
     oss << ",\"" << journal_json_escape(f.key) << "\":" << f.json;
   oss << '}';

@@ -8,11 +8,12 @@
 // header object naming the schema ("vapro.journal") and its version, and
 // the reader rejects any mismatch instead of guessing.
 //
-// Field values are serialized exactly once, at emission (numbers via
-// %.17g so doubles round-trip bit-exactly); the reader preserves the raw
-// value text, which is what makes write → read → rewrite byte-identical
-// and lets `vapro_replay --from-journal` reproduce the original run's
-// detection/diagnosis summaries character for character.
+// Field values are serialized exactly once, at emission (doubles via
+// json_number, %.17g, so they round-trip bit-exactly); the reader
+// preserves the raw value text, which is what makes write → read →
+// rewrite byte-identical and lets `vapro_replay --from-journal` reproduce
+// the original run's detection/diagnosis summaries character for
+// character.
 //
 // Sinks observe the event stream live: JournalFileSink appends JSONL to
 // one file or to rotating segments (flushed on every window boundary by
@@ -48,7 +49,8 @@ inline constexpr int kJournalSchemaVersion = 3;
 inline constexpr int kJournalMinReaderVersion = 1;
 
 // One "key":value pair; `json` is already valid JSON text.  Build with the
-// typed factories so numbers are formatted consistently (%.17g).
+// typed factories so doubles go through json_number like every other
+// machine surface.
 struct JournalField {
   std::string key;
   std::string json;
@@ -229,5 +231,11 @@ JournalReadResult parse_journal(std::istream& in, JournalReadOptions opts = {});
 
 // JSON string escaping shared by journal/exposition/alert serializers.
 std::string journal_json_escape(const std::string& s);
+
+// The one JSON number writer: every machine-readable surface (journal,
+// --json, metrics.json, /v1 routes, latency/quality/webhook documents)
+// formats doubles here.  %.17g, so a double round-trips bit-exactly;
+// inf and nan, which JSON cannot spell, become null.
+std::string json_number(double v);
 
 }  // namespace vapro::obs

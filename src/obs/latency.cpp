@@ -7,14 +7,6 @@ namespace vapro::obs {
 
 namespace {
 
-// %.17g matches JournalField::num, so a double that went through the
-// journal renders the same bytes live and on replay.
-std::string fmt_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string fmt_ms(double seconds) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e3);
@@ -23,13 +15,13 @@ std::string fmt_ms(double seconds) {
 
 void append_window_json(std::ostringstream& oss, const PipelineStats& r) {
   oss << "{\"window\":" << r.window
-      << ",\"virtual_time\":" << fmt_num(r.virtual_time);
+      << ",\"virtual_time\":" << json_number(r.virtual_time);
   for (std::size_t s = 0; s < kStageCount; ++s)
     oss << ",\"" << kStageNames[s]
-        << "_seconds\":" << fmt_num(r.stage_seconds[s]);
+        << "_seconds\":" << json_number(r.stage_seconds[s]);
   oss << ",\"bound_by\":\"" << r.bound_by()
-      << "\",\"bound_seconds\":" << fmt_num(r.bound_seconds())
-      << ",\"total_seconds\":" << fmt_num(r.total_seconds()) << '}';
+      << "\",\"bound_seconds\":" << json_number(r.bound_seconds())
+      << ",\"total_seconds\":" << json_number(r.total_seconds()) << '}';
 }
 
 }  // namespace
@@ -67,7 +59,7 @@ std::string render_latency_json(const std::vector<PipelineStats>& recent,
                                 const CriticalPathTracker::Summary& sum) {
   std::ostringstream oss;
   oss << "{\"windows\":" << sum.windows
-      << ",\"total_seconds\":" << fmt_num(sum.total_seconds) << ",\"recent\":[";
+      << ",\"total_seconds\":" << json_number(sum.total_seconds) << ",\"recent\":[";
   bool first = true;
   for (const PipelineStats& r : recent) {
     if (!first) oss << ',';
@@ -92,7 +84,7 @@ std::string render_critical_path_json(
   for (std::size_t s = 0; s < kStageCount; ++s) {
     if (s) oss << ',';
     oss << "{\"stage\":\"" << kStageNames[s]
-        << "\",\"seconds\":" << fmt_num(sum.stage_seconds[s])
+        << "\",\"seconds\":" << json_number(sum.stage_seconds[s])
         << ",\"bound_windows\":" << sum.bound_windows[s] << '}';
   }
   oss << "],\"recent\":[";
@@ -101,7 +93,7 @@ std::string render_critical_path_json(
     if (!first) oss << ',';
     first = false;
     oss << "{\"window\":" << r.window << ",\"bound_by\":\"" << r.bound_by()
-        << "\",\"bound_seconds\":" << fmt_num(r.bound_seconds()) << '}';
+        << "\",\"bound_seconds\":" << json_number(r.bound_seconds()) << '}';
   }
   oss << "]}";
   return oss.str();

@@ -13,7 +13,8 @@
 // `critical_path` event — both new (reader-skippable) v2 event types — so
 // `vapro_replay --from-journal` re-renders the same tables byte-for-byte:
 // the shared renderers below are the single source of the output text, and
-// the journal's %.17g round-trip keeps every double bit-exact.
+// json_number (journal.hpp), which both the journal and these renderers
+// write with, round-trips every double bit-exactly.
 #pragma once
 
 #include <array>

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/obs/journal.hpp"
+
 namespace vapro::obs {
 
 static_assert(HistogramSnapshot::kBuckets == Histogram::kBuckets,
@@ -27,14 +29,6 @@ std::string fmt_seconds(double s) {
   else
     std::snprintf(buf, sizeof(buf), "%.3fs", s);
   return buf;
-}
-
-void append_double(std::ostringstream& oss, double v) {
-  if (std::isfinite(v)) {
-    oss << v;
-  } else {
-    oss << "null";
-  }
 }
 
 // Shared by Histogram::quantile (atomic loads) and HistogramSnapshot
@@ -158,25 +152,19 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, g] : gauges_) {
     if (!first) oss << ',';
     first = false;
-    oss << '"' << name << "\":";
-    append_double(oss, g->value());
+    oss << '"' << name << "\":" << json_number(g->value());
   }
   oss << "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) oss << ',';
     first = false;
-    oss << '"' << name << "\":{\"count\":" << h->count() << ",\"sum_seconds\":";
-    append_double(oss, h->sum_seconds());
-    oss << ",\"mean_seconds\":";
-    append_double(oss, h->mean_seconds());
-    oss << ",\"p50\":";
-    append_double(oss, h->quantile(0.50));
-    oss << ",\"p95\":";
-    append_double(oss, h->quantile(0.95));
-    oss << ",\"p99\":";
-    append_double(oss, h->quantile(0.99));
-    oss << '}';
+    oss << '"' << name << "\":{\"count\":" << h->count()
+        << ",\"sum_seconds\":" << json_number(h->sum_seconds())
+        << ",\"mean_seconds\":" << json_number(h->mean_seconds())
+        << ",\"p50\":" << json_number(h->quantile(0.50))
+        << ",\"p95\":" << json_number(h->quantile(0.95))
+        << ",\"p99\":" << json_number(h->quantile(0.99)) << '}';
   }
   oss << "}}";
   return oss.str();

@@ -1,10 +1,11 @@
 #include "src/obs/overhead.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <sstream>
 #include <thread>
+
+#include "src/obs/journal.hpp"
 
 namespace vapro::obs {
 
@@ -15,27 +16,15 @@ std::uint64_t steady_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-void append_double(std::ostringstream& oss, double v) {
-  if (std::isfinite(v)) {
-    oss << v;
-  } else {
-    oss << "null";
-  }
-}
 }  // namespace
 
 std::string OverheadAccountant::to_json() const {
   std::ostringstream oss;
-  oss << "{\"tool_seconds\":";
-  append_double(oss, tool_seconds());
-  oss << ",\"run_wall_seconds\":";
-  append_double(oss, run_wall_seconds());
-  oss << ",\"app_virtual_seconds\":";
-  append_double(oss, app_virtual_seconds());
-  oss << ",\"tool_fraction_of_wall\":";
-  append_double(oss, tool_fraction_of_wall());
-  oss << '}';
+  oss << "{\"tool_seconds\":" << json_number(tool_seconds())
+      << ",\"run_wall_seconds\":" << json_number(run_wall_seconds())
+      << ",\"app_virtual_seconds\":" << json_number(app_virtual_seconds())
+      << ",\"tool_fraction_of_wall\":" << json_number(tool_fraction_of_wall())
+      << '}';
   return oss.str();
 }
 

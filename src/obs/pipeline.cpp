@@ -1,19 +1,10 @@
 #include "src/obs/pipeline.hpp"
 
-#include <cmath>
 #include <sstream>
 
-namespace vapro::obs {
+#include "src/obs/journal.hpp"
 
-namespace {
-void append_double(std::ostringstream& oss, double v) {
-  if (std::isfinite(v)) {
-    oss << v;
-  } else {
-    oss << "null";
-  }
-}
-}  // namespace
+namespace vapro::obs {
 
 double PipelineStats::total_seconds() const {
   double total = 0.0;
@@ -46,9 +37,9 @@ std::string CollectingSink::to_json() const {
   for (const PipelineStats& w : windows_) {
     if (!first) oss << ',';
     first = false;
-    oss << "{\"window\":" << w.window << ",\"virtual_time\":";
-    append_double(oss, w.virtual_time);
-    oss << ",\"fragments_drained\":" << w.fragments_drained
+    oss << "{\"window\":" << w.window
+        << ",\"virtual_time\":" << json_number(w.virtual_time)
+        << ",\"fragments_drained\":" << w.fragments_drained
         << ",\"carry_ins\":" << w.carry_ins
         << ",\"new_states\":" << w.new_states
         << ",\"clusters_formed\":" << w.clusters_formed
@@ -60,12 +51,9 @@ std::string CollectingSink::to_json() const {
     for (std::size_t k = 1; k <= kStageCount; ++k) {
       const std::size_t s = k % kStageCount;
       if (k > 1) oss << ',';
-      oss << '"' << kStageNames[s] << "\":";
-      append_double(oss, w.stage_seconds[s]);
+      oss << '"' << kStageNames[s] << "\":" << json_number(w.stage_seconds[s]);
     }
-    oss << "},\"total_seconds\":";
-    append_double(oss, w.tool_seconds());
-    oss << '}';
+    oss << "},\"total_seconds\":" << json_number(w.tool_seconds()) << '}';
   }
   oss << ']';
   return oss.str();

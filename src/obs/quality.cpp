@@ -1,7 +1,6 @@
 #include "src/obs/quality.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "src/obs/exposition.hpp"
@@ -10,21 +9,16 @@ namespace vapro::obs {
 
 namespace {
 
-std::string fmt17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 void append_score_fields(std::ostringstream& oss, const QualityScore& s) {
   oss << "\"truths\":" << s.truths << ",\"detections\":" << s.detections
       << ",\"matched_truths\":" << s.matched_truths
       << ",\"matched_detections\":" << s.matched_detections
       << ",\"diagnosis_cases\":" << s.diagnosis_cases
       << ",\"diagnosis_hits\":" << s.diagnosis_hits
-      << ",\"precision\":" << fmt17(s.precision())
-      << ",\"recall\":" << fmt17(s.recall()) << ",\"f1\":" << fmt17(s.f1())
-      << ",\"top_factor_accuracy\":" << fmt17(s.top_factor_accuracy());
+      << ",\"precision\":" << json_number(s.precision())
+      << ",\"recall\":" << json_number(s.recall())
+      << ",\"f1\":" << json_number(s.f1())
+      << ",\"top_factor_accuracy\":" << json_number(s.top_factor_accuracy());
 }
 
 }  // namespace

@@ -123,8 +123,8 @@ class QualityScoreboard {
   QualityScore aggregate() const;
 
   // {"schema":"vapro.quality","cells":[...],"aggregate":{...}} — numbers
-  // %.17g like every other machine surface, so the live endpoint serves
-  // byte-for-byte the values BENCH_quality.json records.
+  // via json_number like every other machine surface, so the live
+  // endpoint serves byte-for-byte the values BENCH_quality.json records.
   std::string render_json() const;
 
   // vapro.quality.{precision,recall,f1,top_factor_accuracy} aggregate

@@ -42,14 +42,13 @@ TEST(Client, CutsComputationFragmentBetweenCalls) {
   FragmentBatch batch = client.drain();
   // comp(start→10), inv(10), comp(10→11), inv(11).
   ASSERT_EQ(batch.fragments.size(), 4u);
-  const FragmentView comp = batch.fragments[2];
-  EXPECT_EQ(comp.kind(), FragmentKind::kComputation);
-  EXPECT_DOUBLE_EQ(comp.start_time(), 1.1);
-  EXPECT_DOUBLE_EQ(comp.end_time(), 2.1);
-  EXPECT_DOUBLE_EQ(comp.counters()[pmu::Counter::kTotIns], 300.0);
-  const FragmentView inv = batch.fragments[3];
-  EXPECT_EQ(inv.kind(), FragmentKind::kCommunication);
-  EXPECT_NEAR(inv.duration(), 0.1, 1e-12);
+  const FragmentColumns& frags = batch.fragments;
+  EXPECT_EQ(frags.kind(2), FragmentKind::kComputation);
+  EXPECT_DOUBLE_EQ(frags.start_time(2), 1.1);
+  EXPECT_DOUBLE_EQ(frags.end_time(2), 2.1);
+  EXPECT_DOUBLE_EQ(frags.counters(2)[pmu::Counter::kTotIns], 300.0);
+  EXPECT_EQ(frags.kind(3), FragmentKind::kCommunication);
+  EXPECT_NEAR(frags.duration(3), 0.1, 1e-12);
 }
 
 TEST(Client, FirstFragmentComesFromStartState) {
@@ -59,7 +58,7 @@ TEST(Client, FirstFragmentComesFromStartState) {
   client.on_call_end(c, 0.6, counters_at(50));
   FragmentBatch batch = client.drain();
   ASSERT_GE(batch.fragments.size(), 1u);
-  EXPECT_EQ(batch.fragments[0].from(), kStartState);
+  EXPECT_EQ(batch.fragments.from(0), kStartState);
 }
 
 TEST(Client, AnnouncesEachStateOnce) {
@@ -82,7 +81,7 @@ TEST(Client, ProbesCutButAreNotRecorded) {
   client.on_call_end(probe, 1.0, counters_at(10));
   FragmentBatch batch = client.drain();
   ASSERT_EQ(batch.fragments.size(), 1u);  // only the computation fragment
-  EXPECT_EQ(batch.fragments[0].kind(), FragmentKind::kComputation);
+  EXPECT_EQ(batch.fragments.kind(0), FragmentKind::kComputation);
 }
 
 TEST(Client, IoOpsProduceIoFragments) {
@@ -94,8 +93,8 @@ TEST(Client, IoOpsProduceIoFragments) {
   client.on_call_end(rd, 1.2, counters_at(0));
   FragmentBatch batch = client.drain();
   ASSERT_EQ(batch.fragments.size(), 2u);
-  EXPECT_EQ(batch.fragments[1].kind(), FragmentKind::kIo);
-  EXPECT_DOUBLE_EQ(batch.fragments[1].args().bytes, 4096);
+  EXPECT_EQ(batch.fragments.kind(1), FragmentKind::kIo);
+  EXPECT_DOUBLE_EQ(batch.fragments.args(1).bytes, 4096);
 }
 
 TEST(Client, EnhancedProfilingShrinksWaitFragments) {
@@ -106,7 +105,7 @@ TEST(Client, EnhancedProfilingShrinksWaitFragments) {
   client.on_call_end(wait, 1.5, counters_at(0));  // 0.5 s of waiting
   FragmentBatch batch = client.drain();
   ASSERT_EQ(batch.fragments.size(), 2u);
-  EXPECT_NEAR(batch.fragments[1].duration(), 0.002, 1e-12);
+  EXPECT_NEAR(batch.fragments.duration(1), 0.002, 1e-12);
 }
 
 TEST(Client, BackoffSamplingKeepsPowersOfTwo) {
@@ -198,8 +197,8 @@ TEST(Client, RanksAreIndependent) {
   client.on_call_end(c1, 2.1, counters_at(0));
   FragmentBatch batch = client.drain();
   ASSERT_EQ(batch.fragments.size(), 4u);
-  EXPECT_EQ(batch.fragments[2].from(), kStartState);
-  EXPECT_EQ(batch.fragments[2].rank(), 1);
+  EXPECT_EQ(batch.fragments.from(2), kStartState);
+  EXPECT_EQ(batch.fragments.rank(2), 1);
 }
 
 }  // namespace

@@ -173,7 +173,7 @@ TEST(OlsQuantify, RecoversInjectedPageFaultCost) {
   // Total seconds attributable ≈ per_fault × Σ faults.
   double total_faults = 0;
   for (std::size_t i = 0; i < members.size(); ++i)
-    total_faults += syn.stg.fragment(i).counters()[Counter::kPageFaultsSoft];
+    total_faults += syn.stg.fragments().counters(i)[Counter::kPageFaultsSoft];
   EXPECT_NEAR(q.estimates[0].total_seconds, per_fault * total_faults,
               0.1 * per_fault * total_faults);
 }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -564,10 +565,15 @@ TEST(JournalCompaction, DropsOnlySupersededEvents) {
   // snapshot (one cell + one aggregate).
   EXPECT_EQ(stats.dropped, 4u);
   for (const obs::JournalEvent& ev : events) {
-    if (ev.type == "variance_region" && ev.str("kind") == "computation")
+    if (ev.type == "variance_region" && ev.str("kind") == "computation") {
       EXPECT_EQ(ev.number("revision"), 2.0);
-    if (ev.type == "quality") EXPECT_DOUBLE_EQ(ev.number("quality_f1"), 0.75);
-    if (ev.type == "quality_cell") EXPECT_DOUBLE_EQ(ev.number("f1"), 0.75);
+    }
+    if (ev.type == "quality") {
+      EXPECT_DOUBLE_EQ(ev.number("quality_f1"), 0.75);
+    }
+    if (ev.type == "quality_cell") {
+      EXPECT_DOUBLE_EQ(ev.number("f1"), 0.75);
+    }
   }
   // The io region at revision 1 is that kind's final revision — kept.
   bool io_region = false;
@@ -645,6 +651,42 @@ TEST(Alerts, RuleParsing) {
   EXPECT_FALSE(obs::parse_alert_rule("nonsense !! 12", &rule, &error));
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(obs::parse_alert_rule("unknown_metric > 1", &rule, &error));
+}
+
+// strtod accepts inf, nan and overflow; a rule on such a threshold always
+// or never fires, and its webhook line would not be JSON.  Refused.
+TEST(Alerts, RuleRejectsNonFiniteThreshold) {
+  for (const std::string threshold : {"nan", "inf", "-inf", "1e999"}) {
+    obs::AlertRule rule;
+    std::string error;
+    EXPECT_FALSE(obs::parse_alert_rule("variance_ratio < " + threshold, &rule,
+                                       &error))
+        << threshold;
+    EXPECT_NE(error.find("threshold '" + threshold + "' is not finite"),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST(Alerts, WebhookLinesStayJsonForNonFiniteValues) {
+  const std::string path = temp_path("webhook_nonfinite.jsonl");
+  std::remove(path.c_str());
+  {
+    obs::WebhookFileSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    obs::Alert alert;
+    alert.rule_text = "worst_cell < 0.5";
+    alert.metric = "worst_cell";
+    alert.value = std::numeric_limits<double>::quiet_NaN();
+    alert.threshold = std::numeric_limits<double>::infinity();
+    alert.window = 4;
+    sink.on_alert(alert);
+  }
+  EXPECT_EQ(slurp(path),
+            "{\"event\":\"vapro.alert\",\"rule\":\"worst_cell < 0.5\","
+            "\"metric\":\"worst_cell\",\"value\":null,\"threshold\":null,"
+            "\"window\":4}\n");
+  std::remove(path.c_str());
 }
 
 TEST(Alerts, ForWindowsRequiresConsecutiveStreakAndRearms) {

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +17,8 @@
 #include "src/apps/npb.hpp"
 #include "src/core/vapro.hpp"
 #include "src/obs/context.hpp"
+#include "src/obs/exposition.hpp"
+#include "src/obs/journal.hpp"
 #include "src/sim/runtime.hpp"
 
 namespace vapro::obs {
@@ -294,6 +298,35 @@ TEST(Metrics, RegistryJsonIsValid) {
   const std::string json = reg.to_json();
   EXPECT_TRUE(JsonScanner(json).valid()) << json;
   EXPECT_NE(json.find("\"c\":7"), std::string::npos);
+}
+
+// --- number spellings -----------------------------------------------------
+
+// One writer for every JSON double; Prometheus text shares its digits and
+// spells the special values its own way.
+TEST(Json, NumberSpellings) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(json_number(0.1), "0.10000000000000001");
+  EXPECT_EQ(json_number(-0.0), "-0");
+  const double denormal = 5e-324;
+  EXPECT_EQ(std::strtod(json_number(denormal).c_str(), nullptr), denormal);
+  EXPECT_EQ(json_number(inf), "null");
+  EXPECT_EQ(json_number(-inf), "null");
+  EXPECT_EQ(json_number(nan), "null");
+
+  EXPECT_EQ(prometheus_number(nan), "NaN");
+  EXPECT_EQ(prometheus_number(inf), "+Inf");
+  EXPECT_EQ(prometheus_number(-inf), "-Inf");
+  for (double v : {0.0, -0.0, 0.1, -2.5e-300, 5e-324, 1.7976931348623157e308,
+                   12345.678})
+    EXPECT_EQ(prometheus_number(v), json_number(v)) << v;
+
+  MetricsRegistry reg;
+  reg.gauge("vapro.test.nan_gauge")->set(nan);
+  EXPECT_NE(render_prometheus(reg).find("\nvapro_test_nan_gauge NaN\n"),
+            std::string::npos)
+      << render_prometheus(reg);
 }
 
 // --- scoped timers + overhead ---------------------------------------------

@@ -503,14 +503,14 @@ core::Stg property_stg(unsigned shuffle_seed) {
 // same partition with the same seed norms and rare flags.
 std::string canonical_clusters(const core::Stg& stg,
                                const core::ClusteringResult& res) {
+  const core::FragmentColumns& frags = stg.fragments();
   std::vector<std::string> rows;
   for (const core::Cluster& c : res.clusters) {
     std::vector<std::string> members;
     for (std::size_t idx : c.members) {
-      const core::FragmentView f = stg.fragment(idx);
       char buf[96];
-      std::snprintf(buf, sizeof buf, "%d@%.17g:%.17g", f.rank(),
-                    f.start_time(), f.args().bytes);
+      std::snprintf(buf, sizeof buf, "%d@%.17g:%.17g", frags.rank(idx),
+                    frags.start_time(idx), frags.args(idx).bytes);
       members.emplace_back(buf);
     }
     std::sort(members.begin(), members.end());

@@ -141,7 +141,8 @@ TEST(ClusteringProperty, MembersLieWithinSeedRadius) {
   auto result = core::cluster_stg(stg, opts);
   for (const auto& c : result.clusters) {
     for (std::size_t idx : c.members) {
-      auto v = core::make_workload_vector(stg.fragment(idx), opts.proxies);
+      auto v = core::make_workload_vector(stg.fragments().materialize(idx),
+                                          opts.proxies);
       // Norm distance from the seed is bounded by the threshold radius.
       EXPECT_LE(std::fabs(v.norm() - c.seed_norm),
                 std::max(c.seed_norm * opts.threshold, 1e-12) + 1e-9);
@@ -155,7 +156,7 @@ TEST(ClusteringProperty, SeedNormIsClusterMinimum) {
   auto result = core::cluster_stg(stg, core::ClusterOptions{});
   for (const auto& c : result.clusters) {
     for (std::size_t idx : c.members) {
-      auto v = core::make_workload_vector(stg.fragment(idx),
+      auto v = core::make_workload_vector(stg.fragments().materialize(idx),
                                           core::ClusterOptions{}.proxies);
       EXPECT_GE(v.norm() + 1e-9, c.seed_norm);
     }

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "src/apps/npb.hpp"
 #include "src/core/report.hpp"
@@ -120,6 +123,43 @@ TEST_F(SessionFixture, JsonReportIsWellFormedAndComplete) {
   }
   // The slow node region appears with its true bounds.
   EXPECT_NE(json.find("\"rank_lo\":8"), std::string::npos);
+}
+
+// vapro_run --json's regions and /v1/variance's come from one writer: the
+// same bytes, every double at full precision.
+TEST_F(SessionFixture, JsonReportRegionsAreTheLiveVarianceRegions) {
+  sim::Simulator simulator(make_config());
+  VaproOptions opts;
+  opts.window_seconds = 0.1;
+  VaproSession session(simulator, opts);
+  apps::NpbParams p;
+  p.iters = 40;
+  simulator.run(apps::cg(p));
+
+  // The "regions" object, from its opening brace to the matching close.
+  auto regions_of = [](const std::string& json) {
+    const std::size_t begin = json.find("\"regions\":{");
+    if (begin == std::string::npos) return std::string();
+    int depth = 0;
+    for (std::size_t i = begin + 10; i < json.size(); ++i) {
+      if (json[i] == '{') ++depth;
+      if (json[i] == '}' && --depth == 0)
+        return json.substr(begin + 10, i - begin - 9);
+    }
+    return std::string();
+  };
+  const std::string regions = regions_of(report_json(session));
+  ASSERT_FALSE(regions.empty());
+  EXPECT_EQ(regions, regions_of(session.server().render_variance_json()));
+
+  const std::vector<VarianceRegion> located =
+      session.locate(FragmentKind::kComputation);
+  ASSERT_FALSE(located.empty());
+  const std::string key = "\"mean_perf\":";
+  const std::size_t at = regions.find(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(std::strtod(regions.c_str() + at + key.size(), nullptr),
+            located.front().mean_perf);
 }
 
 TEST(ReportJson, EscapesSpecialCharacters) {

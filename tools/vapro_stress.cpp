@@ -238,12 +238,12 @@ core::FragmentBatch make_window_batch(const Scenario& sc, int window,
   std::vector<core::Fragment> wire;
   wire.reserve(batch.fragments.size());
   std::size_t dropped = 0, duplicated = 0;
-  for (const core::FragmentView v : batch.fragments) {
+  for (std::size_t i = 0; i < batch.fragments.size(); ++i) {
     if (sc.drop_prob > 0 && rng.bernoulli(sc.drop_prob)) {
       ++dropped;
       continue;
     }
-    core::Fragment f = v.materialize();
+    core::Fragment f = batch.fragments.materialize(i);
     wire.push_back(f);
     if (sc.dup_prob > 0 && rng.bernoulli(sc.dup_prob)) {
       wire.push_back(f);
@@ -305,18 +305,18 @@ const core::FragmentKind kKinds[3] = {core::FragmentKind::kComputation,
 struct PipeCfg {
   int depth = 1;
   int threads = 1;
-  // SoA leg: rebuild every window's FragmentColumns through the
-  // materialize/view shim before feeding the server — proves the columnar
+  // SoA leg: rebuild every window's FragmentColumns through materialize,
+  // push_back and append before feeding the server — proves the columnar
   // conversion is lossless (artifacts byte-identical to the direct path).
   bool soa_rebuild = false;
 };
 
-// Round-trips a batch's columns through every conversion surface the shim
-// offers: the first half is materialized to owning Fragments and re-pushed
-// (Fragment -> columns), the second half is re-pushed via FragmentView
-// (columns -> columns) into a separate block that is then appended
-// (cross-arena splice).  Any drift in the SoA layout shows up as a
-// byte-level artifact mismatch downstream.
+// Round-trips a batch's columns through every conversion surface the
+// columns offer: every fragment is materialized to an owning Fragment and
+// re-pushed (columns -> Fragment -> columns); the first half lands in the
+// result directly, the second half in a separate block that is then
+// appended (cross-arena splice).  Any drift in the SoA layout shows up as
+// a byte-level artifact mismatch downstream.
 core::FragmentColumns rebuild_columns(const core::FragmentColumns& cols) {
   core::FragmentColumns rebuilt;
   rebuilt.reserve(cols.size());
@@ -324,7 +324,8 @@ core::FragmentColumns rebuild_columns(const core::FragmentColumns& cols) {
   for (std::size_t i = 0; i < half; ++i)
     rebuilt.push_back(cols.materialize(i));
   core::FragmentColumns tail;
-  for (std::size_t i = half; i < cols.size(); ++i) tail.push_back(cols[i]);
+  for (std::size_t i = half; i < cols.size(); ++i)
+    tail.push_back(cols.materialize(i));
   rebuilt.append(tail);
   return rebuilt;
 }
@@ -347,16 +348,16 @@ struct RoundArtifacts {
   std::uint64_t alerts = 0;
 };
 
-// Stricter than core::render_rare_table: full %.17g precision, every row —
-// so even sub-format-width divergence fails the equivalence property.
+// Stricter than core::render_rare_table: full json_number precision, every
+// row — so even sub-format-width divergence fails the equivalence property.
 std::string rare_findings_fingerprint(
     const std::vector<core::RareFinding>& findings) {
   std::ostringstream oss;
-  oss.precision(17);
   for (const core::RareFinding& f : findings)
     oss << f.state << '|' << core::fragment_kind_name(f.kind) << '|'
-        << f.executions << '|' << f.total_seconds << '|' << f.longest_seconds
-        << '|' << f.window_start << '\n';
+        << f.executions << '|' << obs::json_number(f.total_seconds) << '|'
+        << obs::json_number(f.longest_seconds) << '|'
+        << obs::json_number(f.window_start) << '\n';
   return oss.str();
 }
 
@@ -1127,8 +1128,8 @@ int main(int argc, char** argv) {
     // artifacts for EVERY pipeline-depth x analysis-threads combination.
     // Each round runs the serial base (depth 1, 1 thread) and then the
     // full depth {1,2} x threads {1,2,4} variant matrix against it.  The
-    // two `soa` legs rebuild every window's columns through the
-    // materialize/view shim (rebuild_columns) — serially and at the
+    // two `soa` legs rebuild every window's columns through
+    // materialize/push_back/append (rebuild_columns) — serially and at the
     // widest pipeline point — so the SoA layout's conversion surfaces are
     // part of the same byte-identity property as the threading matrix.
     struct Variant {
