@@ -92,15 +92,21 @@ AnalysisServer::AnalysisServer(int ranks, ServerOptions opts)
         static_cast<std::size_t>(opts_.analysis_threads), opts_.clock);
   if (opts_.pipeline_depth > 1)
     // depth d admits one window in flight on the worker plus d-1 queued.
-    pipeline_ = std::make_unique<util::StageExecutor>(
-        static_cast<std::size_t>(opts_.pipeline_depth - 1), opts_.clock);
+    pipeline_ = std::make_unique<util::StageExecutor<PendingWindow>>(
+        static_cast<std::size_t>(opts_.pipeline_depth - 1),
+        [this](PendingWindow w) {
+          analyze_window(std::move(w.batch), w.drain_seconds,
+                         w.submit_seconds, w.flow_id);
+        },
+        opts_.clock);
   if (opts_.obs && opts_.live_detection) attach_live_routes();
 }
 
 AnalysisServer::~AnalysisServer() {
   // Stop the stage worker before anything it writes is torn down; queued
-  // windows are still analyzed (StageExecutor drains on close).  The
-  // shard pool goes second: the stage worker fans out through it.
+  // windows are still analyzed (the worker finishes its backlog before it
+  // exits).  The shard pool goes second: the stage worker fans out
+  // through it.
   pipeline_.reset();
   workers_.reset();
   if (!opts_.obs || live_routes_.empty()) return;
@@ -181,12 +187,9 @@ void AnalysisServer::process_window(FragmentBatch batch, double drain_seconds) {
   // queueing unbounded windows.
   const bool degrade =
       VAPRO_FAULT("pipeline.handoff") == testing::FaultAction::kFail;
-  auto shared = std::make_shared<FragmentBatch>(std::move(batch));
   const double submit_seconds =
       (opts_.clock ? opts_.clock : util::real_clock())->now_seconds();
-  pipeline_->submit([this, shared, drain_seconds, submit_seconds, flow_id] {
-    analyze_window(std::move(*shared), drain_seconds, submit_seconds, flow_id);
-  });
+  pipeline_->submit({std::move(batch), drain_seconds, submit_seconds, flow_id});
   if (degrade) {
     // Injected hand-off failure: fall back to synchronous operation for
     // this window.  The job still runs on the worker (keeping FIFO order),

@@ -141,8 +141,10 @@ class AnalysisServer {
   // Blocks until every admitted window has been fully analyzed.  The
   // producer-side synchronization point of the pipelined server: after
   // sync() every accessor below reflects all submitted windows, and the
-  // worker's writes happen-before the caller's reads (TSan-clean).  No-op
-  // at pipeline_depth 1.  All state accessors call it implicitly.
+  // worker's writes happen-before the caller's reads (TSan-clean).  An
+  // exception a window threw on the worker is rethrown here, once, as
+  // process_window itself throws it at depth 1.  No-op at pipeline_depth
+  // 1.  All state accessors call it implicitly.
   void sync() const;
 
   // Restarts diagnosis, optionally focused on a heat-map region the user
@@ -270,10 +272,17 @@ class AnalysisServer {
   // though locate() may be called from the serve thread.  Declared before
   // pipeline_ so it outlives the stage worker that uses it.
   mutable std::unique_ptr<util::WorkerPool> workers_;
+  // One window handed to the pipeline worker: analyze_window's arguments.
+  struct PendingWindow {
+    FragmentBatch batch;
+    double drain_seconds = 0.0;
+    double submit_seconds = 0.0;
+    std::uint64_t flow_id = 0;
+  };
   // The analysis pipeline (null at pipeline_depth 1).  Mutable so const
   // accessors can sync(); destroyed first in ~AnalysisServer so the worker
   // never outlives the state it writes.
-  mutable std::unique_ptr<util::StageExecutor> pipeline_;
+  mutable std::unique_ptr<util::StageExecutor<PendingWindow>> pipeline_;
   std::vector<Fragment> overlap_carry_;
   // (truth label, predicted cluster label) for labelled comp fragments.
   std::vector<int> eval_truth_;

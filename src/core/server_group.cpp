@@ -1,8 +1,8 @@
 #include "src/core/server_group.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
-#include <thread>
 
 #include "src/obs/exposition.hpp"
 #include "src/testing/fault.hpp"
@@ -22,13 +22,12 @@ ServerGroup::ServerGroup(int ranks, int servers, ServerOptions opts)
       bin_seconds_(opts.bin_seconds),
       obs_(opts.obs),
       live_detection_(opts.live_detection),
-      pipelined_(opts.pipeline_depth > 1) {
+      fan_out_(static_cast<std::size_t>(std::max(servers, 1)), opts.clock) {
   VAPRO_CHECK(servers >= 1 && ranks >= 1);
   // Each leaf runs its own analysis; intra-leaf threading stays at 1 since
   // the leaves themselves run concurrently.  pipeline_depth passes through:
-  // pipelined leaves each own an analysis worker, and process_window below
-  // hands shards straight to those workers instead of spawning per-window
-  // threads.
+  // a pipelined leaf's process_window only hands its shard to the leaf's
+  // own analysis worker.
   opts.analysis_threads = 1;
   // The root owns the live detection surfaces (class comment).
   opts.live_detection = false;
@@ -78,7 +77,7 @@ void ServerGroup::attach_live_routes() {
 void ServerGroup::process_window(FragmentBatch batch) {
   obs::TraceRecorder* trace = obs_ ? obs_->trace() : nullptr;
   obs::ToolTimeScope tool_time(obs_ ? &obs_->overhead() : nullptr);
-  // Held across the leaf threads so /v1 scrapes see whole windows.
+  // Held across the leaf tasks so /v1 scrapes see whole windows.
   std::lock_guard<std::mutex> live_lock(live_mu_);
   const std::uint64_t t0 = trace ? trace->now_ns() : 0;
   const std::uint64_t total_fragments = batch.fragments.size();
@@ -99,30 +98,24 @@ void ServerGroup::process_window(FragmentBatch batch) {
   for (std::size_t i = 0; i < total_fragments; ++i)
     shards[static_cast<std::size_t>(ranks[i] % n)].fragments.push_back(
         batch.fragments.materialize(i));
-  if (pipelined_) {
-    // Pipelined leaves already own an analysis worker each: hand every
-    // shard to its leaf's pipeline (the hand-off only blocks for
-    // backpressure) and let the workers overlap with the caller's next
-    // drain.  No per-window thread spawn.
-    for (int s = 0; s < n; ++s)
-      leaves_[static_cast<std::size_t>(s)]->process_window(
-          std::move(shards[static_cast<std::size_t>(s)]));
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      pool.emplace_back([this, s, &shards, trace] {
-        // Each leaf's own "analysis.window" span lands on this worker's
-        // trace track; the extra span names the shard it belongs to.
-        obs::TraceSpan leaf_span(
-            trace, "group.leaf", "server_group",
-            {obs::TraceRecorder::arg("shard", static_cast<std::uint64_t>(s))});
-        leaves_[static_cast<std::size_t>(s)]->process_window(
-            std::move(shards[static_cast<std::size_t>(s)]));
-      });
+  // One task per leaf: a serial leaf analyzes its shard on the lane, a
+  // pipelined one only hands it to its own worker.  A leaf's exception is
+  // kept in its slot and the first one rethrown once every leaf is done.
+  std::vector<std::exception_ptr> errors(shards.size());
+  fan_out_.run(shards.size(), [&](std::size_t s, std::size_t) {
+    // Each leaf's own "analysis.window" span lands on this lane's trace
+    // track; the extra span names the shard it belongs to.
+    obs::TraceSpan leaf_span(trace, "group.leaf", "server_group",
+                             {obs::TraceRecorder::arg(
+                                 "shard", static_cast<std::uint64_t>(s))});
+    try {
+      leaves_[s]->process_window(std::move(shards[s]));
+    } catch (...) {
+      errors[s] = std::current_exception();
     }
-    for (auto& t : pool) t.join();
-  }
+  });
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 
   last_virtual_time_ = std::max(last_virtual_time_, window_end);
   if (obs_) {

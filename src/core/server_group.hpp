@@ -7,7 +7,8 @@
 // A ServerGroup shards ranks across N leaf AnalysisServers (rank % N) and
 // aggregates their outputs at the root: merged heat maps, summed coverage,
 // concatenated rare findings, and the union of per-shard diagnosis
-// culprits.  Each leaf processes its shard on its own thread per window.
+// culprits.  Each window fans the shards out over a persistent WorkerPool
+// with one lane per leaf.
 //
 // Trade-off vs a single server (tested in test_server_group.cpp): leaf
 // clustering only compares ranks within a shard, so cross-shard twins are
@@ -36,10 +37,12 @@ class ServerGroup {
   // Splits the batch by rank shard and processes all shards concurrently.
   // With pipeline_depth > 1 the shards are handed to the leaves' analysis
   // workers and this returns before they finish; sync() (or any leaf
-  // accessor, which syncs implicitly) waits for them.
+  // accessor, which syncs implicitly) waits for them.  Rethrows the first
+  // exception a leaf threw (by leaf index) once every leaf has returned.
   void process_window(FragmentBatch batch);
 
-  // Blocks until every leaf has analyzed all its admitted shards.
+  // Blocks until every leaf has analyzed all its admitted shards;
+  // rethrows an exception a pipelined leaf's window threw.
   void sync() const;
 
   int servers() const { return static_cast<int>(leaves_.size()); }
@@ -86,10 +89,11 @@ class ServerGroup {
   double bin_seconds_;
   obs::ObsContext* obs_ = nullptr;  // shared with the leaves (borrowed)
   bool live_detection_ = false;     // publish merged root views?
-  bool pipelined_ = false;          // leaves run pipeline_depth > 1?
   std::vector<std::unique_ptr<AnalysisServer>> leaves_;
-  // Serializes process_window (including its leaf threads) against /v1
-  // scrapes and journal_detection_snapshot.
+  util::WorkerPool fan_out_;  // one lane per leaf
+  // Serializes process_window (including its leaf tasks) against /v1
+  // scrapes and journal_detection_snapshot; also keeps fan_out_ to one
+  // run() at a time.
   mutable std::mutex live_mu_;
   std::vector<std::string> live_routes_;
   std::size_t windows_ = 0;

@@ -11,21 +11,10 @@ namespace vapro::net {
 TenantSession::TenantSession(TenantOptions opts, IngestPlane* plane)
     : opts_(std::move(opts)),
       plane_(plane),
-      queue_(opts_.queue_capacity, plane->clock()) {
-  if (opts_.group_servers > 1) {
-    backend_group_ = std::make_unique<core::ServerGroup>(
-        opts_.ranks, opts_.group_servers, opts_.server);
-  } else {
-    backend_server_ =
-        std::make_unique<core::AnalysisServer>(opts_.ranks, opts_.server);
-  }
-  if (opts_.threaded) consumer_ = std::thread([this] { consumer_loop(); });
-}
-
-TenantSession::~TenantSession() {
-  queue_.close();
-  if (consumer_.joinable()) consumer_.join();
-}
+      backend_(opts_.ranks, opts_.server),
+      pipeline_(
+          opts_.queue_capacity, [this](Queued q) { process(std::move(q)); },
+          plane->clock()) {}
 
 AckStatus TenantSession::submit(std::uint64_t seq, core::FragmentBatch batch,
                                 double drain_seconds) {
@@ -81,26 +70,26 @@ AckStatus TenantSession::enqueue_locked(Queued q) {
       return AckStatus::kShed;
   }
   if (opts_.admission == AdmissionPolicy::kBlock) {
-    note_inflight(+1);
-    if (!queue_.push(std::move(q))) {
+    plane_->note_inflight(+1);
+    if (!pipeline_.submit(std::move(q))) {
       // Closed during teardown: nothing will consume it — account it.
-      note_inflight(-1);
+      plane_->note_inflight(-1);
       journal_shed(seq, fragments, new_states, "closed");
       return AckStatus::kShed;
     }
   } else {
-    while (!queue_.try_push(std::move(q))) {
-      if (queue_.closed()) {
+    while (!pipeline_.try_submit(std::move(q))) {
+      if (pipeline_.closed()) {
         journal_shed(seq, fragments, new_states, "closed");
         return AckStatus::kShed;
       }
-      if (auto victim = queue_.try_pop()) {
-        note_inflight(-1);
+      if (auto victim = pipeline_.evict_oldest()) {
+        plane_->note_inflight(-1);
         journal_shed(victim->seq, victim->batch.fragments.size(),
                      victim->batch.new_states.size(), "oldest");
       }
     }
-    note_inflight(+1);
+    plane_->note_inflight(+1);
   }
   ++stats_.admitted;
   if (plane_->opts_.obs)
@@ -147,46 +136,16 @@ void TenantSession::journal_net_drop(std::uint64_t seq, std::size_t fragments,
 }
 
 void TenantSession::process(Queued q) {
-  if (backend_group_) {
-    backend_group_->process_window(std::move(q.batch));
-    backend_group_->sync();
-  } else {
-    backend_server_->process_window(std::move(q.batch), q.drain_seconds);
-    backend_server_->sync();
-  }
-  const bool drained = queue_.depth() == 0;
-  note_inflight(-1);
-  if (drained) set_degraded(false);
+  backend_.process_window(std::move(q.batch), q.drain_seconds);
+  backend_.sync();
+  // This batch is the only one pending: the backlog has drained.  Cleared
+  // before the handler returns, so a sync() that this batch wakes never
+  // sees a stale flag.
+  if (pipeline_.depth() == 1) set_degraded(false);
+  plane_->note_inflight(-1);
 }
 
-void TenantSession::consumer_loop() {
-  while (auto q = queue_.pop()) process(std::move(*q));
-}
-
-void TenantSession::pump_all() {
-  while (auto q = queue_.try_pop()) process(std::move(*q));
-}
-
-void TenantSession::sync() {
-  if (!opts_.threaded) {
-    pump_all();
-  } else {
-    std::unique_lock<std::mutex> lock(inflight_mu_);
-    inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
-  }
-  if (backend_group_) backend_group_->sync();
-  if (backend_server_) backend_server_->sync();
-}
-
-void TenantSession::note_inflight(int delta) {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(inflight_) + delta);
-    if (inflight_ == 0) inflight_cv_.notify_all();
-  }
-  plane_->note_inflight(delta);
-}
+void TenantSession::sync() { pipeline_.drain(); }
 
 void TenantSession::set_degraded(bool on) {
   if (degraded_.exchange(on, std::memory_order_relaxed) != on)
@@ -196,24 +155,6 @@ void TenantSession::set_degraded(bool on) {
 TenantStats TenantSession::stats() const {
   std::lock_guard<std::mutex> lock(seq_mu_);
   return stats_;
-}
-
-std::size_t TenantSession::windows_processed() const {
-  return backend_group_ ? backend_group_->windows_processed()
-                        : backend_server_->windows_processed();
-}
-
-std::size_t TenantSession::fragments_processed() const {
-  return backend_group_ ? backend_group_->fragments_processed()
-                        : backend_server_->fragments_processed();
-}
-
-void TenantSession::journal_detection_snapshot() const {
-  if (backend_group_) {
-    backend_group_->journal_detection_snapshot();
-  } else {
-    backend_server_->journal_detection_snapshot();
-  }
 }
 
 // --- IngestPlane -----------------------------------------------------------

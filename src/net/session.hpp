@@ -1,11 +1,10 @@
 // Tenant-keyed admission layer in front of the analysis servers — the
 // session half of the ingest plane (ROADMAP item 2).
 //
-// A TenantSession owns one tenant's isolated analysis state (a single
-// AnalysisServer, or a rank-sharded ServerGroup when `group_servers` > 1)
-// plus a bounded admission queue between the transport and the analysis
-// consumer.  Batches arrive tagged with a per-tenant sequence number and
-// pass through three gates:
+// A TenantSession owns one tenant's isolated analysis state (an
+// AnalysisServer) plus a StageExecutor whose bounded queue sits between
+// the transport and the analysis worker.  Batches arrive tagged with a
+// per-tenant sequence number and pass through three gates:
 //
 //   1. Dedup — a seq already applied or buffered acks kDuplicate without
 //      re-admission, so a retransmit (after a torn frame, a reset
@@ -32,18 +31,15 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/client.hpp"
 #include "src/core/server.hpp"
-#include "src/core/server_group.hpp"
 #include "src/net/wire.hpp"
 #include "src/util/pipeline.hpp"
 
@@ -57,19 +53,15 @@ enum class AdmissionPolicy : std::uint8_t {
 struct TenantOptions {
   std::string name;
   int ranks = 1;
-  // Options for the tenant's analysis server(s); `server.obs` is the
+  // Options for the tenant's analysis server; `server.obs` is the
   // tenant's own ObsContext (journal isolation) and may differ from the
   // plane-level ObsContext holding the vapro.net.* metrics.
   core::ServerOptions server;
-  // > 1 shards the tenant's ranks across a ServerGroup (fleet tier).
-  int group_servers = 1;
   std::size_t queue_capacity = 4;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
   // Max distance a batch may run ahead of the next expected seq and still
   // be buffered for in-order application.
   std::uint64_t reorder_window = 64;
-  // False: no consumer thread; tests drive pump_all() manually.
-  bool threaded = true;
 };
 
 struct TenantStats {
@@ -86,7 +78,6 @@ class IngestPlane;
 class TenantSession {
  public:
   TenantSession(TenantOptions opts, IngestPlane* plane);
-  ~TenantSession();
 
   TenantSession(const TenantSession&) = delete;
   TenantSession& operator=(const TenantSession&) = delete;
@@ -98,27 +89,26 @@ class TenantSession {
   AckStatus submit(std::uint64_t seq, core::FragmentBatch batch,
                    double drain_seconds);
 
-  // Blocks until every admitted batch has been fully analyzed, then syncs
-  // the backend (threaded mode).  In manual mode, processes the backlog
-  // inline.  After sync() all accessors reflect every admitted batch.
+  // Blocks until every admitted batch has been fully analyzed; rethrows,
+  // once, an exception the analysis of one of them threw.  After sync()
+  // all accessors reflect every admitted batch, and degraded() is false
+  // unless a batch was shed since the last one was analyzed.
   void sync();
-
-  // Manual mode: drain and analyze the queued backlog on the caller.
-  void pump_all();
 
   const std::string& name() const { return opts_.name; }
   int ranks() const { return opts_.ranks; }
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
   TenantStats stats() const;
-  std::size_t queue_depth() const { return queue_.depth(); }
-  std::size_t queue_capacity() const { return queue_.capacity(); }
+  std::size_t queue_capacity() const { return pipeline_.capacity(); }
 
-  // Backend views (exactly one is non-null).
-  core::AnalysisServer* server() { return backend_server_.get(); }
-  core::ServerGroup* group() { return backend_group_.get(); }
-  std::size_t windows_processed() const;
-  std::size_t fragments_processed() const;
-  void journal_detection_snapshot() const;
+  core::AnalysisServer* server() { return &backend_; }
+  std::size_t windows_processed() const { return backend_.windows_processed(); }
+  std::size_t fragments_processed() const {
+    return backend_.fragments_processed();
+  }
+  void journal_detection_snapshot() const {
+    backend_.journal_detection_snapshot();
+  }
 
  private:
   struct Queued {
@@ -136,30 +126,24 @@ class TenantSession {
                     std::size_t new_states, const char* policy);
   void journal_net_drop(std::uint64_t seq, std::size_t fragments,
                         const char* reason);
+  // The pipeline worker's handler: analyzes one admitted batch.
   void process(Queued q);
-  void consumer_loop();
   void set_degraded(bool on);
-  void note_inflight(int delta);
 
   TenantOptions opts_;
   IngestPlane* plane_;  // borrowed; owns this session
-  std::unique_ptr<core::AnalysisServer> backend_server_;
-  std::unique_ptr<core::ServerGroup> backend_group_;
-  util::BoundedQueue<Queued> queue_;
+  core::AnalysisServer backend_;
 
   mutable std::mutex seq_mu_;
   std::uint64_t next_expected_ = 0;
   std::map<std::uint64_t, Queued> pending_;  // reorder buffer, seq-ordered
   TenantStats stats_;
 
-  // Admitted-but-unfinished batches; sync() waits for 0.  Incremented
-  // before enqueue, decremented after analysis completes.
-  mutable std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  std::uint64_t inflight_ = 0;
-
   std::atomic<bool> degraded_{false};
-  std::thread consumer_;  // last member: starts after all state exists
+  // Admission queue plus analysis worker.  Last member: destroyed first,
+  // so the worker finishes the backlog while everything process() uses
+  // still exists.
+  util::StageExecutor<Queued> pipeline_;
 };
 
 struct PlaneOptions {

@@ -96,20 +96,6 @@ double HistogramSnapshot::quantile(double q) const {
   return quantile_over(buckets.data(), count, q);
 }
 
-double ScopedTimer::stop() {
-  if (stopped_ || (!h_ && !also_ns_)) return 0.0;
-  stopped_ = true;
-  const auto dt = std::chrono::steady_clock::now() - t0_;
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count();
-  const double seconds = static_cast<double>(ns) * 1e-9;
-  if (h_) h_->record(seconds);
-  if (also_ns_)
-    also_ns_->fetch_add(static_cast<std::uint64_t>(ns),
-                        std::memory_order_relaxed);
-  return seconds;
-}
-
 Counter* MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];

@@ -13,12 +13,10 @@
 // Registration takes a mutex once per (name) and hands back a stable
 // pointer; the hot path afterwards is a single relaxed atomic op, so
 // instruments can sit inside per-window (and even per-intercept) code.
-// ScopedTimer measures a wall-clock span and records it into a Histogram.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -146,29 +144,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-// Records the lifetime of a scope into a histogram (and optionally adds the
-// same span to an atomic nanosecond accumulator — the overhead accountant's
-// hook).  Null targets make it a no-op so call sites need no branching.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* h, std::atomic<std::uint64_t>* also_ns = nullptr)
-      : h_(h), also_ns_(also_ns) {
-    if (h_ || also_ns_) t0_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() { stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  // Ends the measurement early; the destructor then does nothing.
-  double stop();
-
- private:
-  Histogram* h_;
-  std::atomic<std::uint64_t>* also_ns_;
-  std::chrono::steady_clock::time_point t0_{};
-  bool stopped_ = false;
 };
 
 }  // namespace vapro::obs

@@ -23,7 +23,6 @@ class OverheadAccountant {
   void add_tool_ns(std::uint64_t ns) {
     tool_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
-  std::atomic<std::uint64_t>* tool_ns_cell() { return &tool_ns_; }
 
   void set_run_wall_seconds(double s) { wall_seconds_ = s; }
   void set_app_virtual_seconds(double s) { app_virtual_seconds_ = s; }

@@ -17,13 +17,6 @@ SpanScope::SpanScope(Options opts, std::string name, std::string category,
   }
 }
 
-std::uint64_t SpanScope::flow_out(const std::string& name) {
-  if (!opts_.trace) return 0;
-  const std::uint64_t id = opts_.trace->next_flow_id();
-  opts_.trace->flow_start(name, category_, id, opts_.trace->now_ns());
-  return id;
-}
-
 void SpanScope::finish() {
   if (finished_ || !opts_.trace) return;
   finished_ = true;

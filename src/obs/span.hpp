@@ -6,11 +6,11 @@
 // makes the span free.  Stage times are not measured here: the analysis
 // server laps them into PipelineStats whatever happens to span emission.
 // Causality across threads is expressed with flow arrows: the producer
-// calls flow_out() (a 's' event at the handoff instant) and hands the
-// returned id to the consumer, whose span emits the matching 'f' event at
-// its own start — in Perfetto the queue hop between the drain thread and
-// the analysis worker becomes a visible arrow whose length IS the handoff
-// latency.
+// starts a flow (TraceRecorder::flow_start, a 's' event at the handoff
+// instant) and hands its id to the consumer, whose span emits the matching
+// 'f' event at its own start — in Perfetto the queue hop between the drain
+// thread and the analysis worker becomes a visible arrow whose length IS
+// the handoff latency.
 //
 // Emission passes through the `obs.span` fault site: a dropped span (kFail/
 // kDrop) loses its trace event (counted in Options::dropped), and a torn
@@ -47,10 +47,6 @@ class SpanScope {
   void add_arg(TraceArg a) {
     if (opts_.trace) args_.push_back(std::move(a));
   }
-
-  // Starts an outgoing flow at the current instant and returns its id for
-  // the consumer's Options::flow_in (0 when tracing is off).
-  std::uint64_t flow_out(const std::string& name);
 
   // Ends the span now; the destructor then does nothing.
   void finish();

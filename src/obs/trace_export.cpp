@@ -5,31 +5,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/obs/journal.hpp"
+
 namespace vapro::obs {
 
 namespace {
-
-std::string escape(const std::string& s) {
-  std::ostringstream oss;
-  for (char c : s) {
-    switch (c) {
-      case '"': oss << "\\\""; break;
-      case '\\': oss << "\\\\"; break;
-      case '\n': oss << "\\n"; break;
-      case '\r': oss << "\\r"; break;
-      case '\t': oss << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          oss << buf;
-        } else {
-          oss << c;
-        }
-    }
-  }
-  return oss.str();
-}
 
 std::string number(double v) {
   if (!std::isfinite(v)) return "null";
@@ -49,7 +29,7 @@ TraceArg TraceRecorder::arg(const std::string& key, std::uint64_t v) {
 }
 
 TraceArg TraceRecorder::arg(const std::string& key, const std::string& v) {
-  return {key, '"' + escape(v) + '"'};
+  return {key, '"' + journal_json_escape(v) + '"'};
 }
 
 std::uint64_t TraceRecorder::now_ns() const {
@@ -150,8 +130,8 @@ std::string TraceRecorder::to_json() const {
   for (const ChromeEvent& ev : events_) {
     if (!first) oss << ',';
     first = false;
-    oss << "{\"name\":\"" << escape(ev.name) << "\",\"cat\":\""
-        << escape(ev.category) << "\",\"ph\":\"" << ev.phase
+    oss << "{\"name\":\"" << journal_json_escape(ev.name) << "\",\"cat\":\""
+        << journal_json_escape(ev.category) << "\",\"ph\":\"" << ev.phase
         << "\",\"ts\":" << number(ev.ts_us) << ",\"pid\":1,\"tid\":" << ev.tid;
     if (ev.phase == 'X') oss << ",\"dur\":" << number(ev.dur_us);
     if (ev.phase == 'i') oss << ",\"s\":\"t\"";  // thread-scoped instant
@@ -167,7 +147,7 @@ std::string TraceRecorder::to_json() const {
       for (const TraceArg& a : ev.args) {
         if (!afirst) oss << ',';
         afirst = false;
-        oss << '"' << escape(a.key) << "\":" << a.json_value;
+        oss << '"' << journal_json_escape(a.key) << "\":" << a.json_value;
       }
       oss << '}';
     }

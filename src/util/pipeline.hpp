@@ -14,13 +14,13 @@
 //     the bottleneck), and per-item handoff latency (enqueue → dequeue —
 //     how long work sat in the queue).
 //
-//   * StageExecutor — one worker thread draining a bounded job queue in
-//     strict FIFO order.  Determinism rule: because there is exactly one
-//     worker, every job observes all effects of every earlier job — a
-//     pipelined AnalysisServer produces byte-identical results to the
-//     synchronous one, the only difference being WHEN the work runs.
-//     drain() is the synchronization point: it blocks until the queue is
-//     empty and the in-flight job (if any) has finished.
+//   * StageExecutor<T> — one worker thread applying a handler to the
+//     items of a BoundedQueue<T> in strict FIFO order.  Determinism rule:
+//     because there is exactly one worker, every item observes all effects
+//     of every earlier item — a pipelined AnalysisServer produces
+//     byte-identical results to the synchronous one, the only difference
+//     being WHEN the work runs.  drain() is the synchronization point: it
+//     blocks until every submitted item has finished.
 //
 //   * WorkerPool — a persistent pool for INTRA-window fan-out (the sharded
 //     clustering and region-growing passes).  run(count, fn) is a blocking
@@ -44,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -193,87 +194,94 @@ class BoundedQueue {
   std::uint64_t handoffs_ = 0;
 };
 
-// One worker thread running submitted jobs in FIFO order.  `max_pending`
-// bounds the number of submitted-but-unfinished jobs EXCLUDING the one
-// currently executing, so an AnalysisServer with pipeline_depth d uses
-// max_pending = d - 1: one window in flight on the worker plus d-1 queued
-// equals d windows admitted past the hand-off.
+// One worker thread applying `handler` to submitted items in FIFO order,
+// fed by a BoundedQueue of capacity `max_pending`.  The queue holds only
+// items the worker has not started, so `max_pending` EXCLUDES the one
+// currently executing: an AnalysisServer with pipeline_depth d uses
+// max_pending = d - 1, one window in flight on the worker plus d-1 queued.
+// Producer-block, consumer-idle and handoff accounting are the queue's.
+//
+// Failure contract: a handler that throws does not stop the worker; the
+// first exception is kept and the next drain() rethrows it, once, so the
+// owner's synchronization point reports the lost item.
+template <typename T>
 class StageExecutor {
  public:
-  explicit StageExecutor(std::size_t max_pending, Clock* clock = nullptr)
-      : max_pending_(max_pending == 0 ? 1 : max_pending),
+  using Handler = std::function<void(T)>;
+
+  StageExecutor(std::size_t max_pending, Handler handler,
+                Clock* clock = nullptr)
+      : queue_(max_pending, clock),
         clock_(clock ? clock : real_clock()),
+        handler_(std::move(handler)),
         worker_([this] { run(); }) {}
 
+  // Closes the queue; the worker still handles the backlog, then exits.
   ~StageExecutor() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-      not_empty_.notify_all();
-      not_full_.notify_all();
-    }
+    queue_.close();
     worker_.join();
   }
 
   StageExecutor(const StageExecutor&) = delete;
   StageExecutor& operator=(const StageExecutor&) = delete;
 
-  // Blocks while the pending queue is full (backpressure); false after
-  // close (the job is dropped — only happens during teardown).
-  bool submit(std::function<void()> job) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (jobs_.size() >= max_pending_ && !closed_) {
-      const double t0 = clock_->now_seconds();
-      not_full_.wait(lock,
-                     [this] { return jobs_.size() < max_pending_ || closed_; });
-      stall_seconds_ += clock_->now_seconds() - t0;
-      ++stalls_;
-    }
-    if (closed_) return false;
-    jobs_.emplace_back(clock_->now_seconds(), std::move(job));
-    not_empty_.notify_one();
-    return true;
+  // Blocks while the queue is full (backpressure); false after close (the
+  // item is dropped — only happens during teardown).
+  bool submit(T item) {
+    add_pending();
+    if (queue_.push(std::move(item))) return true;
+    finish_pending();
+    return false;
   }
 
-  // Blocks until every submitted job has finished.  This is the
+  // Non-blocking submit: false when the queue is full or closed, in which
+  // case `item` stays with the caller (see BoundedQueue::try_push).
+  bool try_submit(T&& item) {
+    add_pending();
+    if (queue_.try_push(std::move(item))) return true;
+    finish_pending();
+    return false;
+  }
+
+  // Takes back the oldest item the worker has not started; nullopt when
+  // none is queued.  The shed-oldest admission idiom with try_submit().
+  std::optional<T> evict_oldest() {
+    std::optional<T> item = queue_.try_pop();
+    if (item) finish_pending();
+    return item;
+  }
+
+  bool closed() const { return queue_.closed(); }
+
+  // Blocks until every submitted item has finished.  This is the
   // producer-side synchronization point: after drain() returns, all
   // worker-thread writes happen-before the caller's subsequent reads.
+  // Rethrows the first exception a handler threw since the last drain().
   void drain() {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_.wait(lock, [this] { return jobs_.empty() && !running_; });
+    std::exception_ptr error;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      idle_.wait(lock, [this] { return pending_ == 0; });
+      error = std::exchange(error_, nullptr);
+    }
+    if (error) std::rethrow_exception(error);
   }
 
-  // Queued plus in-flight jobs.
+  // Submitted but unfinished items: queued plus in flight (plus any
+  // submit() still blocked on a full queue).
   std::size_t depth() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return jobs_.size() + (running_ ? 1 : 0);
+    return pending_;
   }
-  // Cumulative seconds submitters spent blocked on a full queue
-  // (producer-block).
-  double stall_seconds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stall_seconds_;
-  }
-  std::uint64_t stalls() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stalls_;
-  }
-  // Cumulative seconds the worker spent waiting for a job (consumer-idle).
-  double idle_seconds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return idle_seconds_;
-  }
-  std::uint64_t idle_waits() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return idle_waits_;
-  }
-  // Cumulative submit→start latency across all executed jobs (how long
-  // work sat queued before the worker picked it up).
-  double handoff_seconds() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return handoff_seconds_;
-  }
-  // Cumulative seconds the worker spent executing jobs (stage occupancy
+  std::size_t capacity() const { return queue_.capacity(); }
+  // Producer-block, consumer-idle and submit→start handoff wait, from the
+  // queue (see BoundedQueue).
+  double stall_seconds() const { return queue_.stall_seconds(); }
+  std::uint64_t stalls() const { return queue_.stalls(); }
+  double idle_seconds() const { return queue_.idle_seconds(); }
+  std::uint64_t idle_waits() const { return queue_.idle_waits(); }
+  double handoff_seconds() const { return queue_.handoff_seconds(); }
+  // Cumulative seconds the worker spent in the handler (stage occupancy
   // numerator; divide by wall time for utilization).
   double busy_seconds() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -283,70 +291,43 @@ class StageExecutor {
     std::lock_guard<std::mutex> lock(mu_);
     return jobs_run_;
   }
-  // Jobs whose callable threw; the worker survives and keeps draining.
-  std::uint64_t jobs_failed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return jobs_failed_;
-  }
 
  private:
+  void add_pending() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++pending_;
+  }
+  void finish_pending() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_ == 0) idle_.notify_all();
+  }
+
   void run() {
-    for (;;) {
-      std::function<void()> job;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        if (jobs_.empty() && !closed_) {
-          const double w0 = clock_->now_seconds();
-          not_empty_.wait(lock, [this] { return !jobs_.empty() || closed_; });
-          idle_seconds_ += clock_->now_seconds() - w0;
-          ++idle_waits_;
-        }
-        if (jobs_.empty()) return;  // closed and drained
-        auto [submitted_at, j] = std::move(jobs_.front());
-        jobs_.pop_front();
-        handoff_seconds_ += clock_->now_seconds() - submitted_at;
-        job = std::move(j);
-        running_ = true;
-        not_full_.notify_one();
-      }
+    while (std::optional<T> item = queue_.pop()) {
       const double t0 = clock_->now_seconds();
-      bool failed = false;
+      std::exception_ptr error;
       try {
-        job();
+        handler_(std::move(*item));
       } catch (...) {
-        // A throwing stage must not take the whole pipeline down; the
-        // owner reads jobs_failed() to surface the degradation.
-        failed = true;
+        error = std::current_exception();
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        busy_seconds_ += clock_->now_seconds() - t0;
-        ++jobs_run_;
-        if (failed) ++jobs_failed_;
-        running_ = false;
-        if (jobs_.empty()) idle_.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      busy_seconds_ += clock_->now_seconds() - t0;
+      ++jobs_run_;
+      if (error && !error_) error_ = error;
+      if (--pending_ == 0) idle_.notify_all();
     }
   }
 
-  const std::size_t max_pending_;
+  BoundedQueue<T> queue_;
   Clock* clock_;
+  Handler handler_;
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::condition_variable idle_;
-  // (submit time, job) so dequeue can account the handoff latency.
-  std::deque<std::pair<double, std::function<void()>>> jobs_;
-  bool closed_ = false;
-  bool running_ = false;
-  double stall_seconds_ = 0.0;
-  double idle_seconds_ = 0.0;
-  double handoff_seconds_ = 0.0;
+  std::size_t pending_ = 0;  // submitted, not yet finished or evicted
+  std::exception_ptr error_;  // first handler exception since drain()
   double busy_seconds_ = 0.0;
-  std::uint64_t stalls_ = 0;
-  std::uint64_t idle_waits_ = 0;
   std::uint64_t jobs_run_ = 0;
-  std::uint64_t jobs_failed_ = 0;
   std::thread worker_;  // last member: starts after all state exists
 };
 

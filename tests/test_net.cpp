@@ -3,9 +3,10 @@
 //   * Wire codec — CRC-32 known answer, frame/payload round-trips that are
 //     BIT-identical for doubles, and header validation for every desync
 //     class (bad magic, version, type, flags, oversized payload).
-//   * TenantSession — the three admission gates driven manually
-//     (threaded=false): dedup, bounded reorder buffer, shed-oldest with
-//     journaled accounting and the degraded flag.
+//   * TenantSession — the three admission gates in front of the session's
+//     analysis worker: dedup, bounded reorder buffer, shed-oldest with
+//     journaled accounting and the degraded flag.  Tests that need fixed
+//     shed victims hold the worker inside a window observer.
 //   * Loopback end-to-end — socket-fed analysis is byte-identical to
 //     feeding the same batches in process.
 //   * /readyz — readiness flips to 503 on the degraded gauge, on admission
@@ -21,13 +22,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/report.hpp"
@@ -330,22 +334,41 @@ TEST(Wire, NegativeOrNonFiniteFragmentTimeFailsDecode) {
   }
 }
 
-// --- TenantSession admission gates (manual pump) ---------------------------
+// --- TenantSession admission gates -----------------------------------------
 
-net::TenantOptions manual_tenant(const std::string& name, int ranks,
-                                 obs::ObsContext* ctx) {
+net::TenantOptions tenant_options(const std::string& name, int ranks,
+                                  obs::ObsContext* ctx) {
   net::TenantOptions topts;
   topts.name = name;
   topts.ranks = ranks;
   topts.server = test_server_options(ctx);
-  topts.threaded = false;  // tests drive pump_all() deterministically
   return topts;
 }
+
+// Holds the tenant's analysis worker inside its first window until
+// release(), so batches submitted meanwhile queue behind it.
+struct WorkerGate {
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> entered{false};
+
+  void install(net::TenantOptions& topts) {
+    topts.server.window_observer = [this](const core::Stg&,
+                                          const core::ClusteringResult&) {
+      entered = true;
+      opened.wait();
+    };
+  }
+  void wait_until_held() const {
+    while (!entered.load()) std::this_thread::yield();
+  }
+  void release() { gate.set_value(); }
+};
 
 TEST(TenantSession, DuplicateSeqIsDedupedNotDoubleCounted) {
   net::IngestPlane plane(net::PlaneOptions{});
   net::TenantSession* t =
-      plane.add_tenant(manual_tenant("a", /*ranks=*/2, nullptr));
+      plane.add_tenant(tenant_options("a", /*ranks=*/2, nullptr));
   const core::FragmentBatch batch = make_batch(2, 4, 0);
 
   EXPECT_EQ(t->submit(0, core::FragmentBatch(batch), 0.0),
@@ -368,7 +391,7 @@ TEST(TenantSession, DuplicateSeqIsDedupedNotDoubleCounted) {
 
 TEST(TenantSession, ReorderBufferRestoresSeqOrderBeforeApplication) {
   net::IngestPlane plane(net::PlaneOptions{});
-  net::TenantSession* t = plane.add_tenant(manual_tenant("a", 2, nullptr));
+  net::TenantSession* t = plane.add_tenant(tenant_options("a", 2, nullptr));
 
   // seq 1 and 2 arrive before seq 0: buffered, not applied.
   EXPECT_EQ(t->submit(1, make_batch(2, 3, 1), 0.0),
@@ -398,7 +421,7 @@ TEST(TenantSession, SeqBeyondReorderWindowIsRejectedAndJournaled) {
   ASSERT_TRUE(ctx.attach_journal_file(journal));
 
   net::IngestPlane plane(net::PlaneOptions{});
-  net::TenantOptions topts = manual_tenant("a", 2, &ctx);
+  net::TenantOptions topts = tenant_options("a", 2, &ctx);
   topts.reorder_window = 4;
   net::TenantSession* t = plane.add_tenant(std::move(topts));
 
@@ -425,45 +448,49 @@ TEST(TenantSession, ShedOldestEvictsJournalsAndFlipsDegraded) {
   ctx.set_clock(&vclock);
   ASSERT_TRUE(ctx.attach_journal_file(journal));
 
+  WorkerGate held;
   net::PlaneOptions popts;
   popts.obs = &ctx;
   popts.clock = &vclock;
   net::IngestPlane plane(popts);
-  net::TenantOptions topts = manual_tenant("a", 2, &ctx);
+  net::TenantOptions topts = tenant_options("a", 2, &ctx);
   topts.queue_capacity = 2;
   topts.admission = net::AdmissionPolicy::kShedOldest;
+  held.install(topts);
   net::TenantSession* t = plane.add_tenant(std::move(topts));
 
-  // Four admits into a 2-deep queue with no consumer: seqs 0 and 1 are
-  // evicted to make room for 2 and 3.
+  // Seq 0 holds the worker; 1 and 2 fill the 2-deep queue behind it, so 3
+  // and 4 each evict the oldest queued batch: 1, then 2.
   std::vector<core::FragmentBatch> batches;
-  for (std::uint64_t s = 0; s < 4; ++s) batches.push_back(make_batch(2, 3, s));
+  for (std::uint64_t s = 0; s < 5; ++s) batches.push_back(make_batch(2, 3, s));
   std::size_t shed_fragments = 0;
   std::size_t sent_fragments = 0;
-  for (std::uint64_t s = 0; s < 4; ++s) {
+  for (std::uint64_t s = 0; s < 5; ++s) {
     sent_fragments += batch_fragments(batches[s]);
     EXPECT_EQ(t->submit(s, core::FragmentBatch(batches[s]), 0.0),
               net::AckStatus::kAdmitted);
+    if (s == 0) held.wait_until_held();
   }
   EXPECT_TRUE(t->degraded());
   EXPECT_TRUE(plane.degraded());
 
-  t->sync();  // drains the two survivors
+  held.release();
+  t->sync();  // analyzes seq 0 and the two survivors
   EXPECT_FALSE(t->degraded()) << "degraded must clear once the queue drains";
   EXPECT_FALSE(plane.degraded());
   ctx.journal()->flush();
 
   const net::TenantStats stats = t->stats();
-  EXPECT_EQ(stats.admitted, 4u);
+  EXPECT_EQ(stats.admitted, 5u);
   EXPECT_EQ(stats.shed, 2u);
   EXPECT_EQ(plane.shed_total(), 2u);
-  EXPECT_EQ(t->windows_processed(), 2u);
+  EXPECT_EQ(t->windows_processed(), 3u);
 
   // Every shed batch is accounted in the journal, fragment by fragment.
   const auto sheds = journal_events(journal, "shed");
   ASSERT_EQ(sheds.size(), 2u);
-  EXPECT_EQ(sheds[0].number("batch_seq", -1), 0.0);
-  EXPECT_EQ(sheds[1].number("batch_seq", -1), 1.0);
+  EXPECT_EQ(sheds[0].number("batch_seq", -1), 1.0);
+  EXPECT_EQ(sheds[1].number("batch_seq", -1), 2.0);
   for (const obs::JournalEvent& ev : sheds) {
     EXPECT_EQ(ev.str("policy"), "oldest");
     shed_fragments +=
@@ -473,6 +500,36 @@ TEST(TenantSession, ShedOldestEvictsJournalsAndFlipsDegraded) {
 
   // The plane-level metrics saw the sheds and the degraded transition.
   EXPECT_EQ(ctx.metrics().counter("vapro.net.batches_shed")->value(), 2u);
+}
+
+TEST(TenantSession, SyncReturnsOnlyAfterDegradedClears) {
+  // sync() runs on a second thread while the worker is held after a shed;
+  // the batch that drains the backlog clears `degraded` before it wakes
+  // sync().
+  WorkerGate held;
+  net::IngestPlane plane(net::PlaneOptions{});
+  net::TenantOptions topts = tenant_options("a", 2, nullptr);
+  topts.queue_capacity = 1;
+  topts.admission = net::AdmissionPolicy::kShedOldest;
+  held.install(topts);
+  net::TenantSession* t = plane.add_tenant(std::move(topts));
+
+  EXPECT_EQ(t->submit(0, make_batch(2, 3, 0), 0.0), net::AckStatus::kAdmitted);
+  held.wait_until_held();
+  for (std::uint64_t s = 1; s < 3; ++s)
+    EXPECT_EQ(t->submit(s, make_batch(2, 3, s), 0.0),
+              net::AckStatus::kAdmitted);
+  EXPECT_TRUE(t->degraded());  // seq 1 was shed for seq 2
+
+  std::atomic<bool> degraded_at_return{true};
+  std::thread syncer([&] {
+    t->sync();
+    degraded_at_return = t->degraded();
+  });
+  held.release();
+  syncer.join();
+  EXPECT_FALSE(degraded_at_return.load());
+  EXPECT_EQ(t->windows_processed(), 2u);
 }
 
 // --- loopback end-to-end ---------------------------------------------------

@@ -1,7 +1,8 @@
 // The staged concurrent pipeline, in isolation and end-to-end:
 //   * BoundedQueue — FIFO order, backpressure blocking, close semantics;
 //   * StageExecutor — strict FIFO on one worker, drain() as the
-//     happens-before sync point, exception containment, backpressure;
+//     happens-before sync point, a handler's exception rethrown once from
+//     drain(), backpressure, try_submit/evict_oldest;
 //   * WorkerPool — exactly-once task claiming across lanes, exception
 //     containment, the per-lane completion hook;
 //   * sharded clustering & region growing — lane-count invariance,
@@ -17,9 +18,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,9 +119,9 @@ TEST(BoundedQueue, CloseUnblocksWaitingConsumer) {
 }
 
 TEST(BoundedQueue, ConsumerExceptionLeavesTheQueueUsable) {
-  // A consumer that throws mid-drain (the StageExecutor and TenantSession
-  // loops both catch per-item) must not poison the queue: the remaining
-  // backlog and the close handshake still work.
+  // A consumer that throws mid-drain (the StageExecutor worker catches
+  // per item) must not poison the queue: the remaining backlog and the
+  // close handshake still work.
   util::BoundedQueue<int> q(4);
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.push(i));
   int consumed = 0;
@@ -156,13 +160,16 @@ TEST(BoundedQueue, TryPushAndTryPopRespectCapacityAndClose) {
 
 // --- StageExecutor --------------------------------------------------------
 
+// An executor whose items are the jobs themselves.
+using JobExecutor = util::StageExecutor<std::function<void()>>;
+void run_job(std::function<void()> job) { job(); }
+
 TEST(StageExecutor, RunsJobsInFifoOrderWithDrainSync) {
-  util::StageExecutor exec(4);
   // No lock on `order`: the single worker is the only writer and drain()
   // establishes the happens-before edge for the reads below.
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i)
-    EXPECT_TRUE(exec.submit([&order, i] { order.push_back(i); }));
+  util::StageExecutor<int> exec(4, [&order](int i) { order.push_back(i); });
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(exec.submit(i));
   exec.drain();
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -171,24 +178,86 @@ TEST(StageExecutor, RunsJobsInFifoOrderWithDrainSync) {
 }
 
 TEST(StageExecutor, DrainOnIdleReturnsImmediately) {
-  util::StageExecutor exec(2);
+  util::StageExecutor<int> exec(2, [](int) {});
   exec.drain();
   EXPECT_EQ(exec.jobs_run(), 0u);
 }
 
 TEST(StageExecutor, SurvivesThrowingJobs) {
-  util::StageExecutor exec(4);
+  // The worker keeps draining past a throwing item; drain() rethrows the
+  // first exception exactly once.
   std::atomic<int> ran{0};
-  EXPECT_TRUE(exec.submit([] { throw std::runtime_error("stage boom"); }));
-  EXPECT_TRUE(exec.submit([&ran] { ++ran; }));
-  exec.drain();
+  util::StageExecutor<int> exec(4, [&ran](int i) {
+    if (i < 2) throw std::runtime_error("stage boom " + std::to_string(i));
+    ++ran;
+  });
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(exec.submit(i));
+  try {
+    exec.drain();
+    ADD_FAILURE() << "drain() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "stage boom 0");
+  }
   EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(exec.jobs_run(), 2u);
-  EXPECT_EQ(exec.jobs_failed(), 1u);
+  EXPECT_EQ(exec.jobs_run(), 3u);
+  EXPECT_NO_THROW(exec.drain());
+}
+
+TEST(StageExecutor, DrainWaitsForTheHandlersLastStatement) {
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> last_ran{false};
+  util::StageExecutor<int> exec(1, [&](int) {
+    opened.wait();
+    last_ran = true;
+  });
+  ASSERT_TRUE(exec.submit(0));
+  std::atomic<bool> drained{false};
+  std::atomic<bool> last_ran_at_drain{false};
+  std::thread syncer([&] {
+    exec.drain();
+    last_ran_at_drain = last_ran.load();
+    drained = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(drained.load());
+  gate.set_value();
+  syncer.join();
+  EXPECT_TRUE(last_ran_at_drain.load());
+}
+
+TEST(StageExecutor, TrySubmitAndEvictOldestTrackDepth) {
+  // The shed-oldest admission idiom: with the worker held on item 0 and
+  // the one-slot queue full, try_submit fails and leaves the item with
+  // the caller; evicting the queued item makes room for it.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> started{false};
+  std::vector<int> ran;
+  util::StageExecutor<int> exec(1, [&](int i) {
+    started = true;
+    opened.wait();
+    ran.push_back(i);
+  });
+  ASSERT_TRUE(exec.try_submit(0));
+  while (!started.load()) std::this_thread::yield();
+  EXPECT_TRUE(exec.try_submit(1));
+  int next = 2;
+  EXPECT_FALSE(exec.try_submit(std::move(next)));
+  EXPECT_EQ(next, 2) << "rejected item must stay owned by the caller";
+  EXPECT_EQ(exec.depth(), 2u);  // one in flight, one queued
+  EXPECT_EQ(exec.evict_oldest(), 1);
+  EXPECT_EQ(exec.depth(), 1u);
+  EXPECT_TRUE(exec.try_submit(std::move(next)));
+  gate.set_value();
+  exec.drain();
+  EXPECT_EQ(ran, (std::vector<int>{0, 2}));
+  EXPECT_EQ(exec.evict_oldest(), std::nullopt);
+  EXPECT_EQ(exec.depth(), 0u);
 }
 
 TEST(StageExecutor, BackpressureBlocksSubmitAtMaxPending) {
-  util::StageExecutor exec(1);
+  JobExecutor exec(1, run_job);
   std::atomic<bool> release{false};
   std::atomic<bool> third_submitted{false};
   // Job 1 occupies the worker until released; job 2 fills the queue.
@@ -214,7 +283,7 @@ TEST(StageExecutor, BackpressureBlocksSubmitAtMaxPending) {
 TEST(StageExecutor, DestructorRunsRemainingJobs) {
   std::atomic<int> ran{0};
   {
-    util::StageExecutor exec(8);
+    JobExecutor exec(8, run_job);
     for (int i = 0; i < 5; ++i) exec.submit([&ran] { ++ran; });
   }  // dtor closes, worker drains the backlog, then joins
   EXPECT_EQ(ran.load(), 5);
@@ -300,7 +369,7 @@ TEST(BoundedQueue, AccountsProducerBlockWhileTheQueueIsFull) {
 
 TEST(StageExecutor, AccountsIdleHandoffAndBusySeconds) {
   CountingClock clock;
-  util::StageExecutor exec(2, &clock);
+  JobExecutor exec(2, run_job, &clock);
   // The freshly started worker reads the clock once on idle-wait entry.
   clock.wait_for_reads(1);
   clock.advance(1.5);  // the worker idles across this
@@ -318,7 +387,6 @@ TEST(StageExecutor, AccountsIdleHandoffAndBusySeconds) {
   exec.drain();
 
   EXPECT_EQ(exec.jobs_run(), 2u);
-  EXPECT_EQ(exec.jobs_failed(), 0u);
   EXPECT_DOUBLE_EQ(exec.idle_seconds(), 1.5);  // before the first submit
   EXPECT_EQ(exec.idle_waits(), 1u);
   EXPECT_DOUBLE_EQ(exec.busy_seconds(), 2.5);  // job 1: 1.5→4.0; job 2: 0
@@ -331,7 +399,7 @@ TEST(StageExecutor, AccountsIdleHandoffAndBusySeconds) {
 
 TEST(StageExecutor, AccountsSubmitStallUnderBackpressure) {
   CountingClock clock;
-  util::StageExecutor exec(1, &clock);
+  JobExecutor exec(1, run_job, &clock);
   std::promise<void> gate;
   std::atomic<bool> started{false};
   ASSERT_TRUE(exec.submit([&] {  // occupies the worker
@@ -801,6 +869,34 @@ TEST(PipelinedServer, SyncExposesAllSubmittedWindows) {
   for (int w = 0; w < 5; ++w) server.process_window(server_batch(w, &sites));
   server.sync();
   EXPECT_EQ(server.windows_processed(), 5u);
+}
+
+TEST(PipelinedServer, WindowExceptionReachesTheCallerAtEveryDepth) {
+  // Depth 1 throws from process_window; deeper pipelines hand the window
+  // off and rethrow from the next sync(), once.
+  for (const int depth : {1, 2}) {
+    SCOPED_TRACE(depth);
+    core::ServerOptions opts;
+    opts.run_diagnosis = false;
+    opts.pipeline_depth = depth;
+    int observed = 0;
+    opts.window_observer = [&observed](const core::Stg&,
+                                       const core::ClusteringResult&) {
+      if (observed++ == 0) throw std::runtime_error("observer boom");
+    };
+    core::AnalysisServer server(6, opts);
+    int sites = 0;
+    if (depth == 1) {
+      EXPECT_THROW(server.process_window(server_batch(0, &sites)),
+                   std::runtime_error);
+    } else {
+      server.process_window(server_batch(0, &sites));
+      EXPECT_THROW(server.sync(), std::runtime_error);
+    }
+    EXPECT_NO_THROW(server.sync());
+    server.process_window(server_batch(1, &sites));
+    EXPECT_EQ(server.windows_processed(), 1u);
+  }
 }
 
 }  // namespace

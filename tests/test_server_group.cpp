@@ -2,7 +2,9 @@
 // leaf analysis, and root-side merging of heat maps / coverage / findings.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/apps/npb.hpp"
 #include "src/apps/solvers.hpp"
@@ -43,6 +45,40 @@ sim::SimConfig noisy_config() {
   dimm.magnitude = 3.0;
   cfg.noises.push_back(dimm);
   return cfg;
+}
+
+TEST(ServerGroup, LeafExceptionReachesTheCaller) {
+  // One leaf's window observer throws.  Serial leaves rethrow it from
+  // process_window; pipelined leaves from the next sync().
+  for (const int depth : {1, 2}) {
+    SCOPED_TRACE(depth);
+    ServerOptions opts;
+    opts.run_diagnosis = false;
+    opts.pipeline_depth = depth;
+    std::atomic<int> observed{0};
+    opts.window_observer = [&observed](const Stg&, const ClusteringResult&) {
+      if (observed.fetch_add(1) == 0) throw std::runtime_error("leaf boom");
+    };
+    ServerGroup group(4, 2, opts);
+    FragmentBatch batch;
+    for (int rank = 0; rank < 4; ++rank) {
+      Fragment f;
+      f.rank = rank;
+      f.from = 1;
+      f.to = 2;
+      f.start_time = 0.01 * rank;
+      f.end_time = f.start_time + 0.005;
+      batch.fragments.push_back(f);
+    }
+    if (depth == 1) {
+      EXPECT_THROW(group.process_window(std::move(batch)), std::runtime_error);
+    } else {
+      group.process_window(std::move(batch));
+      EXPECT_THROW(group.sync(), std::runtime_error);
+    }
+    EXPECT_NO_THROW(group.sync());
+    EXPECT_EQ(observed.load(), 2);
+  }
 }
 
 TEST(ServerGroup, ShardsProcessEveryFragment) {
