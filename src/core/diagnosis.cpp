@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "src/obs/span.hpp"
 #include "src/stats/collinearity.hpp"
 #include "src/stats/descriptive.hpp"
 #include "src/stats/ols.hpp"
@@ -286,8 +287,11 @@ void ProgressiveDiagnoser::feed(const Stg& stg,
   if (finished_) return;
   // The per-stage span nests inside the server's "diagnose" stage span, so
   // a trace shows exactly which windows ran under S1/S2/S3.
-  obs::TraceSpan span(
-      opts_.obs ? opts_.obs->trace() : nullptr,
+  obs::TraceRecorder* trace = opts_.obs ? opts_.obs->trace() : nullptr;
+  obs::SpanScope span(
+      {trace, trace ? opts_.obs->metrics().counter(
+                          "vapro.obs.spans_dropped_total")
+                    : nullptr},
       "diagnosis.S" + std::to_string(stage_), "diagnosis",
       {obs::TraceRecorder::arg("factors",
                                static_cast<std::uint64_t>(frontier_.size()))});

@@ -66,17 +66,28 @@ void Heatmap::deposit(int rank, double start, double end, double perf) {
   }
 }
 
-void Heatmap::merge(const Heatmap& other) {
+void Heatmap::merge(const Heatmap& other, int from) {
   VAPRO_CHECK(other.ranks_ == ranks_);
   VAPRO_CHECK(other.bin_seconds_ == bin_seconds_);
-  if (other.bins_ == 0) return;
+  VAPRO_CHECK(from >= 0);
+  if (other.bins_ <= from) return;
   ensure_bins(other.bins_ - 1);
-  column_stamp_[0] = ++writes_;
+  column_stamp_[static_cast<std::size_t>(from)] = ++writes_;
   for (int r = 0; r < ranks_; ++r) {
-    for (int b = 0; b < other.bins_; ++b) {
+    for (int b = from; b < other.bins_; ++b) {
       weighted_[index(r, b)] += other.weighted_[other.index(r, b)];
       weights_[index(r, b)] += other.weights_[other.index(r, b)];
     }
+  }
+}
+
+void Heatmap::clear_from(int from) {
+  VAPRO_CHECK(from >= 0);
+  if (from >= bins_) return;
+  column_stamp_[static_cast<std::size_t>(from)] = ++writes_;
+  for (int r = 0; r < ranks_; ++r) {
+    std::fill_n(weighted_.begin() + index(r, from), bins_ - from, 0.0);
+    std::fill_n(weights_.begin() + index(r, from), bins_ - from, 0.0);
   }
 }
 

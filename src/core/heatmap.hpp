@@ -27,9 +27,15 @@ class Heatmap {
   // would index outside the map).
   void deposit(int rank, double start, double end, double perf);
 
-  // Accumulates another map's cells (same ranks and bin size) — used by
-  // the multi-server aggregation root.
-  void merge(const Heatmap& other);
+  // Accumulates another map's cells (same ranks and bin size) in columns
+  // [from, other.bins()), stamping column `from` — used by the
+  // multi-server aggregation root.
+  void merge(const Heatmap& other, int from = 0);
+  // Zeroes every cell in columns [from, bins()), stamping column `from`;
+  // the map keeps its bins.  With merge(other, from) this re-merges a
+  // column suffix: each cell then receives the same adds, in the same
+  // order, as in a map built by merging from empty.
+  void clear_from(int from);
 
   int ranks() const { return ranks_; }
   int bins() const { return bins_; }
@@ -39,8 +45,9 @@ class Heatmap {
   std::size_t allocated_cells() const { return weights_.size(); }
 
   // Write stamps, so a RegionCache can find what changed since it last
-  // looked: writes() counts deposit/merge calls, and each call stamps the
-  // lowest column it writes with its writes() value.
+  // looked: writes() counts deposit/merge/clear_from calls that wrote a
+  // column, and each stamps the lowest column it writes with its writes()
+  // value.
   std::uint64_t writes() const { return writes_; }
   // Lowest column written after `writes` was current; bins() when none.
   int first_column_written_after(std::uint64_t writes) const;

@@ -5,57 +5,92 @@
 
 namespace vapro::core {
 
-DetectionHealth detection_health(const Heatmap* const maps[3],
-                                 const RegionCache* const caches[3],
-                                 const CoverageAccumulator& coverage) {
-  DetectionHealth h;
+namespace {
+constexpr FragmentKind kAllKinds[] = {FragmentKind::kComputation,
+                                      FragmentKind::kCommunication,
+                                      FragmentKind::kIo};
+}  // namespace
+
+LiveDetection::LiveDetection(int ranks, double bin_seconds, double threshold)
+    : threshold_(threshold),
+      maps_{Heatmap(ranks, bin_seconds), Heatmap(ranks, bin_seconds),
+            Heatmap(ranks, bin_seconds)},
+      caches_{RegionCache(threshold), RegionCache(threshold),
+              RegionCache(threshold)} {}
+
+const std::vector<VarianceRegion>& LiveDetection::locate(
+    FragmentKind kind, util::WorkerPool* pool) {
+  const int k = static_cast<int>(kind);
+  caches_[k].update(maps_[k], pool);
+  return caches_[k].regions();
+}
+
+void LiveDetection::publish(obs::ObsContext& obs,
+                            const CoverageAccumulator& coverage,
+                            std::int64_t window, double virtual_time,
+                            std::vector<obs::JournalField> extra,
+                            util::WorkerPool* pool) {
+  double worst_cell = 1.0;
   double worst_region_perf = 1.0;
-  for (int k = 0; k < 3; ++k) {
-    h.worst_cell = std::min(h.worst_cell, caches[k]->worst_cell());
-    h.region_count += caches[k]->regions().size();
-    for (const VarianceRegion& r : caches[k]->regions())
+  std::size_t region_count = 0, relabeled_cells = 0, heatmap_cells = 0;
+  for (FragmentKind kind : kAllKinds) {
+    const int k = static_cast<int>(kind);
+    for (const VarianceRegion& r : locate(kind, pool))
       if (r.mean_perf > 0.0)
         worst_region_perf = std::min(worst_region_perf, r.mean_perf);
-    h.relabeled_cells += caches[k]->relabeled_cells();
-    h.heatmap_cells += maps[k]->allocated_cells();
+    worst_cell = std::min(worst_cell, caches_[k].worst_cell());
+    region_count += caches_[k].regions().size();
+    relabeled_cells += caches_[k].relabeled_cells();
+    heatmap_cells += maps_[k].allocated_cells();
   }
-  h.variance_ratio = worst_region_perf > 0.0 ? 1.0 / worst_region_perf : 1.0;
+  const double variance_ratio =
+      worst_region_perf > 0.0 ? 1.0 / worst_region_perf : 1.0;
   const double observed = coverage.observed_total();
-  h.coverage = observed > 0.0 ? coverage.covered_total() / observed : 0.0;
-  return h;
-}
+  const double covered =
+      observed > 0.0 ? coverage.covered_total() / observed : 0.0;
 
-void publish_health_gauges(obs::MetricsRegistry& metrics,
-                           const DetectionHealth& health) {
-  metrics.gauge("vapro.detect.worst_cell")->set(health.worst_cell);
+  obs::MetricsRegistry& metrics = obs.metrics();
+  metrics.gauge("vapro.detect.worst_cell")->set(worst_cell);
   metrics.gauge("vapro.detect.region_count")
-      ->set(static_cast<double>(health.region_count));
-  metrics.gauge("vapro.detect.coverage")->set(health.coverage);
-  metrics.gauge("vapro.detect.variance_ratio")->set(health.variance_ratio);
+      ->set(static_cast<double>(region_count));
+  metrics.gauge("vapro.detect.coverage")->set(covered);
+  metrics.gauge("vapro.detect.variance_ratio")->set(variance_ratio);
+  // Cost gauges only, never journaled.
   metrics.gauge("vapro.detect.relabeled_cells")
-      ->set(static_cast<double>(health.relabeled_cells));
+      ->set(static_cast<double>(relabeled_cells));
   metrics.gauge("vapro.detect.heatmap_cells")
-      ->set(static_cast<double>(health.heatmap_cells));
-}
+      ->set(static_cast<double>(heatmap_cells));
 
-void journal_window_event(obs::Journal& journal, std::int64_t window,
-                          double virtual_time, const DetectionHealth& health,
-                          std::vector<obs::JournalField> extra) {
+  obs::Journal* journal = obs.journal();
+  if (!journal) return;
+  for (FragmentKind kind : kAllKinds)
+    journal_regions(*journal, kind, window, virtual_time,
+                    /*final_snapshot=*/false);
   std::vector<obs::JournalField> fields = std::move(extra);
-  fields.push_back(obs::JournalField::num("worst_cell", health.worst_cell));
+  fields.push_back(obs::JournalField::num("worst_cell", worst_cell));
   fields.push_back(obs::JournalField::num(
-      "region_count", static_cast<std::uint64_t>(health.region_count)));
-  fields.push_back(obs::JournalField::num("coverage", health.coverage));
-  fields.push_back(
-      obs::JournalField::num("variance_ratio", health.variance_ratio));
-  journal.emit("window", window, virtual_time, std::move(fields));
+      "region_count", static_cast<std::uint64_t>(region_count)));
+  fields.push_back(obs::JournalField::num("coverage", covered));
+  fields.push_back(obs::JournalField::num("variance_ratio", variance_ratio));
+  journal->emit("window", window, virtual_time, std::move(fields));
 }
 
-void RegionJournal::emit(obs::Journal& journal, FragmentKind kind,
-                         const std::vector<VarianceRegion>& regions,
-                         std::int64_t window, double virtual_time,
-                         double bin_seconds, bool final_snapshot) {
+void LiveDetection::journal_snapshot(obs::Journal& journal,
+                                     std::int64_t window, double virtual_time,
+                                     util::WorkerPool* pool) {
+  for (FragmentKind kind : kAllKinds) {
+    locate(kind, pool);
+    journal_regions(journal, kind, window, virtual_time,
+                    /*final_snapshot=*/true);
+  }
+}
+
+void LiveDetection::journal_regions(obs::Journal& journal, FragmentKind kind,
+                                    std::int64_t window, double virtual_time,
+                                    bool final_snapshot) {
   const int k = static_cast<int>(kind);
+  const std::vector<VarianceRegion>& regions = caches_[k].regions();
+  const double bin_seconds = maps_[k].bin_seconds();
   std::vector<Box> boxes;
   boxes.reserve(regions.size());
   for (const VarianceRegion& r : regions)
@@ -95,15 +130,14 @@ void RegionJournal::emit(obs::Journal& journal, FragmentKind kind,
   }
 }
 
-std::string render_heatmap_json(const Heatmap* const maps[3], int ranks,
-                                double bin_seconds) {
+std::string LiveDetection::heatmap_json() const {
   std::ostringstream oss;
-  oss << "{\"ranks\":" << ranks
-      << ",\"bin_seconds\":" << obs::json_number(bin_seconds)
+  oss << "{\"ranks\":" << maps_[0].ranks()
+      << ",\"bin_seconds\":" << obs::json_number(maps_[0].bin_seconds())
       << ",\"maps\":{";
   for (int k = 0; k < 3; ++k) {
     if (k) oss << ',';
-    const Heatmap& map = *maps[k];
+    const Heatmap& map = maps_[k];
     oss << '"' << fragment_kind_name(static_cast<FragmentKind>(k))
         << "\":{\"bins\":" << map.bins() << ",\"cells\":[";
     bool first = true;
@@ -147,16 +181,25 @@ std::string regions_json(const std::vector<VarianceRegion> regions[3],
   return oss.str();
 }
 
-std::string render_variance_json(const std::vector<VarianceRegion> regions[3],
-                                 std::size_t windows, double virtual_time,
-                                 double bin_seconds, double threshold) {
+std::string LiveDetection::variance_json(std::size_t windows,
+                                         double virtual_time,
+                                         util::WorkerPool* pool) {
+  std::vector<VarianceRegion> regions[3];
+  for (FragmentKind kind : kAllKinds)
+    regions[static_cast<int>(kind)] = locate(kind, pool);
+  const double bin_seconds = maps_[0].bin_seconds();
   std::ostringstream oss;
   oss << "{\"windows\":" << windows
       << ",\"virtual_time\":" << obs::json_number(virtual_time)
       << ",\"bin_seconds\":" << obs::json_number(bin_seconds)
-      << ",\"threshold\":" << obs::json_number(threshold)
+      << ",\"threshold\":" << obs::json_number(threshold_)
       << ",\"regions\":" << regions_json(regions, bin_seconds) << '}';
   return oss.str();
+}
+
+void remove_live_routes(obs::ObsContext& obs) {
+  if (obs::ExpositionServer* http = obs.exposition())
+    for (const char* path : kLiveRoutes) http->remove_route(path);
 }
 
 }  // namespace vapro::core

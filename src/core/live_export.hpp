@@ -1,79 +1,116 @@
-// Live detection surfaces shared by AnalysisServer and ServerGroup:
+// Live detection: the one publish path of a detecting server.
 //
-//  - DetectionHealth: the per-window health summary (worst normalized
-//    cell, region count, fixed-workload coverage, worst-region slowdown
-//    ratio) behind the vapro.detect.* gauges, the "window" journal event,
-//    and the alert engine's window metrics;
-//  - RegionJournal: revision-deduped variance_region/variance_clear
-//    journal emission, so a region set is re-journaled only when its
-//    bounding boxes change between windows;
-//  - JSON renderers for the /v1/heatmap and /v1/variance HTTP routes, and
-//    the region-list writer they share with report_json.
+// A LiveDetection owns the three per-category heat maps (indexed by
+// FragmentKind) and one RegionCache per map, and publishes what they
+// show:
 //
-// A single server publishes from its own maps; a ServerGroup publishes the
-// merged root view (its leaves are constructed with live_detection=false).
+//  - per window, the vapro.detect.* gauges (worst normalized cell,
+//    region count, fixed-workload coverage, worst-region slowdown ratio,
+//    and the relabeled/allocated cell cost gauges), the revision-deduped
+//    variance_region/variance_clear journal events (a category is
+//    re-journaled only when its bounding boxes change), and the "window"
+//    event whose health fields double as alert-rule metric names
+//    (alerts.hpp);
+//  - a final full-precision region snapshot for vapro_replay;
+//  - the JSON bodies of /v1/heatmap and /v1/variance.
+//
+// An AnalysisServer deposits each window into its own LiveDetection's
+// maps.  A ServerGroup root keeps a persistent one whose maps it re-merges
+// from the leaves' maps, only from the lowest column any leaf wrote since
+// the last refresh, so its caches re-label only that suffix too.  Both
+// owners serve the same four /v1 routes through add_live_routes.
+//
+// Not thread-safe: owners serialize window processing and /v1 scrapes.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/core/detection.hpp"
 #include "src/core/heatmap.hpp"
-#include "src/obs/journal.hpp"
-#include "src/obs/metrics.hpp"
+#include "src/obs/context.hpp"
 
 namespace vapro::core {
 
-// All 3-arrays below are indexed by FragmentKind.
-
-struct DetectionHealth {
-  double worst_cell = 1.0;      // lowest normalized perf of any data cell
-  std::size_t region_count = 0; // variance regions across all categories
-  double coverage = 0.0;        // covered / observed fragment time
-  double variance_ratio = 1.0;  // 1 / worst region mean_perf
-  // Cost gauges only, never journaled: how many cells the caches'
-  // last updates re-labeled, and how many cells the maps hold.
-  std::size_t relabeled_cells = 0;
-  std::size_t heatmap_cells = 0;
-};
-
-// Health of the maps as of their caches' last update.
-DetectionHealth detection_health(const Heatmap* const maps[3],
-                                 const RegionCache* const caches[3],
-                                 const CoverageAccumulator& coverage);
-
-// Sets the vapro.detect.* gauges from a health summary.
-void publish_health_gauges(obs::MetricsRegistry& metrics,
-                           const DetectionHealth& health);
-
-// Emits the per-window "window" journal event: the health fields (whose
-// keys double as alert-rule metric names — alerts.hpp) plus any
-// caller-specific extras (fragment counts, diagnosis stage, ...).
-void journal_window_event(obs::Journal& journal, std::int64_t window,
-                          double virtual_time, const DetectionHealth& health,
-                          std::vector<obs::JournalField> extra);
-
-// Revision-deduped variance-region journal emission state; one instance
-// per publishing server (single server or group root).
-class RegionJournal {
+class LiveDetection {
  public:
-  // Journals `kind`'s region list if its bounding-box set changed since
-  // the last call (always for a final snapshot), bumping the category's
-  // revision: one `variance_region` event per region, or one
-  // `variance_clear` when a previously journaled set became empty.
-  void emit(obs::Journal& journal, FragmentKind kind,
-            const std::vector<VarianceRegion>& regions, std::int64_t window,
-            double virtual_time, double bin_seconds, bool final_snapshot);
+  LiveDetection(int ranks, double bin_seconds, double threshold);
+
+  Heatmap& map(FragmentKind kind) { return maps_[static_cast<int>(kind)]; }
+  const Heatmap& map(FragmentKind kind) const {
+    return maps_[static_cast<int>(kind)];
+  }
+
+  // Brings `kind`'s region cache up to date with its map and returns the
+  // regions, in find_variance_regions order; `pool` shards the re-label.
+  const std::vector<VarianceRegion>& locate(FragmentKind kind,
+                                            util::WorkerPool* pool = nullptr);
+
+  // One window's publish: gauges from the updated caches and `coverage`,
+  // then, with a journal, the changed region sets and the "window" event
+  // (`extra` first, then the health fields).
+  void publish(obs::ObsContext& obs, const CoverageAccumulator& coverage,
+               std::int64_t window, double virtual_time,
+               std::vector<obs::JournalField> extra,
+               util::WorkerPool* pool = nullptr);
+
+  // Final full-precision snapshot (final=true) of every category that
+  // ever held a region, so replay needs no event history.
+  void journal_snapshot(obs::Journal& journal, std::int64_t window,
+                        double virtual_time, util::WorkerPool* pool = nullptr);
+
+  // JSON bodies for the /v1 routes.  Numbers go through obs::json_number,
+  // like the journal.
+  std::string heatmap_json() const;
+  std::string variance_json(std::size_t windows, double virtual_time,
+                            util::WorkerPool* pool = nullptr);
 
  private:
+  // Journals `kind`'s regions if their bounding-box set changed since the
+  // last call (always for a final snapshot), bumping its revision.
+  void journal_regions(obs::Journal& journal, FragmentKind kind,
+                       std::int64_t window, double virtual_time,
+                       bool final_snapshot);
+
   struct Box {
     int rank_lo, rank_hi, bin_lo, bin_hi;
     bool operator==(const Box&) const = default;
   };
+  double threshold_;
+  Heatmap maps_[3];
+  RegionCache caches_[3];
   std::uint64_t revision_[3] = {0, 0, 0};
   std::vector<Box> boxes_[3];
 };
+
+// The /v1 routes a live-detection owner serves, in the order of the
+// render methods add_live_routes binds to them.
+inline constexpr const char* kLiveRoutes[] = {
+    "/v1/heatmap", "/v1/variance", "/v1/latency", "/v1/critical_path"};
+
+// Registers kLiveRoutes on `obs`'s exposition server, each answered by the
+// owner's render_*_json, and returns whether it did (false without a
+// server).  The owner calls remove_live_routes before it is destroyed.
+template <class Owner>
+bool add_live_routes(obs::ObsContext& obs, const Owner& owner) {
+  obs::ExpositionServer* http = obs.exposition();
+  if (!http) return false;
+  using Render = std::string (Owner::*)() const;
+  const Render renders[] = {
+      &Owner::render_heatmap_json, &Owner::render_variance_json,
+      &Owner::render_latency_json, &Owner::render_critical_path_json};
+  for (std::size_t i = 0; i < std::size(renders); ++i)
+    http->add_route(kLiveRoutes[i], [&owner, render = renders[i]] {
+      obs::HttpResponse r;
+      r.content_type = "application/json";
+      r.body = (owner.*render)();
+      return r;
+    });
+  return true;
+}
+void remove_live_routes(obs::ObsContext& obs);
 
 // The one JSON writer of region lists: {"computation":[...],
 // "communication":[...],"io":[...]}, each region as "rank_lo"/"rank_hi"/
@@ -82,13 +119,5 @@ class RegionJournal {
 // shape with the same digits.
 std::string regions_json(const std::vector<VarianceRegion> regions[3],
                          double bin_seconds);
-
-// JSON bodies for the /v1 routes.  Numbers go through obs::json_number,
-// like the journal.
-std::string render_heatmap_json(const Heatmap* const maps[3], int ranks,
-                                double bin_seconds);
-std::string render_variance_json(const std::vector<VarianceRegion> regions[3],
-                                 std::size_t windows, double virtual_time,
-                                 double bin_seconds, double threshold);
 
 }  // namespace vapro::core

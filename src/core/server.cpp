@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "src/obs/exposition.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/span.hpp"
 #include "src/testing/fault.hpp"
@@ -16,9 +15,6 @@ namespace vapro::core {
 
 namespace {
 
-constexpr FragmentKind kAllKinds[] = {FragmentKind::kComputation,
-                                      FragmentKind::kCommunication,
-                                      FragmentKind::kIo};
 // Lap timer splitting analyze_window into the PipelineStats stages: each
 // lap charges the time since the previous one to a stage slot, so every
 // statement of the window body is charged to exactly one stage and the
@@ -71,16 +67,10 @@ DiagnosisOptions with_obs(DiagnosisOptions diag, obs::ObsContext* obs) {
 
 AnalysisServer::AnalysisServer(int ranks, ServerOptions opts)
     : opts_(opts),
-      ranks_(ranks),
       stg_(opts.stg_mode),
       baseline_(opts.cluster.threshold),
-      comp_map_(ranks, opts.bin_seconds),
-      comm_map_(ranks, opts.bin_seconds),
-      io_map_(ranks, opts.bin_seconds),
-      diagnoser_(opts.machine, with_obs(opts.diagnosis, opts.obs)),
-      region_caches_{RegionCache(opts.variance_threshold),
-                     RegionCache(opts.variance_threshold),
-                     RegionCache(opts.variance_threshold)} {
+      live_(ranks, opts.bin_seconds, opts.variance_threshold),
+      diagnoser_(opts.machine, with_obs(opts.diagnosis, opts.obs)) {
   VAPRO_CHECK(ranks > 0);
   VAPRO_CHECK(opts_.pipeline_depth >= 1);
   VAPRO_CHECK(opts_.analysis_threads >= 1);
@@ -99,7 +89,12 @@ AnalysisServer::AnalysisServer(int ranks, ServerOptions opts)
                          w.submit_seconds, w.flow_id);
         },
         opts_.clock);
-  if (opts_.obs && opts_.live_detection) attach_live_routes();
+  // The exposition server must already be started (CLIs call
+  // start_exposition before constructing the session); handlers run on
+  // the serve thread and synchronize with process_window via live_mu_
+  // inside the render methods.
+  if (opts_.obs && opts_.live_detection)
+    live_routes_ = add_live_routes(*opts_.obs, *this);
 }
 
 AnalysisServer::~AnalysisServer() {
@@ -109,50 +104,13 @@ AnalysisServer::~AnalysisServer() {
   // through it.
   pipeline_.reset();
   workers_.reset();
-  if (!opts_.obs || live_routes_.empty()) return;
-  if (obs::ExpositionServer* http = opts_.obs->exposition())
-    for (const std::string& path : live_routes_) http->remove_route(path);
+  if (live_routes_) remove_live_routes(*opts_.obs);
 }
 
 void AnalysisServer::sync() const {
   if (!pipeline_) return;
   pipeline_->drain();
   publish_pipeline_gauges();
-}
-
-void AnalysisServer::attach_live_routes() {
-  // The exposition server must already be started (CLIs call
-  // start_exposition before constructing the session); handlers run on the
-  // serve thread and synchronize with process_window via live_mu_ inside
-  // the render methods.
-  obs::ExpositionServer* http = opts_.obs->exposition();
-  if (!http) return;
-  http->add_route("/v1/heatmap", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_heatmap_json();
-    return r;
-  });
-  http->add_route("/v1/variance", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_variance_json();
-    return r;
-  });
-  http->add_route("/v1/latency", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_latency_json();
-    return r;
-  });
-  http->add_route("/v1/critical_path", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_critical_path_json();
-    return r;
-  });
-  live_routes_ = {"/v1/heatmap", "/v1/variance", "/v1/latency",
-                  "/v1/critical_path"};
 }
 
 void AnalysisServer::refocus_diagnosis(std::optional<FocusRegion> focus) {
@@ -356,7 +314,6 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
       "clusters", static_cast<std::uint64_t>(clusters.clusters.size())));
   cluster_span.add_arg(obs::TraceRecorder::arg(
       "shards", static_cast<std::uint64_t>(stats.cluster_shards)));
-  rare_clusters_ += clusters.rare_count();
 
   // Algorithm 1 line 8: surface rare-but-expensive execution paths
   // (carry-ins were reported by the previous window already).
@@ -439,7 +396,9 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   {
     obs::SpanScope deposit_span({trace, spans_dropped},
                                 "stage.deposit", "server");
-    deposit_fragments(normalized, comp_map_, comm_map_, io_map_);
+    deposit_fragments(normalized, live_.map(FragmentKind::kComputation),
+                      live_.map(FragmentKind::kCommunication),
+                      live_.map(FragmentKind::kIo));
     coverage_.add(stg_, clusters, live_begin);
     clock.lap(obs::Stage::kDeposit);
   }
@@ -466,7 +425,21 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
       // the final journal_detection_snapshot still recovers every region.
       ++publish_faults_;
     else
-      publish_detection(stats, pool);
+      live_.publish(
+          *obs, coverage_, static_cast<std::int64_t>(stats.window),
+          stats.virtual_time,
+          {obs::JournalField::num("fragments", static_cast<std::uint64_t>(
+                                                   stats.fragments_drained)),
+           obs::JournalField::num("carry_ins",
+                                  static_cast<std::uint64_t>(stats.carry_ins)),
+           obs::JournalField::num("clusters", static_cast<std::uint64_t>(
+                                                  stats.clusters_formed)),
+           obs::JournalField::num("rare_clusters", static_cast<std::uint64_t>(
+                                                       stats.rare_clusters)),
+           obs::JournalField::num(
+               "diagnosis_stage",
+               static_cast<std::int64_t>(stats.diagnosis_stage))},
+          pool);
   }
   clock.lap(obs::Stage::kPublish);
 
@@ -501,39 +474,6 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   }
 }
 
-void AnalysisServer::publish_detection(const obs::PipelineStats& stats,
-                                       util::WorkerPool* pool) {
-  obs::ObsContext* obs = opts_.obs;
-  const Heatmap* maps[3] = {&comp_map_, &comm_map_, &io_map_};
-  const RegionCache* caches[3];
-  for (FragmentKind kind : kAllKinds)
-    caches[static_cast<int>(kind)] = &locate_locked(kind, pool);
-  const DetectionHealth health = detection_health(maps, caches, coverage_);
-  publish_health_gauges(obs->metrics(), health);
-
-  obs::Journal* journal = obs->journal();
-  if (!journal) return;
-  const std::int64_t window = static_cast<std::int64_t>(stats.window);
-  for (FragmentKind kind : kAllKinds)
-    region_journal_.emit(*journal, kind,
-                         caches[static_cast<int>(kind)]->regions(), window,
-                         stats.virtual_time, opts_.bin_seconds,
-                         /*final_snapshot=*/false);
-  journal_window_event(
-      *journal, window, stats.virtual_time, health,
-      {obs::JournalField::num(
-           "fragments", static_cast<std::uint64_t>(stats.fragments_drained)),
-       obs::JournalField::num("carry_ins",
-                              static_cast<std::uint64_t>(stats.carry_ins)),
-       obs::JournalField::num(
-           "clusters", static_cast<std::uint64_t>(stats.clusters_formed)),
-       obs::JournalField::num(
-           "rare_clusters", static_cast<std::uint64_t>(stats.rare_clusters)),
-       obs::JournalField::num(
-           "diagnosis_stage",
-           static_cast<std::int64_t>(stats.diagnosis_stage))});
-}
-
 void AnalysisServer::journal_detection_snapshot() const {
   obs::Journal* journal = opts_.obs ? opts_.obs->journal() : nullptr;
   if (!journal) return;
@@ -541,11 +481,7 @@ void AnalysisServer::journal_detection_snapshot() const {
   std::lock_guard<std::mutex> lock(live_mu_);
   const std::int64_t window =
       windows_ ? static_cast<std::int64_t>(windows_) - 1 : -1;
-  for (FragmentKind kind : kAllKinds)
-    region_journal_.emit(*journal, kind,
-                         locate_locked(kind, workers_.get()).regions(), window,
-                         last_virtual_time_, opts_.bin_seconds,
-                         /*final_snapshot=*/true);
+  live_.journal_snapshot(*journal, window, last_virtual_time_, workers_.get());
   // Terminal critical-path verdict: one event carrying the per-stage
   // totals, so the replay can cross-check its fold of the per-window
   // window_latency events.  Measurement events follow the same
@@ -568,35 +504,20 @@ std::string AnalysisServer::render_critical_path_json() const {
 
 std::string AnalysisServer::render_heatmap_json() const {
   std::lock_guard<std::mutex> lock(live_mu_);
-  const Heatmap* maps[3] = {&comp_map_, &comm_map_, &io_map_};
-  return core::render_heatmap_json(maps, ranks_, opts_.bin_seconds);
+  return live_.heatmap_json();
 }
 
 std::string AnalysisServer::render_variance_json() const {
   std::lock_guard<std::mutex> lock(live_mu_);
-  std::vector<VarianceRegion> regions[3];
-  for (FragmentKind kind : kAllKinds)
-    regions[static_cast<int>(kind)] =
-        locate_locked(kind, workers_.get()).regions();
-  return core::render_variance_json(regions, windows_, last_virtual_time_,
-                                    opts_.bin_seconds,
-                                    opts_.variance_threshold);
+  return live_.variance_json(windows_, last_virtual_time_, workers_.get());
 }
 
 std::vector<VarianceRegion> AnalysisServer::locate(FragmentKind kind) const {
   // Sync so the regions reflect every admitted window, then lock so a
-  // concurrent scrape or (in a group) sibling publish sees whole windows.
+  // concurrent scrape sees whole windows.
   sync();
   std::lock_guard<std::mutex> lock(live_mu_);
-  return locate_locked(kind, workers_.get()).regions();
-}
-
-const RegionCache& AnalysisServer::locate_locked(FragmentKind kind,
-                                                 util::WorkerPool* pool) const {
-  const Heatmap* maps[3] = {&comp_map_, &comm_map_, &io_map_};
-  const int k = static_cast<int>(kind);
-  region_caches_[k].update(*maps[k], pool);
-  return region_caches_[k];
+  return live_.locate(kind, workers_.get());
 }
 
 stats::VMeasure AnalysisServer::clustering_quality() const {

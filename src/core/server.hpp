@@ -153,9 +153,18 @@ class AnalysisServer {
   void refocus_diagnosis(std::optional<FocusRegion> focus);
 
   // --- detection outputs ---
-  const Heatmap& computation_map() const { sync(); return comp_map_; }
-  const Heatmap& communication_map() const { sync(); return comm_map_; }
-  const Heatmap& io_map() const { sync(); return io_map_; }
+  const Heatmap& computation_map() const {
+    sync();
+    return live_.map(FragmentKind::kComputation);
+  }
+  const Heatmap& communication_map() const {
+    sync();
+    return live_.map(FragmentKind::kCommunication);
+  }
+  const Heatmap& io_map() const {
+    sync();
+    return live_.map(FragmentKind::kIo);
+  }
   std::vector<VarianceRegion> locate(FragmentKind kind) const;
 
   // --- diagnosis outputs ---
@@ -173,7 +182,6 @@ class AnalysisServer {
   const CoverageAccumulator& coverage() const { sync(); return coverage_; }
   std::size_t windows_processed() const { sync(); return windows_; }
   std::size_t fragments_processed() const { sync(); return fragments_; }
-  std::size_t rare_clusters_reported() const { sync(); return rare_clusters_; }
   // Windows whose live detection publish was lost to an injected
   // "server.window" fault; journal_detection_snapshot still recovers the
   // final regions.
@@ -224,7 +232,6 @@ class AnalysisServer {
   std::string render_critical_path_json() const;
 
  private:
-  void attach_live_routes();
   // The full analysis body (STG growth → clustering → normalization →
   // deposit → diagnosis) for one window.  Runs on the caller at
   // pipeline_depth 1, on the single pipeline worker otherwise.
@@ -235,30 +242,19 @@ class AnalysisServer {
   void analyze_window(FragmentBatch batch, double drain_seconds,
                       std::optional<double> submit_seconds,
                       std::uint64_t flow_id);
-  // Detection-health gauges + window/region journal events for one window;
-  // `pool` shards the region growing (null = serial, e.g. a degraded
-  // window).
-  void publish_detection(const obs::PipelineStats& stats,
-                         util::WorkerPool* pool);
-  // Brings `kind`'s region cache up to date with its map, for callers
-  // already holding live_mu_ (live_mu_ also serializes pool use, honoring
-  // the pool's single-coordinator contract).
-  const RegionCache& locate_locked(FragmentKind kind,
-                                   util::WorkerPool* pool) const;
   // vapro.pipeline.* gauges (queue depth, stall time, occupancy).
   void publish_pipeline_gauges() const;
   ServerOptions opts_;
-  int ranks_;
   Stg stg_;
   ClusterBaseline baseline_;
-  Heatmap comp_map_;
-  Heatmap comm_map_;
-  Heatmap io_map_;
+  // Heat maps, region caches and the live publish, guarded by live_mu_
+  // (which also serializes the shard pool's use for region growing,
+  // honoring its single-coordinator contract).
+  mutable LiveDetection live_;
   CoverageAccumulator coverage_;
   ProgressiveDiagnoser diagnoser_;
   std::size_t windows_ = 0;
   std::size_t fragments_ = 0;
-  std::size_t rare_clusters_ = 0;
   std::size_t publish_faults_ = 0;
   std::size_t handoff_faults_ = 0;
   std::size_t shard_faults_ = 0;
@@ -290,12 +286,8 @@ class AnalysisServer {
   // Serializes process_window against concurrent /v1 scrapes; route
   // handlers and journal_detection_snapshot take it too.
   mutable std::mutex live_mu_;
-  // Per-map variance regions, indexed by FragmentKind and guarded by
-  // live_mu_: each window re-labels only the columns it can have changed.
-  mutable RegionCache region_caches_[3];
-  std::vector<std::string> live_routes_;
+  bool live_routes_ = false;  // /v1 routes registered (add_live_routes)
   double last_virtual_time_ = 0.0;
-  mutable RegionJournal region_journal_;
 };
 
 }  // namespace vapro::core

@@ -4,7 +4,7 @@
 #include <exception>
 #include <sstream>
 
-#include "src/obs/exposition.hpp"
+#include "src/obs/span.hpp"
 #include "src/testing/fault.hpp"
 #include "src/util/check.hpp"
 
@@ -14,15 +14,25 @@ namespace {
 constexpr FragmentKind kAllKinds[] = {FragmentKind::kComputation,
                                       FragmentKind::kCommunication,
                                       FragmentKind::kIo};
+
+const Heatmap& leaf_map(const AnalysisServer& leaf, FragmentKind kind) {
+  switch (kind) {
+    case FragmentKind::kCommunication:
+      return leaf.communication_map();
+    case FragmentKind::kIo:
+      return leaf.io_map();
+    default:
+      return leaf.computation_map();
+  }
+}
 }  // namespace
 
 ServerGroup::ServerGroup(int ranks, int servers, ServerOptions opts)
-    : ranks_(ranks),
-      variance_threshold_(opts.variance_threshold),
-      bin_seconds_(opts.bin_seconds),
-      obs_(opts.obs),
+    : obs_(opts.obs),
       live_detection_(opts.live_detection),
-      fan_out_(static_cast<std::size_t>(std::max(servers, 1)), opts.clock) {
+      fan_out_(static_cast<std::size_t>(std::max(servers, 1)), opts.clock),
+      live_(ranks, opts.bin_seconds, opts.variance_threshold),
+      leaf_writes_(static_cast<std::size_t>(std::max(servers, 1))) {
   VAPRO_CHECK(servers >= 1 && ranks >= 1);
   // Each leaf runs its own analysis; intra-leaf threading stays at 1 since
   // the leaves themselves run concurrently.  pipeline_depth passes through:
@@ -34,49 +44,21 @@ ServerGroup::ServerGroup(int ranks, int servers, ServerOptions opts)
   leaves_.reserve(static_cast<std::size_t>(servers));
   for (int s = 0; s < servers; ++s)
     leaves_.push_back(std::make_unique<AnalysisServer>(ranks, opts));
-  if (obs_ && live_detection_) attach_live_routes();
+  if (obs_ && live_detection_) live_routes_ = add_live_routes(*obs_, *this);
 }
 
 ServerGroup::~ServerGroup() {
-  if (!obs_ || live_routes_.empty()) return;
-  if (obs::ExpositionServer* http = obs_->exposition())
-    for (const std::string& path : live_routes_) http->remove_route(path);
-}
-
-void ServerGroup::attach_live_routes() {
-  obs::ExpositionServer* http = obs_->exposition();
-  if (!http) return;
-  http->add_route("/v1/heatmap", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_heatmap_json();
-    return r;
-  });
-  http->add_route("/v1/variance", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_variance_json();
-    return r;
-  });
-  http->add_route("/v1/latency", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_latency_json();
-    return r;
-  });
-  http->add_route("/v1/critical_path", [this] {
-    obs::HttpResponse r;
-    r.content_type = "application/json";
-    r.body = render_critical_path_json();
-    return r;
-  });
-  live_routes_ = {"/v1/heatmap", "/v1/variance", "/v1/latency",
-                  "/v1/critical_path"};
+  if (live_routes_) remove_live_routes(*obs_);
 }
 
 void ServerGroup::process_window(FragmentBatch batch) {
   obs::TraceRecorder* trace = obs_ ? obs_->trace() : nullptr;
-  obs::ToolTimeScope tool_time(obs_ ? &obs_->overhead() : nullptr);
+  obs::Counter* spans_dropped =
+      trace ? obs_->metrics().counter("vapro.obs.spans_dropped_total")
+            : nullptr;
+  // The leaves charge their own analysis; the group charges only its
+  // demux and publish, so no tool time is counted twice.
+  obs::OverheadAccountant* overhead = obs_ ? &obs_->overhead() : nullptr;
   // Held across the leaf tasks so /v1 scrapes see whole windows.
   std::lock_guard<std::mutex> live_lock(live_mu_);
   const std::uint64_t t0 = trace ? trace->now_ns() : 0;
@@ -84,20 +66,23 @@ void ServerGroup::process_window(FragmentBatch batch) {
 
   const int n = servers();
   std::vector<FragmentBatch> shards(static_cast<std::size_t>(n));
-  // State announcements go to every leaf (cheap, idempotent).
-  for (auto& shard : shards) shard.new_states = batch.new_states;
-  // Demux by rank with two contiguous column scans (window end, then
-  // shard routing); each shard's columns receive a materialized copy of
-  // the fragment — the shard batch then moves into its leaf's pipeline by
-  // arena swap.
   double window_end = 0.0;
-  const double* ends = batch.fragments.end_data();
-  for (std::size_t i = 0; i < total_fragments; ++i)
-    window_end = std::max(window_end, ends[i]);
-  const sim::RankId* ranks = batch.fragments.rank_data();
-  for (std::size_t i = 0; i < total_fragments; ++i)
-    shards[static_cast<std::size_t>(ranks[i] % n)].fragments.push_back(
-        batch.fragments.materialize(i));
+  {
+    obs::ToolTimeScope demux_time(overhead);
+    // State announcements go to every leaf (cheap, idempotent).
+    for (auto& shard : shards) shard.new_states = batch.new_states;
+    // Demux by rank with two contiguous column scans (window end, then
+    // shard routing); each shard's columns receive a materialized copy of
+    // the fragment — the shard batch then moves into its leaf's pipeline
+    // by arena swap.
+    const double* ends = batch.fragments.end_data();
+    for (std::size_t i = 0; i < total_fragments; ++i)
+      window_end = std::max(window_end, ends[i]);
+    const sim::RankId* ranks = batch.fragments.rank_data();
+    for (std::size_t i = 0; i < total_fragments; ++i)
+      shards[static_cast<std::size_t>(ranks[i] % n)].fragments.push_back(
+          batch.fragments.materialize(i));
+  }
   // One task per leaf: a serial leaf analyzes its shard on the lane, a
   // pipelined one only hands it to its own worker.  A leaf's exception is
   // kept in its slot and the first one rethrown once every leaf is done.
@@ -105,7 +90,8 @@ void ServerGroup::process_window(FragmentBatch batch) {
   fan_out_.run(shards.size(), [&](std::size_t s, std::size_t) {
     // Each leaf's own "analysis.window" span lands on this lane's trace
     // track; the extra span names the shard it belongs to.
-    obs::TraceSpan leaf_span(trace, "group.leaf", "server_group",
+    obs::SpanScope leaf_span({trace, spans_dropped}, "group.leaf",
+                             "server_group",
                              {obs::TraceRecorder::arg(
                                  "shard", static_cast<std::uint64_t>(s))});
     try {
@@ -117,6 +103,7 @@ void ServerGroup::process_window(FragmentBatch batch) {
   for (const std::exception_ptr& error : errors)
     if (error) std::rethrow_exception(error);
 
+  obs::ToolTimeScope publish_time(overhead);
   last_virtual_time_ = std::max(last_virtual_time_, window_end);
   if (obs_) {
     obs_->metrics().counter("vapro.group.windows_total")->inc();
@@ -124,13 +111,19 @@ void ServerGroup::process_window(FragmentBatch batch) {
         .counter("vapro.group.fragments_total")
         ->inc(total_fragments);
     if (live_detection_) {
-      if (VAPRO_FAULT("group.merge") == testing::FaultAction::kFail)
+      if (VAPRO_FAULT("group.merge") == testing::FaultAction::kFail) {
         // Merged publish lost for this window; leaves are unaffected and
         // the final snapshot still recovers the merged regions.
         ++merge_faults_;
-      else
-        publish_detection(static_cast<std::int64_t>(windows_),
-                          last_virtual_time_, total_fragments);
+      } else {
+        refresh_locked();
+        live_.publish(
+            *obs_, merged_coverage(), static_cast<std::int64_t>(windows_),
+            last_virtual_time_,
+            {obs::JournalField::num("fragments", total_fragments),
+             obs::JournalField::num(
+                 "leaves", static_cast<std::uint64_t>(leaves_.size()))});
+      }
     }
     if (trace)
       trace->complete(
@@ -145,69 +138,49 @@ void ServerGroup::sync() const {
   for (const auto& leaf : leaves_) leaf->sync();
 }
 
-void ServerGroup::publish_detection(std::int64_t window, double virtual_time,
-                                    std::uint64_t fragments) {
-  Heatmap comp = merged_map(FragmentKind::kComputation);
-  Heatmap comm = merged_map(FragmentKind::kCommunication);
-  Heatmap io = merged_map(FragmentKind::kIo);
-  const Heatmap* maps[3] = {&comp, &comm, &io};
-  // The merged maps are rebuilt every window, so their caches are too:
-  // each update is a from-scratch pass.
-  RegionCache caches[3] = {RegionCache(variance_threshold_),
-                           RegionCache(variance_threshold_),
-                           RegionCache(variance_threshold_)};
-  const RegionCache* updated[3];
-  for (int k = 0; k < 3; ++k) {
-    caches[k].update(*maps[k]);
-    updated[k] = &caches[k];
+void ServerGroup::refresh_locked() const {
+  // Sync every leaf before touching root state, so a pipelined leaf's
+  // rethrown exception leaves the root as it was.
+  sync();
+  for (FragmentKind kind : kAllKinds) {
+    const int k = static_cast<int>(kind);
+    int from = -1;
+    for (std::size_t i = 0; i < leaves_.size(); ++i) {
+      const Heatmap& map = leaf_map(*leaves_[i], kind);
+      std::uint64_t& seen = leaf_writes_[i][static_cast<std::size_t>(k)];
+      if (map.writes() == seen) continue;
+      const int lowest = map.first_column_written_after(seen);
+      from = from < 0 ? lowest : std::min(from, lowest);
+      seen = map.writes();
+    }
+    if (from < 0) continue;
+    Heatmap& root = live_.map(kind);
+    root.clear_from(from);
+    for (const auto& leaf : leaves_) root.merge(leaf_map(*leaf, kind), from);
   }
-  const CoverageAccumulator cov = merged_coverage();
-  const DetectionHealth health = detection_health(maps, updated, cov);
-  publish_health_gauges(obs_->metrics(), health);
-
-  obs::Journal* journal = obs_->journal();
-  if (!journal) return;
-  for (FragmentKind kind : kAllKinds)
-    region_journal_.emit(*journal, kind,
-                         caches[static_cast<int>(kind)].regions(), window,
-                         virtual_time, bin_seconds_,
-                         /*final_snapshot=*/false);
-  journal_window_event(
-      *journal, window, virtual_time, health,
-      {obs::JournalField::num("fragments", fragments),
-       obs::JournalField::num("leaves",
-                              static_cast<std::uint64_t>(leaves_.size()))});
 }
 
 void ServerGroup::journal_detection_snapshot() const {
   obs::Journal* journal = obs_ ? obs_->journal() : nullptr;
   if (!journal) return;
   std::lock_guard<std::mutex> lock(live_mu_);
+  refresh_locked();
   const std::int64_t window =
       windows_ ? static_cast<std::int64_t>(windows_) - 1 : -1;
-  for (FragmentKind kind : kAllKinds)
-    region_journal_.emit(*journal, kind, locate(kind), window,
-                         last_virtual_time_, bin_seconds_,
-                         /*final_snapshot=*/true);
+  live_.journal_snapshot(*journal, window, last_virtual_time_);
   journal->flush();
 }
 
 std::string ServerGroup::render_heatmap_json() const {
   std::lock_guard<std::mutex> lock(live_mu_);
-  Heatmap comp = merged_map(FragmentKind::kComputation);
-  Heatmap comm = merged_map(FragmentKind::kCommunication);
-  Heatmap io = merged_map(FragmentKind::kIo);
-  const Heatmap* maps[3] = {&comp, &comm, &io};
-  return core::render_heatmap_json(maps, ranks_, bin_seconds_);
+  refresh_locked();
+  return live_.heatmap_json();
 }
 
 std::string ServerGroup::render_variance_json() const {
   std::lock_guard<std::mutex> lock(live_mu_);
-  std::vector<VarianceRegion> regions[3];
-  for (FragmentKind kind : kAllKinds)
-    regions[static_cast<int>(kind)] = locate(kind);
-  return core::render_variance_json(regions, windows_, last_virtual_time_,
-                                    bin_seconds_, variance_threshold_);
+  refresh_locked();
+  return live_.variance_json(windows_, last_virtual_time_);
 }
 
 std::string ServerGroup::render_latency_json() const {
@@ -237,25 +210,15 @@ std::string ServerGroup::render_critical_path_json() const {
 }
 
 Heatmap ServerGroup::merged_map(FragmentKind kind) const {
-  Heatmap merged(ranks_, bin_seconds_);
-  for (const auto& leaf : leaves_) {
-    switch (kind) {
-      case FragmentKind::kComputation:
-        merged.merge(leaf->computation_map());
-        break;
-      case FragmentKind::kCommunication:
-        merged.merge(leaf->communication_map());
-        break;
-      case FragmentKind::kIo:
-        merged.merge(leaf->io_map());
-        break;
-    }
-  }
-  return merged;
+  std::lock_guard<std::mutex> lock(live_mu_);
+  refresh_locked();
+  return live_.map(kind);
 }
 
 std::vector<VarianceRegion> ServerGroup::locate(FragmentKind kind) const {
-  return find_variance_regions(merged_map(kind), variance_threshold_);
+  std::lock_guard<std::mutex> lock(live_mu_);
+  refresh_locked();
+  return live_.locate(kind);
 }
 
 CoverageAccumulator ServerGroup::merged_coverage() const {

@@ -10,12 +10,21 @@
 // culprits.  Each window fans the shards out over a persistent WorkerPool
 // with one lane per leaf.
 //
+// The root's merged maps persist.  Before any read (publish, snapshot,
+// /v1 scrape, locate, merged_map) the root re-merges only the columns at
+// or above the lowest one any leaf wrote since the last refresh, so its
+// region caches re-label only that suffix and its per-window cost stays
+// flat however long the run.  Each refreshed cell receives exactly the
+// adds a merge from empty gives it, so every output equals a full merge.
+//
 // Trade-off vs a single server (tested in test_server_group.cpp): leaf
 // clustering only compares ranks within a shard, so cross-shard twins are
 // not merged — harmless for SPMD programs where every shard holds many
 // ranks, which is exactly the load-balanced assignment the paper uses.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -49,7 +58,7 @@ class ServerGroup {
   const AnalysisServer& leaf(int i) const { return *leaves_[static_cast<std::size_t>(i)]; }
 
   // --- aggregated (root) views ---
-  // Merged heat map for one category, built by re-depositing leaf cells.
+  // Merged heat map for one category: the sum of the leaves' cells.
   Heatmap merged_map(FragmentKind kind) const;
   std::vector<VarianceRegion> locate(FragmentKind kind) const;
   CoverageAccumulator merged_coverage() const;
@@ -80,26 +89,26 @@ class ServerGroup {
   std::string render_critical_path_json() const;
 
  private:
-  void attach_live_routes();
-  void publish_detection(std::int64_t window, double virtual_time,
-                         std::uint64_t fragments);
+  // Syncs the leaves and re-merges each root map from the lowest column
+  // any leaf wrote since the last refresh; callers hold live_mu_.
+  void refresh_locked() const;
 
-  int ranks_;
-  double variance_threshold_;
-  double bin_seconds_;
   obs::ObsContext* obs_ = nullptr;  // shared with the leaves (borrowed)
   bool live_detection_ = false;     // publish merged root views?
   std::vector<std::unique_ptr<AnalysisServer>> leaves_;
   util::WorkerPool fan_out_;  // one lane per leaf
   // Serializes process_window (including its leaf tasks) against /v1
-  // scrapes and journal_detection_snapshot; also keeps fan_out_ to one
-  // run() at a time.
+  // scrapes, root reads and journal_detection_snapshot; also keeps
+  // fan_out_ to one run() at a time.
   mutable std::mutex live_mu_;
-  std::vector<std::string> live_routes_;
+  // The merged root maps and their publish, guarded by live_mu_.
+  mutable LiveDetection live_;
+  // Per leaf and FragmentKind, the leaf map's writes() at the last refresh.
+  mutable std::vector<std::array<std::uint64_t, 3>> leaf_writes_;
+  bool live_routes_ = false;  // /v1 routes registered (add_live_routes)
   std::size_t windows_ = 0;
   std::size_t merge_faults_ = 0;
   double last_virtual_time_ = 0.0;
-  mutable RegionJournal region_journal_;
 };
 
 }  // namespace vapro::core

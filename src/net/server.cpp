@@ -1,13 +1,10 @@
 #include "src/net/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 #include "src/testing/fault.hpp"
 #include "src/util/socket.hpp"
@@ -20,32 +17,8 @@ bool IngestServer::start(int port, std::string* error) {
     return false;
   }
   util::ignore_sigpipe();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error) *error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    if (error)
-      *error = "port " + std::to_string(port) +
-               " unavailable: " + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 64) < 0) {
-    if (error) *error = std::string("listen: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = static_cast<int>(ntohs(addr.sin_port));
+  const int fd = util::listen_loopback(port, 64, &port_, error);
+  if (fd < 0) return false;
   listen_fd_ = fd;
   stopping_.store(false, std::memory_order_relaxed);
   accept_thread_ = std::thread([this] { accept_loop(); });

@@ -178,13 +178,6 @@ TenantSession* IngestPlane::find(const std::string& name) {
   return nullptr;
 }
 
-std::vector<std::string> IngestPlane::tenant_names() const {
-  std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& t : tenants_) names.push_back(t->name());
-  return names;
-}
-
 void IngestPlane::sync_all() {
   for (auto& t : tenants_) t->sync();
 }

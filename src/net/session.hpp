@@ -166,7 +166,6 @@ class IngestPlane {
 
   TenantSession* add_tenant(TenantOptions opts);
   TenantSession* find(const std::string& name);
-  std::vector<std::string> tenant_names() const;
 
   void sync_all();
   // Any tenant currently shedding (set on shed, cleared when that tenant's

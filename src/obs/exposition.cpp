@@ -1,14 +1,11 @@
 #include "src/obs/exposition.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "src/obs/journal.hpp"
@@ -108,33 +105,8 @@ bool ExpositionServer::start(int port, std::string* error) {
   // A scraper that disconnects mid-response must cost us a counted drop,
   // not a SIGPIPE-killed process.
   util::ignore_sigpipe();
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error) *error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    if (error)
-      *error = "port " + std::to_string(port) + " unavailable: " +
-               std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  if (::listen(fd, 16) < 0) {
-    if (error) *error = std::string("listen: ") + std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = static_cast<int>(ntohs(addr.sin_port));
+  const int fd = util::listen_loopback(port, 16, &port_, error);
+  if (fd < 0) return false;
   listen_fd_ = fd;
   stopping_.store(false, std::memory_order_relaxed);
   thread_ = std::thread([this] { serve_loop(); });

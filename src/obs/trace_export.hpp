@@ -93,35 +93,4 @@ class TraceRecorder {
   std::unordered_map<std::thread::id, int> tids_;
 };
 
-// RAII span: records a complete event over the scope's lifetime.  A null
-// recorder makes construction and destruction free.
-class TraceSpan {
- public:
-  TraceSpan(TraceRecorder* rec, std::string name, std::string category,
-            std::vector<TraceArg> args = {})
-      : rec_(rec),
-        name_(std::move(name)),
-        category_(std::move(category)),
-        args_(std::move(args)) {
-    if (rec_) t0_ns_ = rec_->now_ns();
-  }
-  ~TraceSpan() {
-    if (rec_) rec_->complete(name_, category_, t0_ns_, std::move(args_));
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  // Attach an arg discovered mid-scope (e.g. a result count).
-  void add_arg(TraceArg a) {
-    if (rec_) args_.push_back(std::move(a));
-  }
-
- private:
-  TraceRecorder* rec_;
-  std::string name_;
-  std::string category_;
-  std::vector<TraceArg> args_;
-  std::uint64_t t0_ns_ = 0;
-};
-
 }  // namespace vapro::obs

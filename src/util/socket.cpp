@@ -1,10 +1,14 @@
 #include "src/util/socket.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
+#include <cstdint>
+#include <cstring>
 #include <mutex>
 
 namespace vapro::util {
@@ -36,6 +40,37 @@ bool recv_all(int fd, void* data, std::size_t len) {
     got += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+int listen_loopback(int port, int backlog, int* bound_port,
+                    std::string* error) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    if (error) *error = std::string("socket: ") + std::strerror(errno);
+    return -1;
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    if (error)
+      *error = "port " + std::to_string(port) +
+               " unavailable: " + std::strerror(errno);
+    ::close(fd);
+    return -1;
+  }
+  if (::listen(fd, backlog) < 0) {
+    if (error) *error = std::string("listen: ") + std::strerror(errno);
+    ::close(fd);
+    return -1;
+  }
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  *bound_port = static_cast<int>(ntohs(addr.sin_port));
+  return fd;
 }
 
 }  // namespace vapro::util

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 namespace vapro::util {
 
@@ -24,5 +25,12 @@ bool send_all(int fd, const void* data, std::size_t len);
 // Reads exactly `len` bytes (retrying partial reads and EINTR).  False on
 // EOF, error, or a receive timeout (SO_RCVTIMEO surfaces as EAGAIN).
 bool recv_all(int fd, void* data, std::size_t len);
+
+// Opens a TCP listener on 127.0.0.1:`port` (0 picks a free port) with
+// SO_REUSEADDR and the given backlog, and sets `*bound_port` to the port
+// it got.  Returns the socket, or -1 with `*error` (if given) saying which
+// step failed.
+int listen_loopback(int port, int backlog, int* bound_port,
+                    std::string* error);
 
 }  // namespace vapro::util

@@ -395,6 +395,46 @@ TEST(Heatmap, WriteStampsNameTheLowestColumnWritten) {
   EXPECT_EQ(map.first_column_written_after(seen + 1), 5);
 }
 
+// The group root's suffix refresh: clear_from and merge(other, from)
+// rewrite only columns at or above `from`, and each stamps that column.
+TEST(Heatmap, MergeFromAndClearFromStampTheirFirstColumn) {
+  Heatmap leaf(2, 1.0);
+  leaf.deposit(0, 0.0, 3.5, 0.5);
+  Heatmap root(2, 1.0);
+  root.merge(leaf);
+  EXPECT_EQ(root.bins(), leaf.bins());
+
+  std::uint64_t seen = root.writes();
+  root.clear_from(2);
+  EXPECT_EQ(root.first_column_written_after(seen), 2);
+  EXPECT_EQ(root.bins(), leaf.bins());  // cleared columns stay
+  EXPECT_EQ(root.weight(0, 1), leaf.weight(0, 1));
+  EXPECT_FALSE(root.has_data(0, 2));
+  EXPECT_FALSE(root.has_data(0, 3));
+
+  seen = root.writes();
+  root.merge(leaf, 2);
+  EXPECT_EQ(root.first_column_written_after(seen), 2);
+  for (int bin = 0; bin < leaf.bins(); ++bin) {
+    EXPECT_EQ(root.weight(0, bin), leaf.weight(0, bin)) << bin;
+    EXPECT_EQ(root.cell(0, bin), leaf.cell(0, bin)) << bin;
+  }
+
+  // Nothing at or above `from`: no write, no stamp.
+  seen = root.writes();
+  root.merge(leaf, leaf.bins());
+  root.clear_from(root.bins());
+  EXPECT_EQ(root.writes(), seen);
+
+  // A merge from a column past the root's end grows the root.
+  leaf.deposit(1, 6.0, 7.5, 0.9);
+  root.merge(leaf, 6);
+  EXPECT_EQ(root.first_column_written_after(seen), 6);
+  EXPECT_EQ(root.bins(), leaf.bins());
+  EXPECT_EQ(root.cell(1, 7), leaf.cell(1, 7));
+  EXPECT_FALSE(root.has_data(1, 5));
+}
+
 // Regression: a start below 0 indexed before the row, and a NaN start
 // made the bin cast undefined.
 TEST(Heatmap, DepositRejectsTimesOutsideTheMap) {

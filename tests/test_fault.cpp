@@ -324,6 +324,18 @@ core::FragmentBatch shard_batch(int window) {
   return batch;
 }
 
+// What a faulted window must leave identical: the computation map and its
+// regions.
+std::string detection_fingerprint(const core::AnalysisServer& server) {
+  std::string fp = server.computation_map().render_ascii();
+  for (const core::VarianceRegion& r :
+       server.locate(core::FragmentKind::kComputation))
+    fp += std::to_string(r.rank_lo) + "," + std::to_string(r.rank_hi) + "," +
+          std::to_string(r.bin_lo) + "," + std::to_string(r.bin_hi) + "," +
+          std::to_string(r.impact_seconds) + "\n";
+  return fp;
+}
+
 TEST(PipelineFault, ShardFaultDegradesWindowToSerialWithIdenticalOutput) {
   // The pool-task throw is contained, the window re-fans-out serially, and
   // — because sharding is byte-equivalent by design — detection output
@@ -336,17 +348,33 @@ TEST(PipelineFault, ShardFaultDegradesWindowToSerialWithIdenticalOutput) {
     opts.analysis_threads = 4;
     core::AnalysisServer server(4, opts);
     for (int w = 0; w < 3; ++w) server.process_window(shard_batch(w));
-    std::string fp = server.computation_map().render_ascii();
-    for (const core::VarianceRegion& r :
-         server.locate(core::FragmentKind::kComputation))
-      fp += std::to_string(r.rank_lo) + "," + std::to_string(r.rank_hi) + "," +
-            std::to_string(r.bin_lo) + "," + std::to_string(r.bin_hi) + "," +
-            std::to_string(r.impact_seconds) + "\n";
     EXPECT_EQ(server.shard_faults(), expected_faults);
-    return fp;
+    return detection_fingerprint(server);
   };
   const std::string clean = run(nullptr, 0);
   const std::string faulted = run("seed 1\npipeline.shard on=2 fail\n", 1);
+  EXPECT_EQ(faulted, clean);
+  EXPECT_FALSE(clean.empty());
+}
+
+TEST(PipelineFault, HandoffFaultDegradesWindowToSyncWithIdenticalOutput) {
+  // A failed hand-off waits for its window instead of overlapping it; the
+  // worker still runs every window in FIFO order, so a depth-2 server's
+  // detection output matches an unfaulted run exactly.
+  auto run = [](const char* plan_text, std::size_t expected_faults) {
+    std::optional<testing_::FaultScope> scope;
+    if (plan_text) scope.emplace(plan_from(plan_text));
+    core::ServerOptions opts;
+    opts.run_diagnosis = false;
+    opts.pipeline_depth = 2;
+    core::AnalysisServer server(4, opts);
+    for (int w = 0; w < 3; ++w) server.process_window(shard_batch(w));
+    EXPECT_EQ(server.handoff_faults(), expected_faults);
+    return detection_fingerprint(server);
+  };
+  const std::string clean = run(nullptr, 0);
+  const std::string faulted =
+      run("seed 1\npipeline.handoff on=2 fail\n", 1);
   EXPECT_EQ(faulted, clean);
   EXPECT_FALSE(clean.empty());
 }

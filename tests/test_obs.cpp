@@ -20,6 +20,7 @@
 #include "src/obs/context.hpp"
 #include "src/obs/exposition.hpp"
 #include "src/obs/journal.hpp"
+#include "src/obs/span.hpp"
 #include "src/sim/runtime.hpp"
 
 namespace vapro::obs {
@@ -350,9 +351,9 @@ TEST(Overhead, ToolTimeScopeAndAccountant) {
 TEST(Trace, ChromeJsonIsParseableAndBalanced) {
   TraceRecorder rec;
   {
-    TraceSpan outer(&rec, "outer", "test",
+    SpanScope outer({&rec}, "outer", "test",
                     {TraceRecorder::arg("k", std::uint64_t{7})});
-    TraceSpan inner(&rec, "inner", "test");
+    SpanScope inner({&rec}, "inner", "test");
     rec.instant("marker", "test", {TraceRecorder::arg("s", "a \"quoted\"\n")});
   }
   const std::string json = rec.to_json();

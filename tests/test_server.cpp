@@ -1,15 +1,18 @@
 // Direct AnalysisServer tests: knob behaviour that the end-to-end suites
 // don't isolate — rare-report thresholds/limits, window bookkeeping,
 // variance-threshold plumbing, eval-pair recording rules — and the soak
-// gate on per-window region-growing cost.
+// gates on per-window region-growing cost, for a single server and for a
+// ServerGroup root.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/server.hpp"
+#include "src/core/server_group.hpp"
 
 namespace vapro::core {
 namespace {
@@ -196,30 +199,45 @@ FragmentBatch soak_window(int ranks, int window, bool slow_window,
   return batch;
 }
 
+// Feeds `windows` soak windows (ranks 8-15 slow in windows 300-339) to
+// `server`, an AnalysisServer or a ServerGroup, and returns the
+// vapro.detect.relabeled_cells gauge after window 100 and after the last.
+template <class Server>
+std::pair<double, double> soak_relabeled_cells(Server& server,
+                                               obs::ObsContext& ctx,
+                                               int ranks, int windows) {
+  const obs::Gauge* relabeled =
+      ctx.metrics().gauge("vapro.detect.relabeled_cells");
+  double at_100 = 0.0;
+  for (int w = 0; w < windows; ++w) {
+    server.process_window(
+        soak_window(ranks, w, /*slow_window=*/w >= 300 && w < 340, 8, 15));
+    if (w == 100) at_100 = relabeled->value();
+  }
+  return {at_100, relabeled->value()};
+}
+
+std::string soak_journal_path(const char* name) {
+  const char* dir = std::getenv("TEST_TMPDIR");
+  return std::string(dir ? dir : "/tmp") + "/" + name;
+}
+
 // The long-run gate as exact counts: once the injected block closes, a
 // window re-labels no more heat-map cells than an early one did, and the
 // maps hold under twice the cells they use.
 TEST(Server, SoakKeepsPerWindowRegionCostFlat) {
   constexpr int kRanks = 32, kWindows = 800;
   obs::ObsContext ctx;
-  const char* dir = std::getenv("TEST_TMPDIR");
-  const std::string journal =
-      std::string(dir ? dir : "/tmp") + "/vapro_server_soak.jsonl";
+  const std::string journal = soak_journal_path("vapro_server_soak.jsonl");
   ASSERT_TRUE(ctx.attach_journal_file(journal));
   ServerOptions opts = quiet_options();
   opts.bin_seconds = 0.05;
   opts.obs = &ctx;
   AnalysisServer server(kRanks, opts);
-  const obs::Gauge* relabeled =
-      ctx.metrics().gauge("vapro.detect.relabeled_cells");
-  double relabeled_at_100 = 0.0;
-  for (int w = 0; w < kWindows; ++w) {
-    server.process_window(
-        soak_window(kRanks, w, /*slow_window=*/w >= 300 && w < 340, 8, 15));
-    if (w == 100) relabeled_at_100 = relabeled->value();
-  }
+  const auto [relabeled_at_100, relabeled_at_end] =
+      soak_relabeled_cells(server, ctx, kRanks, kWindows);
   EXPECT_GT(relabeled_at_100, 0.0);
-  EXPECT_LE(relabeled->value(), 2.0 * relabeled_at_100);
+  EXPECT_LE(relabeled_at_end, 2.0 * relabeled_at_100);
 
   const int bins = server.computation_map().bins();
   EXPECT_GE(bins, kWindows * 5);
@@ -227,6 +245,35 @@ TEST(Server, SoakKeepsPerWindowRegionCostFlat) {
             2.0 * kRanks * bins * 3);
   const std::vector<VarianceRegion> regions =
       server.locate(FragmentKind::kComputation);
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].rank_lo, 8);
+  EXPECT_EQ(regions[0].rank_hi, 15);
+  std::remove(journal.c_str());
+}
+
+// The same gate for a 4-leaf group: the root keeps its merged maps and
+// re-merges only the columns the leaves wrote since the last window, so
+// its caches re-label a suffix as short as a single server's.
+TEST(ServerGroup, SoakKeepsPerWindowRegionCostFlat) {
+  constexpr int kRanks = 32, kWindows = 800;
+  obs::ObsContext ctx;
+  const std::string journal = soak_journal_path("vapro_group_soak.jsonl");
+  ASSERT_TRUE(ctx.attach_journal_file(journal));
+  ServerOptions opts = quiet_options();
+  opts.bin_seconds = 0.05;
+  opts.obs = &ctx;
+  ServerGroup group(kRanks, 4, opts);
+  const auto [relabeled_at_100, relabeled_at_end] =
+      soak_relabeled_cells(group, ctx, kRanks, kWindows);
+  EXPECT_GT(relabeled_at_100, 0.0);
+  EXPECT_LE(relabeled_at_end, 2.0 * relabeled_at_100);
+
+  const int bins = group.merged_map(FragmentKind::kComputation).bins();
+  EXPECT_GE(bins, kWindows * 5);
+  EXPECT_LE(ctx.metrics().gauge("vapro.detect.heatmap_cells")->value(),
+            2.0 * kRanks * bins * 3);
+  const std::vector<VarianceRegion> regions =
+      group.locate(FragmentKind::kComputation);
   ASSERT_EQ(regions.size(), 1u);
   EXPECT_EQ(regions[0].rank_lo, 8);
   EXPECT_EQ(regions[0].rank_hi, 15);

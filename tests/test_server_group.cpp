@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "src/apps/npb.hpp"
 #include "src/apps/solvers.hpp"
 #include "src/core/client.hpp"
 #include "src/core/server_group.hpp"
 #include "src/sim/runtime.hpp"
+#include "src/util/rng.hpp"
 
 namespace vapro::core {
 namespace {
@@ -140,6 +144,140 @@ TEST(ServerGroup, DiagnosisCulpritsSurfaceAtRoot) {
   auto culprits = harness.group.merged_culprits();
   ASSERT_FALSE(culprits.empty());
   EXPECT_EQ(culprits.front(), FactorId::kDramBound);
+}
+
+// A random window: per rank, a few computation fragments along one STG
+// edge, some stretched (slow cells), and now and then a rank whose window
+// reaches back into old columns, so a refresh must re-merge from there.
+FragmentBatch random_window(util::Rng& rng, int ranks, int window,
+                            int fragments_per_rank) {
+  FragmentBatch batch;
+  sim::InvocationInfo info;
+  info.site = 7;
+  info.kind = sim::OpKind::kAllreduce;
+  const StateKey key = make_state_key(StgMode::kContextFree, info);
+  batch.new_states.push_back(info);
+  for (int rank = 0; rank < ranks; ++rank) {
+    double t = window * 0.25;
+    if (window > 0 && rng.bernoulli(0.1)) t = rng.uniform(0.0, t);
+    for (int i = 0; i < fragments_per_rank; ++i) {
+      Fragment f;
+      f.kind = FragmentKind::kComputation;
+      f.rank = rank;
+      f.from = key;
+      f.to = key;
+      f.start_time = t;
+      f.end_time =
+          t + 0.01 * rng.uniform(1.0, 1.05) * (rng.bernoulli(0.1) ? 2.0 : 1.0);
+      f.counters[pmu::Counter::kTotIns] = 1e6;
+      batch.fragments.push_back(f);
+      t = f.end_time + 0.002;
+    }
+  }
+  return batch;
+}
+
+using LeafMap = const Heatmap& (AnalysisServer::*)() const;
+constexpr LeafMap kLeafMaps[] = {&AnalysisServer::computation_map,
+                                 &AnalysisServer::communication_map,
+                                 &AnalysisServer::io_map};
+
+// The root's persistent maps are refreshed from the lowest column any
+// leaf wrote; after every window they must equal a merge from empty, cell
+// for cell, and its regions a from-scratch pass over that merge.
+TEST(ServerGroup, RootMapsEqualAFreshMergeAfterEveryWindow) {
+  util::Rng rng(19);
+  for (const int servers : {2, 3, 4})
+    for (const int depth : {1, 2})
+      for (const bool publish : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "servers=" << servers
+                                          << " depth=" << depth
+                                          << " publish=" << publish);
+        constexpr int kRanks = 12;
+        obs::ObsContext ctx;  // with obs, every window publishes (refreshes)
+        ServerOptions opts;
+        opts.run_diagnosis = false;
+        opts.bin_seconds = 0.05;
+        opts.pipeline_depth = depth;
+        opts.obs = publish ? &ctx : nullptr;
+        ServerGroup group(kRanks, servers, opts);
+        for (int w = 0; w < 24; ++w) {
+          group.process_window(random_window(rng, kRanks, w, 6));
+          for (int k = 0; k < 3; ++k) {
+            const auto kind = static_cast<FragmentKind>(k);
+            Heatmap fresh(kRanks, opts.bin_seconds);
+            for (int i = 0; i < servers; ++i)
+              fresh.merge((group.leaf(i).*kLeafMaps[k])());
+            const Heatmap merged = group.merged_map(kind);
+            ASSERT_EQ(merged.bins(), fresh.bins()) << "window " << w;
+            int differing = 0;
+            for (int r = 0; r < kRanks; ++r)
+              for (int b = 0; b < fresh.bins(); ++b)
+                differing += merged.weight(r, b) != fresh.weight(r, b) ||
+                             merged.has_data(r, b) != fresh.has_data(r, b) ||
+                             (fresh.has_data(r, b) &&
+                              merged.cell(r, b) != fresh.cell(r, b));
+            EXPECT_EQ(differing, 0) << "window " << w << " kind " << k;
+            EXPECT_EQ(group.locate(kind),
+                      find_variance_regions(fresh, opts.variance_threshold))
+                << "window " << w << " kind " << k;
+          }
+        }
+        EXPECT_FALSE(group.locate(FragmentKind::kComputation).empty());
+      }
+}
+
+// /v1 scrapes refresh the root from the serve thread while windows run;
+// they must neither race the leaves nor change what the group reports.
+TEST(ServerGroup, ConcurrentScrapesLeaveOutputsUnchanged) {
+  auto run = [](bool scrape) {
+    util::Rng rng(5);
+    obs::ObsContext ctx;
+    ctx.enable_journal();
+    ServerOptions opts;
+    opts.run_diagnosis = false;
+    opts.bin_seconds = 0.05;
+    opts.pipeline_depth = 2;
+    opts.obs = &ctx;
+    ServerGroup group(12, 3, opts);
+    std::atomic<bool> done{false};
+    std::thread scraper([&] {
+      while (scrape && !done.load()) {
+        group.render_heatmap_json();
+        group.render_variance_json();
+      }
+    });
+    for (int w = 0; w < 30; ++w)
+      group.process_window(random_window(rng, 12, w, 6));
+    done = true;
+    scraper.join();
+    group.sync();
+    return group.render_heatmap_json() + group.render_variance_json();
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
+// A one-leaf, depth-1 group analyzes its leaf on the calling thread, so
+// its tool time cannot exceed the wall time of its windows: the root
+// charges only its demux and publish, the leaf its own analysis.
+TEST(ServerGroup, ToolTimeCountsTheLeafOnce) {
+  util::Rng rng(3);
+  obs::ObsContext ctx;
+  ServerOptions opts;
+  opts.run_diagnosis = false;
+  opts.obs = &ctx;
+  ServerGroup group(64, 1, opts);
+  double wall = 0.0;
+  for (int w = 0; w < 10; ++w) {
+    FragmentBatch batch = random_window(rng, 64, w, 100);
+    const auto t0 = std::chrono::steady_clock::now();
+    group.process_window(std::move(batch));
+    wall += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count();
+  }
+  EXPECT_GT(ctx.overhead().tool_seconds(), 0.0);
+  EXPECT_LE(ctx.overhead().tool_seconds(), wall + 1e-6);
 }
 
 TEST(ServerGroup, HeatmapMergeIsExactForDisjointRanks) {

@@ -14,7 +14,9 @@
 //     journal render byte-identically to the live server's;
 //   * cached-vs-fresh equality: every AnalysisServer's locate(), answered
 //     from its incremental region caches, equals find_variance_regions
-//     recomputed on its final maps (each leaf of a group);
+//     recomputed on its final maps (each leaf of a group); a group root's
+//     persistent merged maps equal a merge of its leaves' maps from empty,
+//     and its locate() a from-scratch pass over that merge;
 //   * no alert double-fire: replaying the journal through a fresh
 //     AlertEngine fires exactly as often as the live engine did.
 //
@@ -376,6 +378,34 @@ bool cached_regions_match(const core::AnalysisServer& server,
   return true;
 }
 
+// A group root refreshes its persistent merged maps from the leaves'
+// write stamps; each must equal a merge of the leaves' maps from empty,
+// cell for cell, and the root's locate() a from-scratch pass over it.
+bool root_regions_match(const core::ServerGroup& group, double threshold) {
+  for (int k = 0; k < 3; ++k) {
+    const core::Heatmap merged = group.merged_map(kKinds[k]);
+    core::Heatmap fresh(merged.ranks(), merged.bin_seconds());
+    for (int i = 0; i < group.servers(); ++i) {
+      const core::AnalysisServer& leaf = group.leaf(i);
+      const core::Heatmap* maps[3] = {&leaf.computation_map(),
+                                      &leaf.communication_map(),
+                                      &leaf.io_map()};
+      fresh.merge(*maps[k]);
+    }
+    if (merged.bins() != fresh.bins()) return false;
+    for (int r = 0; r < fresh.ranks(); ++r)
+      for (int b = 0; b < fresh.bins(); ++b)
+        if (merged.weight(r, b) != fresh.weight(r, b) ||
+            merged.has_data(r, b) != fresh.has_data(r, b) ||
+            (fresh.has_data(r, b) && merged.cell(r, b) != fresh.cell(r, b)))
+          return false;
+    if (group.locate(kKinds[k]) !=
+        core::find_variance_regions(fresh, threshold))
+      return false;
+  }
+  return true;
+}
+
 RoundResult run_round(int round, std::uint64_t seed,
                       const std::string& scratch, bool verbose,
                       const PipeCfg& cfg, const std::string& tag,
@@ -512,6 +542,8 @@ RoundResult run_round(int round, std::uint64_t seed,
       rr.check(cached_regions_match(group->leaf(i), opts.variance_threshold),
                "leaf " + std::to_string(i) +
                    ": cached regions differ from a from-scratch pass");
+    rr.check(root_regions_match(*group, opts.variance_threshold),
+             "group root: merged maps or regions differ from a fresh merge");
   } else {
     rr.check(cached_regions_match(*server, opts.variance_threshold),
              "cached regions differ from a from-scratch pass");
