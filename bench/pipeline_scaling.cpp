@@ -18,6 +18,13 @@
 // *physical* cores (SMT siblings share execution units and cannot honor
 // it); elsewhere the grid and JSON are informational.
 //
+// The bar compares median windows/sec across repeats.  So that its spread
+// is visible, each repeat also yields its own t4/d2 ÷ t1/d1 ratio
+// (`speedup_t4_d2`), written with its min, median and max.  Next to it,
+// for information only, `analysis_speedup_t4_d2` is the same repeat's
+// t1/d1 ÷ t4/d2 analysis busy seconds: how much the analysis itself
+// scales when the producer, not the analysis, bounds t4/d2.
+//
 //   pipeline_scaling [--json PATH]    (scripts/bench.sh -> BENCH_pipeline.json)
 #include <algorithm>
 #include <chrono>
@@ -308,6 +315,27 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+
+  // Per-repeat ratios of t4/d2 against t1/d1 from the same repeat, so
+  // machine drift between repeats cancels out of each sample.
+  const Cell& t1_d1 = grid.front();
+  const Cell& t4_d2 = grid.back();
+  std::vector<double> speedup, analysis_speedup;
+  for (std::size_t r = 0; r < t1_d1.wps.size(); ++r) {
+    speedup.push_back(t4_d2.wps[r] / t1_d1.wps[r]);
+    analysis_speedup.push_back(t1_d1.busy[r] / t4_d2.busy[r]);
+  }
+  for (const auto& [name, series] :
+       {std::pair{"speedup_t4_d2", &speedup},
+        std::pair{"analysis_speedup_t4_d2", &analysis_speedup}}) {
+    const auto [lo, hi] = std::minmax_element(series->begin(), series->end());
+    json.record(name, *series);
+    json.record(std::string(name) + "_min", {*lo});
+    json.record(std::string(name) + "_max", {*hi});
+    std::cout << name << " per repeat: min " << util::fmt(*lo, 2)
+              << "x, median " << util::fmt(bench::percentile(*series, 0.5), 2)
+              << "x, max " << util::fmt(*hi, 2) << "x\n";
+  }
 
   const double target = bench::percentile(grid.back().wps, 0.5) / serial;
   std::cout << "4 threads + depth 2: " << util::fmt(target, 2)

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
+#include <limits>
 
 #include "src/util/check.hpp"
+#include "src/util/pipeline.hpp"
 
 namespace vapro::core {
 
@@ -21,7 +24,8 @@ std::uint64_t ClusterBaseline::key_of(const Cluster& c) const {
 }
 
 double ClusterBaseline::update(const Cluster& c, double window_min) {
-  auto [it, inserted] = mins_.try_emplace(key_of(c), window_min);
+  auto [it, inserted] = mins_[static_cast<std::size_t>(c.kind)].try_emplace(
+      key_of(c), window_min);
   if (!inserted) it->second = std::min(it->second, window_min);
   return it->second;
 }
@@ -41,11 +45,10 @@ std::vector<NormalizedFragment> normalize_fragments(
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;  // carry-in: context only
       NormalizedFragment nf;
-      nf.frag_idx = idx;
       nf.rank = cols.rank(idx);
       nf.start = cols.start_time(idx);
       nf.end = cols.end_time(idx);
-      nf.kind = cols.kind(idx);
+      nf.kind = c.kind;
       nf.perf = cols.duration(idx) > 0.0
                     ? std::min(1.0, fastest / cols.duration(idx))
                     : 1.0;
@@ -59,9 +62,9 @@ void CoverageAccumulator::add(const Stg& stg, const ClusteringResult& clusters,
                               std::size_t live_begin) {
   const FragmentColumns& cols = stg.fragments();
   for (const Cluster& c : clusters.clusters) {
+    const auto k = static_cast<std::size_t>(c.kind);
     for (std::size_t idx : c.members) {
       if (idx < live_begin) continue;  // carry-in: already counted
-      const auto k = static_cast<std::size_t>(cols.kind(idx));
       observed[k] += cols.duration(idx);
       if (!c.rare) covered[k] += cols.duration(idx);
     }
@@ -89,6 +92,76 @@ void deposit_fragments(std::span<const NormalizedFragment> fragments,
         break;
     }
   }
+}
+
+namespace {
+
+// detect_fragments for the clusters of one kind.  It writes only that
+// kind's map, coverage slot and baseline map.  The coverage sums are
+// accumulated in locals that start from the slot's value and are stored
+// back once: the same adds in the same order, without the three kinds'
+// tasks writing neighbouring doubles on every member.
+void detect_kind(FragmentKind kind, const FragmentColumns& cols,
+                 const ClusteringResult& clusters, ClusterBaseline* baseline,
+                 std::size_t live_begin, CoverageAccumulator& coverage,
+                 Heatmap& map) {
+  const auto k = static_cast<std::size_t>(kind);
+  double covered = coverage.covered[k];
+  double observed = coverage.observed[k];
+  for (const Cluster& c : clusters.clusters) {
+    if (c.kind != kind) continue;
+    if (c.rare) {
+      for (std::size_t idx : c.members)
+        if (idx >= live_begin) observed += cols.duration(idx);
+      continue;
+    }
+    double window_min = std::numeric_limits<double>::infinity();
+    for (std::size_t idx : c.members)
+      window_min = std::min(window_min, cols.duration(idx));
+    const double fastest =
+        baseline ? baseline->update(c, window_min) : window_min;
+    for (std::size_t idx : c.members) {
+      if (idx < live_begin) continue;  // carry-in: context only
+      const double d = cols.duration(idx);
+      observed += d;
+      covered += d;
+      // A zero-duration cluster has nothing to rank.
+      if (fastest > 0.0)
+        map.deposit(cols.rank(idx), cols.start_time(idx), cols.end_time(idx),
+                    d > 0.0 ? std::min(1.0, fastest / d) : 1.0);
+    }
+  }
+  coverage.covered[k] = covered;
+  coverage.observed[k] = observed;
+}
+
+}  // namespace
+
+void detect_fragments(const Stg& stg, const ClusteringResult& clusters,
+                      ClusterBaseline* baseline, std::size_t live_begin,
+                      CoverageAccumulator& coverage, Heatmap& computation,
+                      Heatmap& communication, Heatmap& io,
+                      util::WorkerPool* pool) {
+  const FragmentColumns& cols = stg.fragments();
+  Heatmap* const maps[3] = {&computation, &communication, &io};
+  const auto run_kind = [&](std::size_t k) {
+    detect_kind(static_cast<FragmentKind>(k), cols, clusters, baseline,
+                live_begin, coverage, *maps[k]);
+  };
+  if (!pool || pool->lanes() == 1) {
+    for (std::size_t k = 0; k < 3; ++k) run_kind(k);
+    return;
+  }
+  std::exception_ptr failed[3];
+  pool->run(3, [&](std::size_t k, std::size_t) {
+    try {
+      run_kind(k);
+    } catch (...) {
+      failed[k] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : failed)
+    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace vapro::core

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/util/fs.hpp"
 #include "src/util/table.hpp"
 
 namespace vapro::core {
@@ -130,6 +131,7 @@ std::string render_report(const VaproSession& session,
 
 int write_csv_bundle(const VaproSession& session,
                      const std::string& directory) {
+  util::ensure_parent_dirs(directory + "/computation.csv");
   session.computation_map().write_csv(directory + "/computation.csv");
   session.communication_map().write_csv(directory + "/communication.csv");
   session.io_map().write_csv(directory + "/io.csv");

@@ -27,8 +27,9 @@ struct ReportOptions {
 std::string render_report(const VaproSession& session,
                           const ReportOptions& opts = {});
 
-// Writes heat maps as CSV files under `directory` (created by the caller):
-// computation.csv, communication.csv, io.csv.  Returns the file count.
+// Writes heat maps as CSV files under `directory`, creating it and its
+// parents when missing: computation.csv, communication.csv, io.csv.
+// Returns the file count.
 int write_csv_bundle(const VaproSession& session,
                      const std::string& directory);
 

@@ -255,6 +255,16 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   stats.new_states = batch.new_states.size();
   stats.seconds(obs::Stage::kDrain) = drain_seconds;
 
+  // The window's fragments leave the STG on every exit from this body, so
+  // a window whose diagnoser or observer throws is not clustered, counted
+  // and deposited again with the next window's fragments.
+  struct DropFragments {
+    Stg& stg;
+    ~DropFragments() {
+      if (stg.fragments().size() > 0) stg.clear_fragments();
+    }
+  } drop_fragments{stg_};
+
   // --- stage: STG growth (vertex/edge ingestion + carry management) ---
   obs::SpanScope stg_span({trace, spans_dropped}, "stage.stg",
                           "server");
@@ -367,13 +377,16 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   clock.lap(obs::Stage::kCluster);
   cluster_span.finish();
 
-  // --- stage: normalization against the cross-window baseline ---
+  // --- stage: detection (normalization against the cross-window
+  // baseline, coverage and heat-map deposit in one pass per kind) ---
   obs::SpanScope normalize_span({trace, spans_dropped},
                                 "stage.normalize", "server");
-  ClusterBaseline* baseline =
-      opts_.shared_baseline ? opts_.shared_baseline : &baseline_;
-  std::vector<NormalizedFragment> normalized =
-      normalize_fragments(stg_, clusters, baseline, live_begin);
+  detect_fragments(stg_, clusters,
+                   opts_.shared_baseline ? opts_.shared_baseline : &baseline_,
+                   live_begin, coverage_,
+                   live_.map(FragmentKind::kComputation),
+                   live_.map(FragmentKind::kCommunication),
+                   live_.map(FragmentKind::kIo), pool);
 
   if (opts_.record_eval_pairs) {
     // Map each labelled computation fragment to its cluster's stable id.
@@ -391,17 +404,9 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   }
   clock.lap(obs::Stage::kNormalize);
   normalize_span.finish();
-
-  // --- stage: heat-map deposit + coverage accounting ---
-  {
-    obs::SpanScope deposit_span({trace, spans_dropped},
-                                "stage.deposit", "server");
-    deposit_fragments(normalized, live_.map(FragmentKind::kComputation),
-                      live_.map(FragmentKind::kCommunication),
-                      live_.map(FragmentKind::kIo));
-    coverage_.add(stg_, clusters, live_begin);
-    clock.lap(obs::Stage::kDeposit);
-  }
+  // The detection pass deposits too; the deposit slot stays (about 0) so
+  // the stage names of the window_latency record do not change.
+  clock.lap(obs::Stage::kDeposit);
 
   // --- stage: progressive diagnosis + observer hooks ---
   {

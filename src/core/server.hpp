@@ -262,8 +262,8 @@ class AnalysisServer {
   // threads).
   obs::CriticalPathTracker latency_;
   std::vector<RareFinding> rare_findings_;
-  // Intra-window shard pool (null at analysis_threads 1): clustering and
-  // region growing fan out across its lanes.  Every run() happens under
+  // Intra-window shard pool (null at analysis_threads 1): clustering, the
+  // detection pass and region growing fan out across its lanes.  Every run() happens under
   // live_mu_, satisfying the pool's single-coordinator contract even
   // though locate() may be called from the serve thread.  Declared before
   // pipeline_ so it outlives the stage worker that uses it.

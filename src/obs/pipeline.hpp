@@ -25,8 +25,10 @@ enum class Stage : std::size_t {
   kDrain,      // client buffer hand-off
   kStg,        // vertex/edge growth + carry management
   kCluster,    // Algorithm 1 + rare-path scan
-  kNormalize,  // baseline normalization + eval pairs
-  kDeposit,    // heat-map deposit + coverage
+  kNormalize,  // detection pass (normalization, coverage, heat-map
+               // deposit) + eval pairs
+  kDeposit,    // about 0: the detection pass deposits; the slot keeps the
+               // record's field names
   kDiagnose,   // progressive diagnoser + observer
   kPublish,    // metrics/gauges + journal/export
 };

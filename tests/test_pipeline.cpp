@@ -9,6 +9,10 @@
 //     permutation stability;
 //   * RegionCache — incremental regions equal a from-scratch pass after
 //     every update, with and without a pool;
+//   * the detection pass — detect_fragments equals the reference
+//     functions (normalize_fragments, CoverageAccumulator::add,
+//     deposit_fragments) cell for cell at every lane count, also when one
+//     vertex holds communication and IO fragments;
 //   * AnalysisServer — byte-identical detection state at any pipeline
 //     depth/thread combination (the property tool_vapro_stress
 //     --equivalence fuzzes at scale).
@@ -20,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -791,6 +796,187 @@ TEST(RegionCache, RelabelsOnlyTheSuffixAWriteCanHaveChanged) {
   EXPECT_EQ(cache.regions()[0].bin_hi, 4);
 }
 
+// --- One detection pass ---------------------------------------------------
+
+// Every cell, write stamp and coverage sum equal, bit for bit.
+void expect_same_map(const core::Heatmap& a, const core::Heatmap& b,
+                     const std::string& what) {
+  ASSERT_EQ(a.ranks(), b.ranks()) << what;
+  ASSERT_EQ(a.bins(), b.bins()) << what;
+  EXPECT_EQ(a.allocated_cells(), b.allocated_cells()) << what;
+  ASSERT_EQ(a.writes(), b.writes()) << what;
+  for (std::uint64_t w = 0; w <= a.writes(); ++w)
+    ASSERT_EQ(a.first_column_written_after(w), b.first_column_written_after(w))
+        << what << " after write " << w;
+  for (int rank = 0; rank < a.ranks(); ++rank)
+    for (int bin = 0; bin < a.bins(); ++bin) {
+      ASSERT_EQ(a.weight(rank, bin), b.weight(rank, bin))
+          << what << " cell " << rank << "," << bin;
+      ASSERT_EQ(a.has_data(rank, bin), b.has_data(rank, bin))
+          << what << " cell " << rank << "," << bin;
+      if (a.has_data(rank, bin)) {
+        ASSERT_EQ(a.cell(rank, bin), b.cell(rank, bin))
+            << what << " cell " << rank << "," << bin;
+      }
+    }
+}
+
+void expect_same_coverage(const core::CoverageAccumulator& a,
+                          const core::CoverageAccumulator& b,
+                          const std::string& what) {
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(a.covered[k], b.covered[k]) << what << " kind " << k;
+    EXPECT_EQ(a.observed[k], b.observed[k]) << what << " kind " << k;
+  }
+}
+
+// The state a detecting server carries across windows.
+struct DetectionState {
+  static constexpr int kRanks = 5;
+  static constexpr double kBin = 0.1;
+  core::ClusterBaseline baseline{0.05};
+  core::CoverageAccumulator coverage;
+  core::Heatmap maps[3] = {core::Heatmap(kRanks, kBin),
+                           core::Heatmap(kRanks, kBin),
+                           core::Heatmap(kRanks, kBin)};
+
+  void reference(const core::Stg& stg, const core::ClusteringResult& clusters,
+                 std::size_t live_begin) {
+    const std::vector<core::NormalizedFragment> normalized =
+        core::normalize_fragments(stg, clusters, &baseline, live_begin);
+    coverage.add(stg, clusters, live_begin);
+    core::deposit_fragments(normalized, maps[0], maps[1], maps[2]);
+  }
+  void pass(const core::Stg& stg, const core::ClusteringResult& clusters,
+            std::size_t live_begin, util::WorkerPool* pool) {
+    core::detect_fragments(stg, clusters, &baseline, live_begin, coverage,
+                           maps[0], maps[1], maps[2], pool);
+  }
+  void expect_equal(const DetectionState& other,
+                    const std::string& what) const {
+    EXPECT_EQ(baseline.size(), other.baseline.size()) << what;
+    expect_same_coverage(coverage, other.coverage, what);
+    for (int k = 0; k < 3; ++k)
+      expect_same_map(maps[k], other.maps[k],
+                      what + " map " + std::to_string(k));
+  }
+};
+
+struct DetectionWindow {
+  core::Stg stg;
+  core::ClusteringResult clusters;
+  std::size_t live_begin = 0;
+};
+
+// Random windows over a fixed set of cluster identities (edge or vertex,
+// kind, seed norm), so the baseline carries minima from window to window.
+// Fragments span up to four bins; some identities get zero-duration
+// members (a cluster minimum of 0); clusters are sometimes rare, sometimes
+// split in two, and listed in shuffled order with shuffled members; every
+// window after the first starts with carry-ins.
+std::vector<DetectionWindow> detection_windows(unsigned seed) {
+  constexpr int kIdentities = 18, kWindows = 5;
+  std::mt19937 rng(seed);
+  const auto uniform = [&rng](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(rng);
+  };
+  std::vector<DetectionWindow> windows;
+  for (int w = 0; w < kWindows; ++w) {
+    DetectionWindow win;
+    std::vector<core::StateKey> keys;
+    for (int s = 0; s < 6; ++s) {
+      sim::InvocationInfo info;
+      info.site = static_cast<sim::CallSiteId>(50 + s);
+      info.kind = sim::OpKind::kAllreduce;
+      keys.push_back(win.stg.touch_vertex(info));
+    }
+    std::vector<std::vector<std::size_t>> members(kIdentities);
+    const int count = 150 + static_cast<int>(rng() % 100);
+    for (int i = 0; i < count; ++i) {
+      const int id = static_cast<int>(rng() % kIdentities);
+      core::Fragment f;
+      f.kind = static_cast<core::FragmentKind>(id % 3);
+      f.rank = static_cast<int>(rng() % DetectionState::kRanks);
+      f.to = keys[static_cast<std::size_t>(id % 6)];
+      f.from = f.kind == core::FragmentKind::kComputation
+                   ? keys[static_cast<std::size_t>((id + 1) % 6)]
+                   : f.to;
+      f.start_time = w + uniform(0.0, 1.0);
+      const bool zero = id % 6 == 1 && rng() % 20 == 0;
+      f.end_time = f.start_time + (zero ? 0.0 : uniform(0.001, 0.35));
+      members[static_cast<std::size_t>(id)].push_back(win.stg.add_fragment(f));
+    }
+    win.live_begin = w == 0 ? 0 : rng() % static_cast<unsigned>(count / 4);
+    for (int id = 0; id < kIdentities; ++id) {
+      std::vector<std::size_t>& m = members[static_cast<std::size_t>(id)];
+      if (m.empty()) continue;
+      std::shuffle(m.begin(), m.end(), rng);
+      core::Cluster c;
+      c.kind = static_cast<core::FragmentKind>(id % 3);
+      c.to = keys[static_cast<std::size_t>(id % 6)];
+      c.from = c.kind == core::FragmentKind::kComputation
+                   ? keys[static_cast<std::size_t>((id + 1) % 6)]
+                   : c.to;
+      c.seed_norm = 1000.0 * (1 + id);
+      c.rare = rng() % 6 == 0;
+      const std::size_t split = m.size() >= 4 && rng() % 3 == 0 ? m.size() / 2
+                                                                : m.size();
+      c.members.assign(m.begin(), m.begin() + static_cast<long>(split));
+      win.clusters.clusters.push_back(c);
+      if (split < m.size()) {
+        c.members.assign(m.begin() + static_cast<long>(split), m.end());
+        win.clusters.clusters.push_back(c);
+      }
+    }
+    std::shuffle(win.clusters.clusters.begin(), win.clusters.clusters.end(),
+                 rng);
+    windows.push_back(std::move(win));
+  }
+  return windows;
+}
+
+TEST(DetectionPass, EqualsTheReferenceFunctionsAtEveryLaneCount) {
+  // Counts of the cases the generator is there to produce, so a generator
+  // that stops producing one fails here instead of passing vacuously.
+  std::size_t rare = 0, zero_min = 0, carry_ins = 0, spanning = 0;
+  for (const unsigned seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    const std::vector<DetectionWindow> windows = detection_windows(seed);
+    DetectionState reference;
+    for (const DetectionWindow& w : windows) {
+      reference.reference(w.stg, w.clusters, w.live_begin);
+      const core::FragmentColumns& cols = w.stg.fragments();
+      carry_ins += w.live_begin;
+      for (const core::Cluster& c : w.clusters.clusters) {
+        rare += c.rare;
+        double lo = 1.0;
+        for (std::size_t idx : c.members) {
+          lo = std::min(lo, cols.duration(idx));
+          spanning += static_cast<int>(cols.end_time(idx) / 0.1) >
+                      static_cast<int>(cols.start_time(idx) / 0.1);
+        }
+        zero_min += !c.rare && lo == 0.0;
+      }
+    }
+    for (const std::size_t lanes : {1u, 2u, 3u, 4u}) {
+      util::WorkerPool pool(lanes);
+      DetectionState got;
+      for (const DetectionWindow& w : windows)
+        got.pass(w.stg, w.clusters, w.live_begin, &pool);
+      got.expect_equal(reference, "seed " + std::to_string(seed) +
+                                      " lanes " + std::to_string(lanes));
+    }
+    // No pool is the same per-kind walk, run on the caller.
+    DetectionState serial;
+    for (const DetectionWindow& w : windows)
+      serial.pass(w.stg, w.clusters, w.live_begin, nullptr);
+    serial.expect_equal(reference, "seed " + std::to_string(seed) + " serial");
+  }
+  EXPECT_GT(rare, 0u);
+  EXPECT_GT(zero_min, 0u);
+  EXPECT_GT(carry_ins, 0u);
+  EXPECT_GT(spanning, 0u);
+}
+
 // --- Pipelined server equivalence ----------------------------------------
 
 core::FragmentBatch server_batch(int window, int* site_count) {
@@ -897,6 +1083,132 @@ TEST(PipelinedServer, WindowExceptionReachesTheCallerAtEveryDepth) {
     server.process_window(server_batch(1, &sites));
     EXPECT_EQ(server.windows_processed(), 1u);
   }
+}
+
+void expect_same_detection(const core::AnalysisServer& a,
+                           const core::AnalysisServer& b,
+                           const std::string& what) {
+  expect_same_coverage(a.coverage(), b.coverage(), what);
+  expect_same_map(a.computation_map(), b.computation_map(),
+                  what + " computation");
+  expect_same_map(a.communication_map(), b.communication_map(),
+                  what + " communication");
+  expect_same_map(a.io_map(), b.io_map(), what + " io");
+}
+
+TEST(PipelinedServer, ThrowingWindowIsNotAnalyzedAgainByTheNext) {
+  // The observer throws after the window was detected.  Its fragments
+  // must still leave the STG, or the next window clusters, counts and
+  // deposits them a second time.
+  for (const int depth : {1, 2}) {
+    SCOPED_TRACE(depth);
+    const auto run = [depth](bool throw_once) {
+      core::ServerOptions opts;
+      opts.run_diagnosis = false;
+      opts.pipeline_depth = depth;
+      int observed = 0;
+      opts.window_observer = [throw_once, observed](
+                                 const core::Stg&,
+                                 const core::ClusteringResult&) mutable {
+        if (throw_once && observed++ == 0)
+          throw std::runtime_error("observer boom");
+      };
+      auto server = std::make_unique<core::AnalysisServer>(6, opts);
+      int sites = 0;
+      try {
+        server->process_window(server_batch(0, &sites));
+        server->sync();
+      } catch (const std::runtime_error&) {
+      }
+      server->process_window(server_batch(1, &sites));
+      server->sync();
+      return server;
+    };
+    const std::unique_ptr<core::AnalysisServer> clean = run(false);
+    const std::unique_ptr<core::AnalysisServer> threw = run(true);
+    expect_same_detection(*threw, *clean, "after a throwing window");
+  }
+}
+
+// Communication and IO fragments filed under one state, as a wire peer may
+// send them (decode_batch checks each fragment, not the mix per state):
+// clustering puts both kinds in one cluster, whose kind is its first
+// member's.
+core::FragmentBatch mixed_kind_batch(int window) {
+  core::FragmentBatch batch;
+  const int kRanks = 6, kReps = 8;
+  sim::InvocationInfo info;
+  info.site = static_cast<sim::CallSiteId>(70);
+  info.kind = sim::OpKind::kAllreduce;
+  const core::StateKey key =
+      core::make_state_key(core::StgMode::kContextFree, info);
+  batch.new_states.push_back(info);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    double t = window * 0.5;
+    for (int rep = 0; rep < kReps; ++rep) {
+      core::Fragment f;
+      f.kind = (rank + rep) % 2 == 0 ? core::FragmentKind::kCommunication
+                                     : core::FragmentKind::kIo;
+      f.op = sim::OpKind::kAllreduce;
+      f.rank = rank;
+      f.from = key;
+      f.to = key;
+      f.start_time = t;
+      f.end_time = t + 0.01 * (rank == 2 && window == 1 ? 3.0 : 1.0);
+      f.args.bytes = 4096.0;
+      t = f.end_time + 0.02;
+      batch.fragments.push_back(f);
+    }
+  }
+  return batch;
+}
+
+TEST(DetectionPass, MixedKindVertexFollowsTheClusterKind) {
+  const auto run = [](int threads) {
+    core::ServerOptions opts;
+    opts.run_diagnosis = false;
+    opts.analysis_threads = threads;
+    auto server = std::make_unique<core::AnalysisServer>(6, opts);
+    for (int w = 0; w < 3; ++w) server->process_window(mixed_kind_batch(w));
+    return server;
+  };
+  const std::unique_ptr<core::AnalysisServer> one = run(1);
+  const std::unique_ptr<core::AnalysisServer> three = run(3);
+  expect_same_detection(*three, *one, "lanes 3 vs 1");
+
+  // The reference functions over the same windows, STG and clustering.
+  const core::ServerOptions opts;
+  core::Stg stg(opts.stg_mode);
+  core::ClusterBaseline baseline(opts.cluster.threshold);
+  core::CoverageAccumulator coverage;
+  core::Heatmap maps[3] = {core::Heatmap(6, opts.bin_seconds),
+                           core::Heatmap(6, opts.bin_seconds),
+                           core::Heatmap(6, opts.bin_seconds)};
+  bool mixed = false;
+  for (int w = 0; w < 3; ++w) {
+    core::FragmentBatch batch = mixed_kind_batch(w);
+    for (const sim::InvocationInfo& info : batch.new_states)
+      stg.touch_vertex(info);
+    stg.adopt_fragments(std::move(batch.fragments));
+    const core::ClusteringResult clusters = core::cluster_stg(stg, opts.cluster);
+    for (const core::Cluster& c : clusters.clusters)
+      for (std::size_t idx : c.members)
+        mixed |= stg.fragments().kind(idx) != c.kind;
+    const std::vector<core::NormalizedFragment> normalized =
+        core::normalize_fragments(stg, clusters, &baseline);
+    coverage.add(stg, clusters);
+    core::deposit_fragments(normalized, maps[0], maps[1], maps[2]);
+    stg.clear_fragments();
+  }
+  ASSERT_TRUE(mixed) << "no cluster holds members of another kind";
+  // Every member follows its cluster's kind: the IO map stays empty.
+  EXPECT_EQ(maps[2].writes(), 0u);
+  EXPECT_EQ(coverage.observed[2], 0.0);
+  expect_same_coverage(one->coverage(), coverage, "reference");
+  expect_same_map(one->computation_map(), maps[0], "reference computation");
+  expect_same_map(one->communication_map(), maps[1],
+                  "reference communication");
+  expect_same_map(one->io_map(), maps[2], "reference io");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -89,6 +90,30 @@ TEST_F(SessionFixture, CsvBundleWritesThreeFiles) {
     EXPECT_NE(header.find("rank"), std::string::npos) << name;
     std::remove(name);
   }
+}
+
+TEST_F(SessionFixture, CsvBundleCreatesAMissingDirectory) {
+  sim::Simulator simulator(make_config());
+  VaproOptions opts;
+  opts.window_seconds = 0.1;
+  VaproSession session(simulator, opts);
+  apps::NpbParams p;
+  p.iters = 20;
+  simulator.run(apps::cg(p));
+
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "csv_bundle_missing";
+  std::filesystem::remove_all(root);
+  const std::filesystem::path dir = root / "nested" / "dir";
+  EXPECT_EQ(write_csv_bundle(session, dir.string()), 3);
+  for (const char* name : {"computation.csv", "communication.csv", "io.csv"}) {
+    std::ifstream in(dir / name);
+    EXPECT_TRUE(in.good()) << name;
+    std::string header;
+    std::getline(in, header);
+    EXPECT_NE(header.find("rank"), std::string::npos) << name;
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(SessionFixture, JsonReportIsWellFormedAndComplete) {
