@@ -46,8 +46,8 @@ Series collect(const sim::NoiseSpec& noise) {
     const core::FragmentColumns& frags = stg.fragments();
     for (std::size_t idx : biggest->members) {
       if (frags.rank(idx) != 0) continue;
-      series.tot_ins.push_back(frags.counters(idx)[pmu::Counter::kTotIns]);
-      series.tsc.push_back(frags.counters(idx)[pmu::Counter::kTsc]);
+      series.tot_ins.push_back(frags.counter(idx, pmu::Counter::kTotIns));
+      series.tsc.push_back(frags.counter(idx, pmu::Counter::kTsc));
     }
   };
   core::VaproSession session(simulator, opts);

@@ -63,10 +63,11 @@ int main() {
       int normals = 0;
       for (std::size_t idx : c.members) {
         if (frags.duration(idx) > 1.2 * fastest) continue;
-        ref_be += core::factor_value(core::FactorId::kBackend,
-                                     frags.counters(idx), machine);
-        ref_sp += core::factor_value(core::FactorId::kSuspension,
-                                     frags.counters(idx), machine);
+        const pmu::CounterSample counters = frags.counters(idx);
+        ref_be += core::factor_value(core::FactorId::kBackend, counters,
+                                     machine);
+        ref_sp += core::factor_value(core::FactorId::kSuspension, counters,
+                                     machine);
         ++normals;
       }
       if (normals == 0) continue;
@@ -74,7 +75,7 @@ int main() {
       ref_sp /= normals;
 
       for (std::size_t idx : c.members) {
-        const pmu::CounterSample& counters = frags.counters(idx);
+        const pmu::CounterSample counters = frags.counters(idx);
         const double be = core::factor_value(core::FactorId::kBackend,
                                              counters, machine) - ref_be;
         const double sp = core::factor_value(core::FactorId::kSuspension,
@@ -115,16 +116,17 @@ int main() {
       int normals = 0;
       for (std::size_t idx : biggest->members) {
         if (frags.duration(idx) > 1.2 * fastest) continue;
-        ref_be += core::factor_value(core::FactorId::kBackend,
-                                     frags.counters(idx), machine);
-        ref_sp += core::factor_value(core::FactorId::kSuspension,
-                                     frags.counters(idx), machine);
+        const pmu::CounterSample counters = frags.counters(idx);
+        ref_be += core::factor_value(core::FactorId::kBackend, counters,
+                                     machine);
+        ref_sp += core::factor_value(core::FactorId::kSuspension, counters,
+                                     machine);
         ++normals;
       }
       ref_be /= std::max(1, normals);
       ref_sp /= std::max(1, normals);
       for (std::size_t idx : biggest->members) {
-        const pmu::CounterSample& counters = frags.counters(idx);
+        const pmu::CounterSample counters = frags.counters(idx);
         formula_be += std::max(
             0.0, core::factor_value(core::FactorId::kBackend, counters,
                                     machine) - ref_be);

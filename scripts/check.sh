@@ -113,8 +113,19 @@ fetch /healthz "$obs_tmp/healthz.json" \
   || { echo "FAIL: /healthz unreachable" >&2; exit 1; }
 grep -q '"status":"ok"' "$obs_tmp/healthz.json" \
   || { echo "FAIL: /healthz not ok" >&2; exit 1; }
-fetch /metrics "$obs_tmp/metrics.prom" \
-  || { echo "FAIL: /metrics unreachable" >&2; exit 1; }
+# The column footprint (arena bytes of each window's fragment columns,
+# summed) is on /metrics and positive once a window has been analyzed.
+column_bytes=""
+for _ in $(seq 1 50); do
+  fetch /metrics "$obs_tmp/metrics.prom" \
+    || { echo "FAIL: /metrics unreachable" >&2; exit 1; }
+  column_bytes="$(sed -n 's/^vapro_server_column_bytes_total \([0-9]*\)$/\1/p' \
+    "$obs_tmp/metrics.prom")"
+  [ -n "$column_bytes" ] && [ "$column_bytes" -gt 0 ] && break
+  sleep 0.1
+done
+[ -n "$column_bytes" ] && [ "$column_bytes" -gt 0 ] \
+  || { echo "FAIL: vapro_server_column_bytes_total missing or zero" >&2; exit 1; }
 fetch /v1/variance "$obs_tmp/variance.json" \
   || { echo "FAIL: /v1/variance unreachable" >&2; exit 1; }
 if command -v python3 > /dev/null; then

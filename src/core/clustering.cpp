@@ -76,8 +76,7 @@ EntryBlock make_entries(const Stg& stg, const std::vector<std::size_t>& indices,
     VAPRO_DCHECK(workload_dim_count(cols.kind(idx), opts.proxies.size()) ==
                  blk.dim_count);
     double* row = blk.dims.data() + pos * blk.dim_count;
-    write_workload_dims(cols.kind(idx), cols.counters(idx), cols.args(idx),
-                        cols.op(idx), opts.proxies, row);
+    write_workload_dims(cols.kind(idx), cols, idx, opts.proxies, row);
     blk.entries.push_back(NormEntry{row_norm(row, blk.dim_count), idx, pos});
   }
   std::sort(

@@ -15,18 +15,18 @@ namespace vapro::core {
 
 namespace {
 
-// Factor values per fragment as a column per factor.
+// Factor values per fragment as a column per factor.  Each member's
+// counter sample is assembled once and read for every factor.
 std::vector<std::vector<double>> factor_columns(
     const Stg& stg, const std::vector<std::size_t>& members,
     const std::vector<FactorId>& factors, const pmu::MachineParams& machine) {
   const FragmentColumns& frags = stg.fragments();
   std::vector<std::vector<double>> cols(factors.size());
-  for (std::size_t f = 0; f < factors.size(); ++f) {
-    cols[f].reserve(members.size());
-    for (std::size_t idx : members) {
-      cols[f].push_back(
-          factor_value(factors[f], frags.counters(idx), machine));
-    }
+  for (std::vector<double>& col : cols) col.reserve(members.size());
+  for (std::size_t idx : members) {
+    const pmu::CounterSample counters = frags.counters(idx);
+    for (std::size_t f = 0; f < factors.size(); ++f)
+      cols[f].push_back(factor_value(factors[f], counters, machine));
   }
   return cols;
 }

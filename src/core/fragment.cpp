@@ -35,36 +35,25 @@ std::size_t workload_dim_count(FragmentKind kind, std::size_t proxy_count) {
   return kind == FragmentKind::kComputation ? proxy_count : 3;
 }
 
-void write_workload_dims(FragmentKind kind, const pmu::CounterSample& counters,
-                         const sim::CommArgs& args, sim::OpKind op,
-                         const std::vector<pmu::Counter>& proxies,
-                         double* out) {
-  switch (kind) {
-    case FragmentKind::kComputation:
-      for (pmu::Counter c : proxies) *out++ = counters[c];
-      break;
-    case FragmentKind::kCommunication:
-      // Arguments approximate communication workload (§3.3): size, peer,
-      // and the operation.  Peer/op are scaled so that distinct values land
-      // in distinct clusters regardless of the byte dimension.
-      out[0] = args.bytes;
-      out[1] = static_cast<double>(args.peer) * 1e3;
-      out[2] = static_cast<double>(op) * 1e3;
-      break;
-    case FragmentKind::kIo:
-      out[0] = args.bytes;
-      out[1] = static_cast<double>(args.fd) * 1e3;
-      out[2] = static_cast<double>(op) * 1e3;
-      break;
-  }
-}
+namespace {
+
+// One Fragment in the (source, row) shape write_workload_dims reads.
+struct SingleFragment {
+  const Fragment& f;
+  double counter(std::size_t, pmu::Counter c) const { return f.counters[c]; }
+  double bytes(std::size_t) const { return f.args.bytes; }
+  int peer(std::size_t) const { return f.args.peer; }
+  int fd(std::size_t) const { return f.args.fd; }
+  sim::OpKind op(std::size_t) const { return f.op; }
+};
+
+}  // namespace
 
 WorkloadVector make_workload_vector(
     const Fragment& f, const std::vector<pmu::Counter>& proxies) {
   WorkloadVector v;
   v.dims.resize(workload_dim_count(f.kind, proxies.size()));
-  write_workload_dims(f.kind, f.counters, f.args, f.op, proxies,
-                      v.dims.data());
+  write_workload_dims(f.kind, SingleFragment{f}, 0, proxies, v.dims.data());
   return v;
 }
 

@@ -66,15 +66,38 @@ struct WorkloadVector {
 WorkloadVector make_workload_vector(const Fragment& f,
                                     const std::vector<pmu::Counter>& proxies);
 
-// Field-wise flavors of the same definition, shared by the overload above
-// and the clustering hot path, which reads the FragmentColumns fields
-// (src/core/columns.hpp) and writes dims straight into a flat column
-// instead of per-fragment vectors.  Keeping one definition here is what
-// guarantees the SoA layout clusters byte-identically to the AoS one.
 std::size_t workload_dim_count(FragmentKind kind, std::size_t proxy_count);
-// Writes exactly workload_dim_count(kind, proxies.size()) doubles to `out`.
-void write_workload_dims(FragmentKind kind, const pmu::CounterSample& counters,
-                         const sim::CommArgs& args, sim::OpKind op,
-                         const std::vector<pmu::Counter>& proxies, double* out);
+
+// The one definition of the dims: writes exactly
+// workload_dim_count(kind, proxies.size()) doubles of row `i` of `source`
+// to `out`.  `source` offers counter(i, c), bytes(i), peer(i), fd(i) and
+// op(i): clustering's hot path (make_entries) passes the window's
+// FragmentColumns (src/core/columns.hpp) and reads a dense column per
+// field, make_workload_vector one Fragment.  Sharing it is what keeps the
+// norm-sort keys bit-identical between the two.
+template <typename Source>
+void write_workload_dims(FragmentKind kind, const Source& source,
+                         std::size_t i,
+                         const std::vector<pmu::Counter>& proxies,
+                         double* out) {
+  switch (kind) {
+    case FragmentKind::kComputation:
+      for (pmu::Counter c : proxies) *out++ = source.counter(i, c);
+      break;
+    case FragmentKind::kCommunication:
+      // Arguments approximate communication workload (§3.3): size, peer,
+      // and the operation.  Peer/op are scaled so that distinct values
+      // land in distinct clusters regardless of the byte dimension.
+      out[0] = source.bytes(i);
+      out[1] = static_cast<double>(source.peer(i)) * 1e3;
+      out[2] = static_cast<double>(source.op(i)) * 1e3;
+      break;
+    case FragmentKind::kIo:
+      out[0] = source.bytes(i);
+      out[1] = static_cast<double>(source.fd(i)) * 1e3;
+      out[2] = static_cast<double>(source.op(i)) * 1e3;
+      break;
+  }
+}
 
 }  // namespace vapro::core

@@ -42,9 +42,7 @@ void Heatmap::ensure_bins(int bin) {
 void Heatmap::deposit(int rank, double start, double end, double perf) {
   VAPRO_CHECK(rank >= 0 && rank < ranks_);
   if (end <= start) return;
-  // Bounded so the doubling stride cannot overflow an int; a NaN fails
-  // both comparisons.
-  constexpr double kMaxBins = 1 << 30;
+  // A NaN fails both comparisons.
   const double first_bin = start / bin_seconds_;
   const double last_bin = end / bin_seconds_;
   VAPRO_CHECK_MSG(first_bin >= 0.0 && last_bin < kMaxBins,
@@ -166,7 +164,7 @@ std::string Heatmap::render_ascii(int max_rows, int max_cols) const {
   return oss.str();
 }
 
-void Heatmap::write_csv(const std::string& path) const {
+bool Heatmap::write_csv(const std::string& path) const {
   util::CsvWriter csv(path);
   std::vector<std::string> header;
   header.push_back("rank\\time_s");
@@ -182,6 +180,7 @@ void Heatmap::write_csv(const std::string& path) const {
     }
     csv.write_row(row);
   }
+  return csv.close();
 }
 
 namespace {

@@ -23,9 +23,11 @@ class Heatmap {
   // `bin_seconds` — time resolution; rows are ranks.
   Heatmap(int ranks, double bin_seconds);
 
-  // Fragment times must be finite and non-negative (checked: a bad time
-  // would index outside the map).
+  // Fragment times must be finite and non-negative, and end before bin
+  // kMaxBins (checked: a bad time would index outside the map).
   void deposit(int rank, double start, double end, double perf);
+  // Bounded so the doubling row stride cannot overflow an int.
+  static constexpr double kMaxBins = 1 << 30;
 
   // Accumulates another map's cells (same ranks and bin size) in columns
   // [from, other.bins()), stamping column `from` — used by the
@@ -67,8 +69,9 @@ class Heatmap {
   // `max_cols` by aggregation.  '#'..' ' ramp, low performance = dark.
   std::string render_ascii(int max_rows = 32, int max_cols = 100) const;
 
-  // CSV dump: header row of bin times, one row per rank.
-  void write_csv(const std::string& path) const;
+  // CSV dump: header row of bin times, one row per rank.  False when the
+  // file could not be written.
+  bool write_csv(const std::string& path) const;
 
  private:
   void ensure_bins(int bin);

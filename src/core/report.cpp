@@ -131,11 +131,13 @@ std::string render_report(const VaproSession& session,
 
 int write_csv_bundle(const VaproSession& session,
                      const std::string& directory) {
-  util::ensure_parent_dirs(directory + "/computation.csv");
-  session.computation_map().write_csv(directory + "/computation.csv");
-  session.communication_map().write_csv(directory + "/communication.csv");
-  session.io_map().write_csv(directory + "/io.csv");
-  return 3;
+  if (!util::ensure_dir(directory)) return 0;
+  const std::string dir = directory + "/";
+  int written = 0;
+  written += session.computation_map().write_csv(dir + "computation.csv");
+  written += session.communication_map().write_csv(dir + "communication.csv");
+  written += session.io_map().write_csv(dir + "io.csv");
+  return written;
 }
 
 }  // namespace vapro::core

@@ -29,7 +29,8 @@ std::string render_report(const VaproSession& session,
 
 // Writes heat maps as CSV files under `directory`, creating it and its
 // parents when missing: computation.csv, communication.csv, io.csv.
-// Returns the file count.
+// Returns the number of files written: 3, or fewer when the directory
+// cannot be made or a file cannot be written.
 int write_csv_bundle(const VaproSession& session,
                      const std::string& directory);
 

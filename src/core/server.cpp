@@ -291,6 +291,8 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
         overlap_carry_.push_back(batch.fragments.materialize(i));
   }
   stg_.adopt_fragments(std::move(batch.fragments));
+  // The window's column footprint (vapro.server.column_bytes_total).
+  const std::size_t column_bytes = stg_.fragments().arena_bytes_used();
   fragments_ += drained;
   stats.carry_ins = live_begin;
   stats.virtual_time = window_end;
@@ -459,6 +461,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
     obs::MetricsRegistry& m = obs->metrics();
     m.counter("vapro.server.windows_total")->inc();
     m.counter("vapro.server.fragments_total")->inc(stats.fragments_drained);
+    m.counter("vapro.server.column_bytes_total")->inc(column_bytes);
     m.counter("vapro.server.carry_ins_total")->inc(stats.carry_ins);
     m.counter("vapro.server.clusters_total")->inc(stats.clusters_formed);
     m.counter("vapro.server.rare_clusters_total")->inc(stats.rare_clusters);

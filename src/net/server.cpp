@@ -137,14 +137,18 @@ void IngestServer::handle_connection(int fd) {
     }
     core::FragmentBatch batch;
     double drain_seconds = 0.0;
-    if (!decode_batch(payload, &batch, &drain_seconds, &error)) {
+    std::size_t declared_fragments = 0;
+    AckStatus status = AckStatus::kRejected;
+    if (decode_batch(payload, &batch, &drain_seconds, &error,
+                     &declared_fragments)) {
+      batches_.fetch_add(1, std::memory_order_relaxed);
+      status = session->submit(header.seq, std::move(batch), drain_seconds);
+    } else {
+      // The CRC matched, so a resend would carry the same bytes: refuse
+      // the seq (a journaled net_drop) and let the stream go on past it.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      if (!reply(fd, FrameType::kNack, header.seq, std::string())) break;
-      continue;
+      status = session->refuse_malformed(header.seq, declared_fragments);
     }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    const AckStatus status =
-        session->submit(header.seq, std::move(batch), drain_seconds);
     // The idempotency proof: reset AFTER admission, BEFORE the ack.  The
     // client times out / sees EOF, reconnects, retransmits — and the
     // session layer must answer kDuplicate instead of double-counting.

@@ -5,9 +5,11 @@
 // stop() by tearing the listen socket down) and speaks the wire protocol
 // of wire.hpp: a kHello names the tenant, then kBatch frames stream in and
 // each is answered with kAck (carrying the session layer's AckStatus) or
-// kNack (CRC mismatch — "resend this seq").  Unlike the one-shot HTTP
-// server, connections are long-lived: one reader thread per connection
-// loops until kBye, EOF, or a protocol error.
+// kNack (CRC mismatch — "resend this seq").  A batch whose CRC matches but
+// whose payload does not decode is acked kRejected: the session refuses
+// its seq with a journaled net_drop, since a resend cannot mend it.
+// Unlike the one-shot HTTP server, connections are long-lived: one reader
+// thread per connection loops until kBye, EOF, or a protocol error.
 //
 // Hazard sites on the receive path:
 //   net.frame_torn — the batch payload is corrupted after the read, so the

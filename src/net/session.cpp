@@ -1,7 +1,9 @@
 #include "src/net/session.hpp"
 
+#include <iterator>
 #include <utility>
 
+#include "src/core/heatmap.hpp"
 #include "src/testing/fault.hpp"
 
 namespace vapro::net {
@@ -18,8 +20,27 @@ TenantSession::TenantSession(TenantOptions opts, IngestPlane* plane)
 
 AckStatus TenantSession::submit(std::uint64_t seq, core::FragmentBatch batch,
                                 double drain_seconds) {
+  Queued q;
+  q.seq = seq;
+  q.drain_seconds = drain_seconds;
+  q.batch = std::move(batch);
+  return arrive(std::move(q));
+}
+
+AckStatus TenantSession::refuse_malformed(std::uint64_t seq,
+                                          std::size_t declared_fragments) {
+  Queued q;
+  q.seq = seq;
+  q.malformed = true;
+  q.declared = declared_fragments;
+  const AckStatus status = arrive(std::move(q));
+  return status == AckStatus::kDuplicate ? status : AckStatus::kRejected;
+}
+
+AckStatus TenantSession::arrive(Queued q) {
   std::lock_guard<std::mutex> lock(seq_mu_);
   ++stats_.submitted;
+  const std::uint64_t seq = q.seq;
   if (seq < next_expected_ || pending_.count(seq)) {
     ++stats_.duplicates;
     if (plane_->opts_.obs)
@@ -27,15 +48,13 @@ AckStatus TenantSession::submit(std::uint64_t seq, core::FragmentBatch batch,
     return AckStatus::kDuplicate;
   }
   if (seq >= next_expected_ + opts_.reorder_window) {
+    // Its states are dropped with it: the stream cannot pass this seq
+    // until the batch is resubmitted, states and all.
     ++stats_.rejected;
-    journal_net_drop(seq, batch.fragments.size(), "reorder_window_exceeded");
+    journal_net_drop(seq, q.fragments(), "reorder_window_exceeded");
     return AckStatus::kRejected;
   }
   if (seq != next_expected_) ++stats_.reordered;
-  Queued q;
-  q.seq = seq;
-  q.drain_seconds = drain_seconds;
-  q.batch = std::move(batch);
   pending_.emplace(seq, std::move(q));
   return apply_ready_locked(seq);
 }
@@ -48,10 +67,39 @@ AckStatus TenantSession::apply_ready_locked(std::uint64_t submitted_seq) {
     pending_.erase(it);
     ++next_expected_;
     const bool is_submitted = q.seq == submitted_seq;
-    const AckStatus outcome = enqueue_locked(std::move(q));
+    AckStatus outcome = AckStatus::kRejected;
+    if (const char* reason =
+            q.malformed ? "malformed_payload" : refusal_reason(q.batch)) {
+      ++stats_.rejected;
+      journal_net_drop(q.seq, q.fragments(), reason);
+      hold_states(q.seq, std::move(q.batch.new_states));
+    } else {
+      outcome = enqueue_locked(std::move(q));
+    }
     if (is_submitted) result = outcome;
   }
   return result;
+}
+
+const char* TenantSession::refusal_reason(const core::FragmentBatch& batch) {
+  for (const sim::InvocationInfo& info : batch.new_states)
+    known_states_.insert(core::make_state_key(opts_.server.stg_mode, info));
+  const core::FragmentColumns& frags = batch.fragments;
+  for (std::size_t i = 0; i < frags.size(); ++i) {
+    // The heat maps have one row per rank.
+    if (frags.rank(i) < 0 || frags.rank(i) >= opts_.ranks)
+      return "rank_out_of_range";
+    // ... and a bounded number of time bins (decode_batch has already
+    // refused negative, non-finite and reversed times).
+    if (!(frags.end_time(i) / opts_.server.bin_seconds <
+          core::Heatmap::kMaxBins))
+      return "time_out_of_range";
+    // Communication and IO fragments file under their state's STG vertex.
+    if (frags.kind(i) != core::FragmentKind::kComputation &&
+        !known_states_.count(frags.to(i)))
+      return "unknown_state";
+  }
+  return nullptr;
 }
 
 AckStatus TenantSession::enqueue_locked(Queued q) {
@@ -67,12 +115,14 @@ AckStatus TenantSession::enqueue_locked(Queued q) {
       break;
     default:
       journal_shed(seq, fragments, new_states, "forced");
+      hold_states(seq, std::move(q.batch.new_states));
       return AckStatus::kShed;
   }
   if (opts_.admission == AdmissionPolicy::kBlock) {
     plane_->note_inflight(+1);
     if (!pipeline_.submit(std::move(q))) {
-      // Closed during teardown: nothing will consume it — account it.
+      // Closed during teardown: nothing will consume it — account it.  No
+      // batch is analyzed after it, so its states have nowhere to go.
       plane_->note_inflight(-1);
       journal_shed(seq, fragments, new_states, "closed");
       return AckStatus::kShed;
@@ -83,10 +133,12 @@ AckStatus TenantSession::enqueue_locked(Queued q) {
         journal_shed(seq, fragments, new_states, "closed");
         return AckStatus::kShed;
       }
+      std::lock_guard<std::mutex> lock(states_mu_);
       if (auto victim = pipeline_.evict_oldest()) {
         plane_->note_inflight(-1);
         journal_shed(victim->seq, victim->batch.fragments.size(),
                      victim->batch.new_states.size(), "oldest");
+        hold_states_locked(victim->seq, std::move(victim->batch.new_states));
       }
     }
     plane_->note_inflight(+1);
@@ -135,7 +187,35 @@ void TenantSession::journal_net_drop(std::uint64_t seq, std::size_t fragments,
   }
 }
 
+void TenantSession::hold_states_locked(
+    std::uint64_t seq, std::vector<sim::InvocationInfo> states) {
+  if (!states.empty()) held_states_.emplace(seq, std::move(states));
+}
+
+void TenantSession::hold_states(std::uint64_t seq,
+                                std::vector<sim::InvocationInfo> states) {
+  std::lock_guard<std::mutex> lock(states_mu_);
+  hold_states_locked(seq, std::move(states));
+}
+
 void TenantSession::process(Queued q) {
+  {
+    // States of earlier batches the server never analyzed come first, in
+    // seq order (Stg::touch_vertex is idempotent).
+    std::lock_guard<std::mutex> lock(states_mu_);
+    const auto end = held_states_.lower_bound(q.seq);
+    if (end != held_states_.begin()) {
+      std::vector<sim::InvocationInfo> states;
+      for (auto it = held_states_.begin(); it != end; ++it)
+        states.insert(states.end(), std::make_move_iterator(it->second.begin()),
+                      std::make_move_iterator(it->second.end()));
+      states.insert(states.end(),
+                    std::make_move_iterator(q.batch.new_states.begin()),
+                    std::make_move_iterator(q.batch.new_states.end()));
+      q.batch.new_states = std::move(states);
+      held_states_.erase(held_states_.begin(), end);
+    }
+  }
   backend_.process_window(std::move(q.batch), q.drain_seconds);
   backend_.sync();
   // This batch is the only one pending: the backlog has drained.  Cleared

@@ -23,6 +23,22 @@
 //      running on what survives — overload degrades the data, never the
 //      service.
 //
+// Before admission, each batch is checked in seq order against what the
+// tenant's server can analyze: a fragment rank outside [0, ranks), an end
+// time at or past the heat map's last bin, or a communication/IO fragment
+// on a state no batch has announced is refused (kRejected + `net_drop`
+// journal event), never handed to the server, whose checks would abort
+// the process.  A batch the transport could not decode takes the same
+// in-order refusal through refuse_malformed(), so the stream goes on past
+// its seq.
+//
+// A client announces each state once, so a batch the session sheds or
+// refuses in seq order still delivers its `new_states`: they are held and
+// handed to the server with the next batch it analyzes whose seq is
+// higher.  A batch refused beyond the reorder window takes its states
+// with it: the stream cannot pass its seq until it is resubmitted, states
+// and all.
+//
 // Every shed is accounted: per tenant,
 //     submitted_unique == admitted + shed + rejected
 //     server.fragments_processed == Σ fragments(admitted batches)
@@ -36,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/client.hpp"
@@ -65,7 +82,7 @@ struct TenantOptions {
 };
 
 struct TenantStats {
-  std::uint64_t submitted = 0;   // submit() calls, including duplicates
+  std::uint64_t submitted = 0;   // batches arrived, including duplicates
   std::uint64_t admitted = 0;    // batches that reached the queue
   std::uint64_t duplicates = 0;  // deduped retransmits
   std::uint64_t shed = 0;        // journaled `shed` events
@@ -88,6 +105,13 @@ class TenantSession {
   // visible through the journal and stats only.
   AckStatus submit(std::uint64_t seq, core::FragmentBatch batch,
                    double drain_seconds);
+  // Accounts batch `seq`, which arrived intact but does not decode:
+  // resending cannot mend it, so it is refused in seq order with a
+  // `malformed_payload` net_drop counting the `declared_fragments`, and
+  // the batches behind it are analyzed.  Acks kRejected, or kDuplicate
+  // for a seq already applied or buffered.
+  AckStatus refuse_malformed(std::uint64_t seq,
+                             std::size_t declared_fragments);
 
   // Blocks until every admitted batch has been fully analyzed; rethrows,
   // once, an exception the analysis of one of them threw.  After sync()
@@ -115,13 +139,34 @@ class TenantSession {
     std::uint64_t seq = 0;
     double drain_seconds = 0.0;
     core::FragmentBatch batch;
+    // Set by refuse_malformed(), with the fragment count the undecodable
+    // batch declared.
+    bool malformed = false;
+    std::size_t declared = 0;
+
+    std::size_t fragments() const {
+      return malformed ? declared : batch.fragments.size();
+    }
   };
 
+  // Dedups, window-checks and buffers one arrival, then applies what is
+  // ready.  Returns the admission outcome of `q.seq`.
+  AckStatus arrive(Queued q);
   // Applies the contiguous run starting at next_expected_; caller holds
   // seq_mu_.  Returns the admission outcome of `submitted_seq`.
   AckStatus apply_ready_locked(std::uint64_t submitted_seq);
+  // Learns the batch's announced states, then returns why the server
+  // cannot analyze it (the `net_drop` reason), or nullptr; caller holds
+  // seq_mu_ and calls it in seq order.
+  const char* refusal_reason(const core::FragmentBatch& batch);
   // Queues one in-order batch, shedding per policy; caller holds seq_mu_.
   AckStatus enqueue_locked(Queued q);
+  // Keeps the states of batch `seq`, which the server will not analyze,
+  // for the next analyzed batch with a higher seq; caller holds
+  // states_mu_.
+  void hold_states_locked(std::uint64_t seq,
+                          std::vector<sim::InvocationInfo> states);
+  void hold_states(std::uint64_t seq, std::vector<sim::InvocationInfo> states);
   void journal_shed(std::uint64_t seq, std::size_t fragments,
                     std::size_t new_states, const char* policy);
   void journal_net_drop(std::uint64_t seq, std::size_t fragments,
@@ -138,6 +183,15 @@ class TenantSession {
   std::uint64_t next_expected_ = 0;
   std::map<std::uint64_t, Queued> pending_;  // reorder buffer, seq-ordered
   TenantStats stats_;
+  // Every state announced by a batch applied so far (seq_mu_).
+  std::unordered_set<core::StateKey> known_states_;
+
+  // States of batches the server will not analyze, by seq (states_mu_).
+  // process() takes every entry below its batch's seq.  An eviction holds
+  // its victim's states under the same lock, so no later batch can start
+  // in between.
+  std::mutex states_mu_;
+  std::map<std::uint64_t, std::vector<sim::InvocationInfo>> held_states_;
 
   std::atomic<bool> degraded_{false};
   // Admission queue plus analysis worker.  Last member: destroyed first,

@@ -112,11 +112,13 @@ bool fail(std::string* error, const std::string& msg) {
 }
 
 void put_args(std::string& out, const sim::CommArgs& a) {
-  put_f64(out, a.bytes);
-  put_i32(out, a.peer);
-  put_i32(out, a.fd);
-  put_i32(out, a.tag);
-  put_f64(out, a.transfer_seconds);
+  // Names every field: one added to CommArgs breaks the build here.
+  const auto& [bytes, peer, fd, tag, transfer] = a;
+  put_f64(out, bytes);
+  put_i32(out, peer);
+  put_i32(out, fd);
+  put_i32(out, tag);
+  put_f64(out, transfer);
 }
 
 void get_args(Cursor& c, sim::CommArgs* a) {
@@ -240,21 +242,17 @@ std::string encode_batch(const core::FragmentBatch& batch,
     put_u64(out, frags.to(idx));
     put_f64(out, frags.start_time(idx));
     put_f64(out, frags.end_time(idx));
-    // Sparse counter sample: (slot, value) pairs for non-zero slots only.
-    // "Zero" means the all-zero BIT PATTERN, not numeric zero: -0.0 and the
-    // rest of the weird doubles must survive the round trip bit-identical.
-    const pmu::CounterSample& counters = frags.counters(idx);
-    auto slot_active = [&counters](std::size_t i) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &counters.values[i], sizeof(bits));
-      return bits != 0;
-    };
+    // Sparse counter sample: (slot, value) pairs for present slots only.
+    // "Present" means a non-zero BIT PATTERN, not numeric non-zero: -0.0
+    // and the rest of the weird doubles must survive the round trip
+    // bit-identical.
+    const pmu::CounterSample counters = frags.counters(idx);
     std::uint8_t active = 0;
     for (std::size_t i = 0; i < pmu::kCounterCount; ++i)
-      if (slot_active(i)) ++active;
+      if (pmu::counter_present(counters.values[i])) ++active;
     put_u8(out, active);
     for (std::size_t i = 0; i < pmu::kCounterCount; ++i) {
-      if (!slot_active(i)) continue;
+      if (!pmu::counter_present(counters.values[i])) continue;
       put_u8(out, static_cast<std::uint8_t>(i));
       put_f64(out, counters.values[i]);
     }
@@ -266,7 +264,9 @@ std::string encode_batch(const core::FragmentBatch& batch,
 }
 
 bool decode_batch(const std::string& payload, core::FragmentBatch* out,
-                  double* drain_seconds, std::string* error) {
+                  double* drain_seconds, std::string* error,
+                  std::size_t* declared_fragments) {
+  if (declared_fragments) *declared_fragments = 0;
   Cursor c(payload);
   out->new_states.clear();
   out->fragments.clear();
@@ -297,6 +297,7 @@ bool decode_batch(const std::string& payload, core::FragmentBatch* out,
   const std::uint32_t n_frags = c.u32();
   if (!c.ok || n_frags > payload.size())
     return fail(error, "malformed batch payload (fragment count)");
+  if (declared_fragments) *declared_fragments = n_frags;
   out->fragments.reserve(n_frags);
   for (std::uint32_t i = 0; i < n_frags; ++i) {
     core::Fragment f;
@@ -310,9 +311,10 @@ bool decode_batch(const std::string& payload, core::FragmentBatch* out,
     f.start_time = c.f64();
     f.end_time = c.f64();
     // Times index heat-map bins: a NaN, infinite or negative time would
-    // land outside the map.
+    // land outside the map.  An end before the start is a negative
+    // duration, which would become its cluster's baseline minimum for good.
     if (!(std::isfinite(f.start_time) && std::isfinite(f.end_time) &&
-          f.start_time >= 0.0 && f.end_time >= 0.0))
+          f.start_time >= 0.0 && f.end_time >= f.start_time))
       return fail(error, "malformed batch payload (fragment time)");
     const std::uint8_t active = c.u8();
     if (active > pmu::kCounterCount)

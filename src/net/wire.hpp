@@ -107,12 +107,19 @@ bool decode_hello(const std::string& payload, HelloPayload* out,
                   std::string* error);
 
 // Batch payload: drain_seconds (f64) then the FragmentBatch.  Counter
-// samples are run-length-trimmed (only non-zero slots travel), since most
-// of the 17 counter slots are inactive in any given PMU programming.
+// samples are sparse (only slots whose bit pattern is non-zero travel),
+// since most of the 18 counter slots are inactive in any given PMU
+// programming.  decode_batch refuses a fragment whose times are negative,
+// not finite, or end before they start; `declared_fragments`, when given,
+// receives the fragment count the payload declares, also when a later
+// field fails (0 when the count itself is unreadable).  Ranks, time range
+// and states are checked against the tenant by the session
+// (src/net/session.hpp).
 std::string encode_batch(const core::FragmentBatch& batch,
                          double drain_seconds);
 bool decode_batch(const std::string& payload, core::FragmentBatch* out,
-                  double* drain_seconds, std::string* error);
+                  double* drain_seconds, std::string* error,
+                  std::size_t* declared_fragments = nullptr);
 
 std::string encode_ack(AckStatus status);
 bool decode_ack(const std::string& payload, AckStatus* out,

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -71,5 +72,12 @@ struct CounterSample {
   friend CounterSample operator-(const CounterSample& a,
                                  const CounterSample& b);
 };
+
+// Whether a sparse sample carries counter value `v` (the wire codec, the
+// window's counter columns): its bit pattern is not all zero, so -0.0 and
+// denormals are present and round-trip bit for bit.
+inline bool counter_present(double v) {
+  return std::bit_cast<std::uint64_t>(v) != 0;
+}
 
 }  // namespace vapro::pmu

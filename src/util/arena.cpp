@@ -43,7 +43,9 @@ Arena::Chunk& Arena::grow(std::size_t at_least) {
     want = std::min(chunks_.back().size * 2, kMaxChunkBytes);
   want = std::max(want, at_least);
   Chunk c;
-  c.data = std::make_unique<std::byte[]>(want);
+  // Not zero-filled: every caller writes what it reads, so chunk tails
+  // nobody writes are never faulted in.
+  c.data = std::make_unique_for_overwrite<std::byte[]>(want);
   c.size = want;
   chunks_.push_back(std::move(c));
   return chunks_.back();

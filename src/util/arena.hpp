@@ -5,8 +5,16 @@
 // pattern that malloc/free per container serves poorly.  An Arena hands
 // out pointers by bumping a cursor through geometrically-growing chunks;
 // reset() rewinds every cursor WITHOUT returning memory to the system, so
-// the steady state of "fill a window, analyze, clear, repeat" touches the
-// allocator once during warm-up and never again.
+// an arena that is cleared and refilled touches the allocator only while
+// it grows.  The server's window cycle does not keep one arena, though:
+// Stg::adopt_fragments move-assigns each drained batch's arena over the
+// previous window's, which frees it, and VaproClient::drain starts a fresh
+// one — one arena's chunks are allocated and freed per window.
+//
+// Chunks are not zero-filled: memory comes back exactly as the system
+// hands it out, so a chunk tail nobody writes is never faulted in.
+// Callers write every byte they read; FragmentColumns zero-fills a
+// counter column's earlier rows itself when the column first appears.
 //
 // Only trivially-destructible payloads belong here (the arena never runs
 // destructors); FragmentColumns (src/core/columns.hpp) stores exactly

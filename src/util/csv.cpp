@@ -2,13 +2,9 @@
 
 #include <sstream>
 
-#include "src/util/check.hpp"
-
 namespace vapro::util {
 
-CsvWriter::CsvWriter(const std::string& path) : out_(path) {
-  VAPRO_CHECK_MSG(out_.good(), "cannot open CSV file " << path);
-}
+CsvWriter::CsvWriter(const std::string& path) : out_(path) {}
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
@@ -26,8 +22,9 @@ void CsvWriter::write_row(const std::vector<double>& fields) {
   out_ << '\n';
 }
 
-void CsvWriter::close() {
+bool CsvWriter::close() {
   if (out_.is_open()) out_.close();
+  return !out_.fail();
 }
 
 std::string csv_escape(const std::string& field) {

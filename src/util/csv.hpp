@@ -10,15 +10,17 @@ namespace vapro::util {
 
 class CsvWriter {
  public:
-  // Opens `path` for writing; throws via VAPRO_CHECK on failure.
+  // Opens `path` for writing.  A path that cannot be opened is reported
+  // by close(), not by aborting: the rows written meanwhile go nowhere.
   explicit CsvWriter(const std::string& path);
 
   // Writes one row; fields are quoted only when they contain a comma/quote.
   void write_row(const std::vector<std::string>& fields);
   void write_row(const std::vector<double>& fields);
 
-  // Flushes and closes; called by the destructor as well.
-  void close();
+  // Flushes and closes (the destructor closes too).  False when the open,
+  // a write or the flush failed.
+  bool close();
 
  private:
   std::ofstream out_;

@@ -5,15 +5,18 @@
 
 namespace vapro::util {
 
+bool ensure_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  // Whatever create_directories reports (an existing path is no error),
+  // only a directory will do.
+  return std::filesystem::is_directory(dir, ec);
+}
+
 bool ensure_parent_dirs(const std::string& file_path) {
   const std::filesystem::path parent =
       std::filesystem::path(file_path).parent_path();
-  if (parent.empty()) return true;
-  std::error_code ec;
-  std::filesystem::create_directories(parent, ec);
-  // create_directories reports success (no error) when the path already
-  // exists; any other error means the parent cannot be materialized.
-  return !ec || std::filesystem::is_directory(parent);
+  return parent.empty() || ensure_dir(parent.string());
 }
 
 }  // namespace vapro::util

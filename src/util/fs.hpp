@@ -8,6 +8,10 @@
 
 namespace vapro::util {
 
+// Creates `dir` and every missing parent.  Returns false when `dir` is not
+// a directory afterwards (e.g. it names a regular file).
+bool ensure_dir(const std::string& dir);
+
 // Creates every missing directory on the parent path of `file_path`.
 // Returns false only when a directory genuinely could not be created; a
 // path with no parent component succeeds trivially.

@@ -5,10 +5,14 @@
 //     class (bad magic, version, type, flags, oversized payload).
 //   * TenantSession — the three admission gates in front of the session's
 //     analysis worker: dedup, bounded reorder buffer, shed-oldest with
-//     journaled accounting and the degraded flag.  Tests that need fixed
+//     journaled accounting and the degraded flag; the refusal of batches
+//     the server cannot analyze (rank outside the tenant, a time past the
+//     heat map, unannounced state, undecodable payload); and a shed
+//     batch's states still reaching the server.  Tests that need fixed
 //     shed victims hold the worker inside a window observer.
 //   * Loopback end-to-end — socket-fed analysis is byte-identical to
-//     feeding the same batches in process.
+//     feeding the same batches in process, and an undecodable batch is
+//     refused once, not retransmitted, while the stream goes on.
 //   * /readyz — readiness flips to 503 on the degraded gauge, on admission
 //     saturation, and (fault builds) on any stopped journal sink, and
 //     reports the probe fields.
@@ -78,6 +82,41 @@ core::FragmentBatch make_batch(int ranks, int fragments_per_rank,
 
 std::size_t batch_fragments(const core::FragmentBatch& b) {
   return b.fragments.size();
+}
+
+// The allreduce call site every comm_batch files its fragments under.
+sim::InvocationInfo comm_site() {
+  sim::InvocationInfo info;
+  info.site = 101;
+  info.kind = sim::OpKind::kAllreduce;
+  return info;
+}
+
+// Communication fragments on comm_site()'s state, announcing that state
+// only when `announce` is set — a client announces each state once.
+core::FragmentBatch comm_batch(int ranks, int fragments_per_rank,
+                               std::uint64_t salt, bool announce) {
+  core::FragmentBatch batch;
+  const sim::InvocationInfo site = comm_site();
+  if (announce) batch.new_states.push_back(site);
+  const core::StateKey key =
+      core::make_state_key(core::StgMode::kContextFree, site);
+  for (int r = 0; r < ranks; ++r) {
+    for (int i = 0; i < fragments_per_rank; ++i) {
+      core::Fragment f;
+      f.kind = core::FragmentKind::kCommunication;
+      f.op = site.kind;
+      f.rank = r;
+      f.from = key;
+      f.to = key;
+      f.start_time = static_cast<double>(salt) * 0.25 +
+                     static_cast<double>(i) * 0.01;
+      f.end_time = f.start_time + 0.004;
+      f.args.bytes = 4096.0;
+      batch.fragments.push_back(f);
+    }
+  }
+  return batch;
 }
 
 core::ServerOptions test_server_options(obs::ObsContext* ctx = nullptr,
@@ -334,6 +373,25 @@ TEST(Wire, NegativeOrNonFiniteFragmentTimeFailsDecode) {
   }
 }
 
+// Regression: an end time before the start time decoded, and its negative
+// duration became its cluster's baseline minimum for good.
+TEST(Wire, FragmentEndingBeforeItStartsFailsDecode) {
+  core::FragmentBatch batch = make_batch(2, 3, 1);
+  core::Fragment f = batch.fragments.materialize(1);
+  f.start_time = 0.3;
+  f.end_time = 0.2;
+  batch.fragments.set(1, f);
+  core::FragmentBatch decoded;
+  double drain = 0.0;
+  std::string error;
+  std::size_t declared = 0;
+  EXPECT_FALSE(net::decode_batch(net::encode_batch(batch, 0.0), &decoded,
+                                 &drain, &error, &declared));
+  EXPECT_EQ(error, "malformed batch payload (fragment time)");
+  // The session accounts the refused batch by the count it declared.
+  EXPECT_EQ(declared, batch_fragments(batch));
+}
+
 // --- TenantSession admission gates -----------------------------------------
 
 net::TenantOptions tenant_options(const std::string& name, int ranks,
@@ -502,6 +560,174 @@ TEST(TenantSession, ShedOldestEvictsJournalsAndFlipsDegraded) {
   EXPECT_EQ(ctx.metrics().counter("vapro.net.batches_shed")->value(), 2u);
 }
 
+// Regression: a shed batch took its state announcements with it, and the
+// next batch on that state aborted the process in Stg::index_fragment.
+TEST(TenantSession, ShedOldestStillDeliversTheVictimsStates) {
+  WorkerGate held;
+  net::IngestPlane plane(net::PlaneOptions{});
+  net::TenantOptions topts = tenant_options("a", /*ranks=*/2, nullptr);
+  topts.queue_capacity = 1;
+  topts.admission = net::AdmissionPolicy::kShedOldest;
+  held.install(topts);
+  net::TenantSession* t = plane.add_tenant(std::move(topts));
+
+  const core::FragmentBatch first = make_batch(2, 3, 0);
+  EXPECT_EQ(t->submit(0, core::FragmentBatch(first), 0.0),
+            net::AckStatus::kAdmitted);
+  held.wait_until_held();
+  // Seq 1 announces the state; seq 2 files under it without announcing it
+  // and evicts seq 1.
+  EXPECT_EQ(t->submit(1, comm_batch(2, 4, 1, /*announce=*/true), 0.0),
+            net::AckStatus::kAdmitted);
+  const core::FragmentBatch third = comm_batch(2, 4, 2, /*announce=*/false);
+  EXPECT_EQ(t->submit(2, core::FragmentBatch(third), 0.0),
+            net::AckStatus::kAdmitted);
+  held.release();
+  t->sync();
+
+  const net::TenantStats stats = t->stats();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(t->windows_processed(), 2u);
+  EXPECT_EQ(t->fragments_processed(),
+            batch_fragments(first) + batch_fragments(third));
+}
+
+// Wire fields the server cannot analyze are refused in seq order, each
+// with a journaled net_drop, and the stream goes on:
+//   processed + Σ journaled net_drop fragments == sent.
+struct RefusalRun {
+  std::size_t sent = 0;
+  std::vector<net::AckStatus> acks;
+  std::vector<obs::JournalEvent> drops;
+  std::size_t processed = 0;
+  std::size_t windows = 0;
+  net::TenantStats stats;
+};
+
+RefusalRun submit_all(const std::string& journal_leaf, int ranks,
+                      std::vector<core::FragmentBatch> batches) {
+  const std::string journal = scratch_path(journal_leaf);
+  util::VirtualClock vclock;
+  obs::ObsContext ctx;
+  ctx.set_clock(&vclock);
+  EXPECT_TRUE(ctx.attach_journal_file(journal));
+  net::IngestPlane plane(net::PlaneOptions{});
+  net::TenantSession* t = plane.add_tenant(tenant_options("a", ranks, &ctx));
+  RefusalRun run;
+  for (std::size_t s = 0; s < batches.size(); ++s) {
+    run.sent += batch_fragments(batches[s]);
+    run.acks.push_back(t->submit(s, std::move(batches[s]), 0.0));
+  }
+  t->sync();
+  ctx.journal()->flush();
+  run.drops = journal_events(journal, "net_drop");
+  run.processed = t->fragments_processed();
+  run.windows = t->windows_processed();
+  run.stats = t->stats();
+  return run;
+}
+
+void expect_accounted(const RefusalRun& run, const std::string& reason,
+                      std::size_t refused) {
+  EXPECT_EQ(run.stats.rejected, refused);
+  ASSERT_EQ(run.drops.size(), refused);
+  std::size_t dropped = 0;
+  for (const obs::JournalEvent& ev : run.drops) {
+    EXPECT_EQ(ev.str("reason"), reason);
+    dropped += static_cast<std::size_t>(ev.number("fragments", 0));
+  }
+  EXPECT_EQ(run.processed + dropped, run.sent);
+}
+
+TEST(TenantSession, FragmentRankOutsideTheTenantIsRefused) {
+  std::vector<core::FragmentBatch> batches;
+  for (const int bad_rank : {7, -3}) {
+    core::FragmentBatch b = make_batch(4, 3, batches.size());
+    core::Fragment f = b.fragments.materialize(5);
+    f.rank = bad_rank;
+    b.fragments.set(5, f);
+    batches.push_back(std::move(b));
+  }
+  batches.push_back(make_batch(4, 3, 2));
+  const RefusalRun run =
+      submit_all("net_refuse_rank.jsonl", /*ranks=*/4, std::move(batches));
+  EXPECT_EQ(run.acks, (std::vector<net::AckStatus>{
+                          net::AckStatus::kRejected, net::AckStatus::kRejected,
+                          net::AckStatus::kAdmitted}));
+  EXPECT_EQ(run.windows, 1u);
+  expect_accounted(run, "rank_out_of_range", 2);
+}
+
+TEST(TenantSession, FragmentEndingPastTheHeatMapIsRefused) {
+  // test_server_options' 0.05 s bins put 1e9 s at bin 2e10, beyond the
+  // heat map's 2^30 bins.
+  std::vector<core::FragmentBatch> batches;
+  core::FragmentBatch far = make_batch(2, 3, 0);
+  core::Fragment f = far.fragments.materialize(4);
+  f.start_time = 1e9;
+  f.end_time = 1e9 + 0.004;
+  far.fragments.set(4, f);
+  batches.push_back(std::move(far));
+  batches.push_back(make_batch(2, 3, 1));
+  const RefusalRun run =
+      submit_all("net_refuse_time.jsonl", /*ranks=*/2, std::move(batches));
+  EXPECT_EQ(run.acks, (std::vector<net::AckStatus>{
+                          net::AckStatus::kRejected, net::AckStatus::kAdmitted}));
+  EXPECT_EQ(run.windows, 1u);
+  expect_accounted(run, "time_out_of_range", 1);
+}
+
+// refuse_malformed() takes its seq's turn like any batch: a refusal that
+// arrives ahead of a gap waits in the reorder buffer, and the stream goes
+// on.
+TEST(TenantSession, UndecodableBatchIsRefusedInSeqOrder) {
+  const std::string journal = scratch_path("net_refuse_malformed.jsonl");
+  util::VirtualClock vclock;
+  obs::ObsContext ctx;
+  ctx.set_clock(&vclock);
+  ASSERT_TRUE(ctx.attach_journal_file(journal));
+  net::IngestPlane plane(net::PlaneOptions{});
+  net::TenantSession* t = plane.add_tenant(tenant_options("a", 2, &ctx));
+
+  EXPECT_EQ(t->refuse_malformed(1, 5), net::AckStatus::kRejected);
+  EXPECT_EQ(t->refuse_malformed(1, 5), net::AckStatus::kDuplicate);
+  t->sync();
+  EXPECT_EQ(t->stats().rejected, 0u) << "refused ahead of the gap";
+  const core::FragmentBatch first = make_batch(2, 3, 0);
+  const core::FragmentBatch third = make_batch(2, 3, 2);
+  EXPECT_EQ(t->submit(0, core::FragmentBatch(first), 0.0),
+            net::AckStatus::kAdmitted);
+  EXPECT_EQ(t->submit(2, core::FragmentBatch(third), 0.0),
+            net::AckStatus::kAdmitted);
+  t->sync();
+  ctx.journal()->flush();
+
+  const net::TenantStats stats = t->stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.duplicates, 1u);
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(t->windows_processed(), 2u);
+  const auto drops = journal_events(journal, "net_drop");
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].number("batch_seq", -1), 1.0);
+  EXPECT_EQ(drops[0].number("fragments", -1), 5.0);
+  EXPECT_EQ(drops[0].str("reason"), "malformed_payload");
+}
+
+TEST(TenantSession, FragmentOnAnUnannouncedStateIsRefused) {
+  std::vector<core::FragmentBatch> batches;
+  batches.push_back(comm_batch(2, 4, 0, /*announce=*/false));
+  batches.push_back(comm_batch(2, 4, 1, /*announce=*/true));
+  batches.push_back(comm_batch(2, 4, 2, /*announce=*/false));
+  const RefusalRun run =
+      submit_all("net_refuse_state.jsonl", /*ranks=*/2, std::move(batches));
+  EXPECT_EQ(run.acks, (std::vector<net::AckStatus>{
+                          net::AckStatus::kRejected, net::AckStatus::kAdmitted,
+                          net::AckStatus::kAdmitted}));
+  EXPECT_EQ(run.windows, 2u);
+  expect_accounted(run, "unknown_state", 1);
+}
+
 TEST(TenantSession, SyncReturnsOnlyAfterDegradedClears) {
   // sync() runs on a second thread while the worker is held after a shed;
   // the batch that drains the backlog clears `degraded` before it wakes
@@ -577,6 +803,72 @@ TEST(IngestLoopback, SocketFeedMatchesDirectFeedByteForByte) {
   EXPECT_EQ(tenant->windows_processed(), static_cast<std::size_t>(windows));
   EXPECT_EQ(detection_fingerprint(*tenant->server()),
             detection_fingerprint(direct));
+
+  client.close();
+  server.stop();
+}
+
+// Regression: a batch whose checksum matched but whose payload did not
+// decode was nacked, the client resent it until its retries ran out, and
+// the stream stalled at its seq: no later batch was analyzed and nothing
+// journaled the loss.
+TEST(IngestLoopback, UndecodableBatchIsRefusedOnceAndTheStreamGoesOn) {
+  const int ranks = 2;
+  const std::string journal = scratch_path("net_loopback_malformed.jsonl");
+  util::VirtualClock vclock;
+  obs::ObsContext ctx;
+  ctx.set_clock(&vclock);
+  ASSERT_TRUE(ctx.attach_journal_file(journal));
+  net::IngestPlane plane(net::PlaneOptions{});
+  net::TenantSession* tenant =
+      plane.add_tenant(tenant_options("t0", ranks, &ctx));
+  net::IngestServer server(&plane);
+  std::string error;
+  ASSERT_TRUE(server.start(0, &error)) << error;
+
+  net::ClientOptions copts;
+  copts.port = server.port();
+  copts.tenant = "t0";
+  copts.ranks = ranks;
+  copts.sleep_fn = [](double) {};
+  net::IngestClient client(copts);
+  ASSERT_TRUE(client.connect(&error)) << error;
+
+  // Seq 2 carries a fragment that ends before it starts: encode_batch
+  // sends it, decode_batch refuses it.
+  const int windows = 6;
+  const std::uint64_t bad_seq = 2;
+  std::size_t sent = 0;
+  for (int w = 0; w < windows; ++w) {
+    core::FragmentBatch b = make_batch(ranks, 4, static_cast<std::uint64_t>(w));
+    if (w == static_cast<int>(bad_seq)) {
+      core::Fragment f = b.fragments.materialize(3);
+      f.end_time = f.start_time - 0.001;
+      b.fragments.set(3, f);
+    }
+    sent += batch_fragments(b);
+    const bool ok = client.send_batch(b, /*drain_seconds=*/0.0, &error);
+    EXPECT_EQ(ok, w != static_cast<int>(bad_seq)) << "seq " << w << ": " << error;
+  }
+  ASSERT_TRUE(client.flush(&error)) << error;
+  tenant->sync();
+  ctx.journal()->flush();
+
+  EXPECT_EQ(client.stats().retries, 0u) << "a resend cannot mend the payload";
+  EXPECT_EQ(client.stats().acks_admitted,
+            static_cast<std::uint64_t>(windows - 1));
+  EXPECT_EQ(server.protocol_errors(), 1u);
+  EXPECT_EQ(tenant->windows_processed(), static_cast<std::size_t>(windows - 1))
+      << "the batches behind the refused seq must be analyzed";
+  EXPECT_EQ(tenant->stats().rejected, 1u);
+
+  const auto drops = journal_events(journal, "net_drop");
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].number("batch_seq", -1), static_cast<double>(bad_seq));
+  EXPECT_EQ(drops[0].str("reason"), "malformed_payload");
+  EXPECT_EQ(tenant->fragments_processed() +
+                static_cast<std::size_t>(drops[0].number("fragments", 0)),
+            sent);
 
   client.close();
   server.stop();

@@ -113,6 +113,11 @@ TEST_F(SessionFixture, CsvBundleCreatesAMissingDirectory) {
     std::getline(in, header);
     EXPECT_NE(header.find("rank"), std::string::npos) << name;
   }
+  // A directory that cannot be made (the path names a regular file) is
+  // reported by the count, not fatal.
+  const std::filesystem::path file = root / "plain";
+  std::ofstream(file) << "x";
+  EXPECT_EQ(write_csv_bundle(session, file.string()), 0);
   std::filesystem::remove_all(root);
 }
 

@@ -3,6 +3,11 @@
 //
 //   * FragmentColumns round-trips every Fragment field through push_back /
 //     materialize / set / append;
+//   * a counter column exists only once some row wrote a non-zero bit
+//     pattern (so -0.0 and denormals count, bit for bit, through the wire
+//     codec too); rows written before it, or appended from a window
+//     without it, read +0.0 even over a dirty arena; a window that writes
+//     only TOT_INS stays under 96 arena bytes per fragment;
 //   * move (and Stg::adopt_fragments) is an arena POINTER SWAP — proved by
 //     column-pointer equality, not timing — and the moved-from object is
 //     empty and reusable;
@@ -19,7 +24,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +35,7 @@
 #include "src/core/clustering.hpp"
 #include "src/core/columns.hpp"
 #include "src/core/stg.hpp"
+#include "src/net/wire.hpp"
 #include "src/util/rng.hpp"
 
 namespace vapro::core {
@@ -79,6 +88,22 @@ void expect_fragment_eq(const Fragment& a, const Fragment& b,
   EXPECT_EQ(a.truth_class, b.truth_class) << "fragment " << i;
 }
 
+std::size_t index(pmu::Counter c) { return static_cast<std::size_t>(c); }
+
+std::array<const double*, pmu::kCounterCount> counter_columns(
+    const FragmentColumns& cols) {
+  std::array<const double*, pmu::kCounterCount> out{};
+  for (std::size_t c = 0; c < pmu::kCounterCount; ++c)
+    out[c] = cols.counter_data(static_cast<pmu::Counter>(c));
+  return out;
+}
+
+// Bit identity: +0.0 and -0.0 compare equal under ==, memcmp tells them
+// apart.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 // Order-independent, full-precision fingerprint of a clustering result:
 // per cluster (sorted by kind, seed_norm) the rare flag, member count and
 // the sorted member workload values.  Member INDICES are deliberately
@@ -89,8 +114,7 @@ std::string cluster_fingerprint(const Stg& stg, const ClusteringResult& r) {
   for (const Cluster& c : r.clusters) {
     std::vector<double> values;
     for (std::size_t idx : c.members)
-      values.push_back(
-          stg.fragments().counters(idx)[pmu::Counter::kTotIns]);
+      values.push_back(stg.fragments().counter(idx, pmu::Counter::kTotIns));
     std::sort(values.begin(), values.end());
     std::ostringstream oss;
     oss.precision(17);
@@ -126,18 +150,23 @@ TEST(SoaColumns, MoveIsArenaPointerSwap) {
   FragmentColumns cols;
   for (std::size_t i = 0; i < 64; ++i) cols.push_back(dense_fragment(i));
   const double* start = cols.start_data();
-  const pmu::CounterSample* counters = cols.counters_data();
   const FragmentKind* kinds = cols.kind_data();
+  const std::array<const double*, pmu::kCounterCount> counters =
+      counter_columns(cols);
+  EXPECT_NE(counters[index(pmu::Counter::kTotIns)], nullptr);
+  EXPECT_NE(counters[index(pmu::Counter::kMemRefs)], nullptr);
 
   FragmentColumns moved(std::move(cols));
   // The columns did not move in memory: the arena changed owners.
   EXPECT_EQ(moved.start_data(), start);
-  EXPECT_EQ(moved.counters_data(), counters);
   EXPECT_EQ(moved.kind_data(), kinds);
+  EXPECT_EQ(counter_columns(moved), counters);
   EXPECT_EQ(moved.size(), 64u);
 
-  // The moved-from object is empty and immediately reusable.
+  // The moved-from object is empty, owns no counter column, and is
+  // immediately reusable.
   EXPECT_EQ(cols.size(), 0u);
+  for (const double* col : counter_columns(cols)) EXPECT_EQ(col, nullptr);
   cols.push_back(dense_fragment(7));
   EXPECT_EQ(cols.size(), 1u);
   expect_fragment_eq(dense_fragment(7), cols.materialize(0), 7);
@@ -211,6 +240,156 @@ TEST(SoaColumns, AppendSplicesAcrossArenas) {
   for (std::size_t i = 0; i < 25; ++i)
     expect_fragment_eq(dense_fragment(i), head.materialize(i), i);
   EXPECT_EQ(tail.size(), 15u);  // append reads, never steals
+}
+
+// --- counter columns: allocated on first write, zero before it ---
+
+// A fragment with no counter written (its sample is all +0.0).
+Fragment bare_fragment(std::size_t i) {
+  Fragment f = dense_fragment(i);
+  f.counters = pmu::CounterSample{};
+  return f;
+}
+
+// Leaves `cols` empty over an arena whose chunks hold non-zero bytes, so a
+// column allocated later that skipped its zero-fill would read them.
+void dirty_and_clear(FragmentColumns& cols, std::size_t rows) {
+  Fragment f = dense_fragment(0);
+  for (double& v : f.counters.values) v = 7.0;
+  for (std::size_t i = 0; i < rows; ++i) cols.push_back(f);
+  cols.clear();
+}
+
+TEST(SoaColumns, CounterFirstWrittenLateReadsPositiveZeroBefore) {
+  constexpr pmu::Counter kLate = pmu::Counter::kStallsL2;
+  constexpr std::size_t kFirst = 40;  // first row that writes kLate
+  constexpr std::size_t kRows = 150;  // past the first grow (64 rows)
+  auto late_fragment = [&](std::size_t i) {
+    Fragment f = bare_fragment(i);
+    if (i >= kFirst) f.counters[kLate] = 100.0 + static_cast<double>(i);
+    return f;
+  };
+  auto expect_late_column = [&](const FragmentColumns& c, std::size_t offset,
+                                const char* how) {
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const double want = i >= kFirst ? 100.0 + static_cast<double>(i) : 0.0;
+      EXPECT_TRUE(same_bits(c.counter(offset + i, kLate), want))
+          << how << " row " << offset + i;
+      EXPECT_TRUE(same_bits(c.counters(offset + i)[kLate], want))
+          << how << " row " << offset + i;
+    }
+  };
+
+  // push_back, across the grows at 64 and 128 rows.
+  FragmentColumns cols;
+  dirty_and_clear(cols, 4 * kRows);
+  for (std::size_t i = 0; i < kRows; ++i) cols.push_back(late_fragment(i));
+  ASSERT_NE(cols.counter_data(kLate), nullptr);
+  expect_late_column(cols, 0, "push_back");
+  EXPECT_EQ(cols.counter_data(pmu::Counter::kTotIns), nullptr);
+
+  // copy carries the column.
+  const FragmentColumns copy(cols);
+  expect_late_column(copy, 0, "copy");
+
+  // set() on a window without the column zero-fills every other row, the
+  // rows after it included.
+  FragmentColumns patched;
+  dirty_and_clear(patched, 4 * kRows);
+  for (std::size_t i = 0; i < kRows; ++i) patched.push_back(bare_fragment(i));
+  Fragment f = bare_fragment(kFirst);
+  f.counters[kLate] = 5.0;
+  patched.set(kFirst, f);
+  for (std::size_t i = 0; i < kRows; ++i)
+    EXPECT_TRUE(same_bits(patched.counter(i, kLate), i == kFirst ? 5.0 : 0.0))
+        << "set row " << i;
+
+  // append, both directions: the side without the column reads +0.0.
+  FragmentColumns without;
+  dirty_and_clear(without, 4 * kRows);
+  for (std::size_t i = 0; i < kRows; ++i) without.push_back(bare_fragment(i));
+  ASSERT_EQ(without.counter_data(kLate), nullptr);
+
+  FragmentColumns with_then_without;
+  dirty_and_clear(with_then_without, 4 * kRows);
+  with_then_without.append(cols);
+  with_then_without.append(without);
+  expect_late_column(with_then_without, 0, "append(without)");
+  for (std::size_t i = 0; i < kRows; ++i)
+    EXPECT_TRUE(same_bits(with_then_without.counter(kRows + i, kLate), 0.0))
+        << "append(without) row " << kRows + i;
+
+  FragmentColumns without_then_with;
+  dirty_and_clear(without_then_with, 4 * kRows);
+  without_then_with.append(without);
+  without_then_with.append(cols);
+  for (std::size_t i = 0; i < kRows; ++i)
+    EXPECT_TRUE(same_bits(without_then_with.counter(i, kLate), 0.0))
+        << "append(with) row " << i;
+  expect_late_column(without_then_with, kRows, "append(with)");
+}
+
+TEST(SoaColumns, NegativeZeroAndDenormalAllocateAColumnBitForBit) {
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  FragmentBatch batch;
+  for (std::size_t i = 0; i < 6; ++i) {
+    Fragment f = bare_fragment(i);
+    f.start_time = 0.1 * static_cast<double>(i);
+    f.end_time = f.start_time + 0.05;
+    if (i == 2) f.counters[pmu::Counter::kStallsDram] = -0.0;
+    if (i == 4) f.counters[pmu::Counter::kSignals] = denormal;
+    batch.fragments.push_back(f);
+  }
+  auto expect_bits = [&](const FragmentColumns& cols, const char* how) {
+    ASSERT_NE(cols.counter_data(pmu::Counter::kStallsDram), nullptr) << how;
+    ASSERT_NE(cols.counter_data(pmu::Counter::kSignals), nullptr) << how;
+    EXPECT_TRUE(same_bits(cols.counter(2, pmu::Counter::kStallsDram), -0.0))
+        << how;
+    EXPECT_TRUE(same_bits(cols.counter(4, pmu::Counter::kSignals), denormal))
+        << how;
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      const Fragment want = batch.fragments.materialize(i);
+      const pmu::CounterSample got = cols.counters(i);
+      EXPECT_EQ(0, std::memcmp(want.counters.values.data(), got.values.data(),
+                               sizeof(got.values)))
+          << how << " row " << i;
+    }
+  };
+  expect_bits(batch.fragments, "push_back");
+
+  FragmentBatch decoded;
+  double drain = 0.0;
+  std::string error;
+  ASSERT_TRUE(net::decode_batch(net::encode_batch(batch, 0.0), &decoded,
+                                &drain, &error))
+      << error;
+  expect_bits(decoded.fragments, "wire round trip");
+}
+
+TEST(SoaColumns, WindowThatWritesNoCounterAllocatesNoCounterColumn) {
+  FragmentColumns cols;
+  for (std::size_t i = 0; i < 100; ++i) cols.push_back(bare_fragment(i));
+  FragmentColumns copy(cols);
+  copy.append(cols);
+  for (const FragmentColumns* c : {&cols, &copy})
+    for (const double* col : counter_columns(*c)) EXPECT_EQ(col, nullptr);
+  EXPECT_EQ(copy.counters(150).values, pmu::CounterSample{}.values);
+}
+
+// Counting gate for the layout: a window that writes only TOT_INS stores
+// 8 bytes of counters per fragment, not the 144 of a full CounterSample.
+TEST(SoaColumns, UnwrittenCountersTakeNoSpace) {
+  constexpr std::size_t kN = 64 * 1024;
+  FragmentColumns cols;
+  cols.reserve(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    Fragment f = bare_fragment(i);
+    f.counters[pmu::Counter::kTotIns] = 1e6 + static_cast<double>(i);
+    cols.push_back(f);
+  }
+  const double per_fragment = static_cast<double>(cols.arena_bytes_used()) /
+                              static_cast<double>(cols.size());
+  EXPECT_LE(per_fragment, 96.0);
 }
 
 // --- degenerate window shapes ---
@@ -339,8 +518,9 @@ TEST_F(SoaClustering, ArenaResetWindowCycleYieldsIdenticalClusters) {
 
   std::string first;
   std::size_t reserved_after_first = 0;
-  // The steady-state loop: adopt → cluster → clear, over the same batch
-  // builder, so the arenas ping-pong and stay warm.
+  // The server's window loop: fill a batch, adopt → cluster → clear.  The
+  // moved-from batch holds no chunks, so each window fills a fresh arena,
+  // and adopt frees the previous window's.
   FragmentColumns batch;
   for (int window = 0; window < 4; ++window) {
     batch.clear();
@@ -355,7 +535,8 @@ TEST_F(SoaClustering, ArenaResetWindowCycleYieldsIdenticalClusters) {
       EXPECT_FALSE(first.empty());
     } else {
       EXPECT_EQ(fp, first) << "window " << window;
-      // Warm reuse: after the first cycle no arena ever grows again.
+      // Same shape, same footprint: no window reserves more than the
+      // first.
       EXPECT_EQ(stg.fragments().arena_bytes_reserved(),
                 reserved_after_first)
           << "window " << window;

@@ -24,6 +24,7 @@
 #include "src/sim/runtime.hpp"
 #include "src/trace/trace.hpp"
 #include "src/util/cli.hpp"
+#include "src/util/fs.hpp"
 #include "src/util/table.hpp"
 #include "tools/obs_cli.hpp"
 
@@ -154,6 +155,13 @@ int main(int argc, char** argv) {
   }
   sim::Simulator simulator(config);
 
+  // Make the CSV directory before the run, so a bad one fails fast.
+  const std::string csv_dir = args.get("csv", "");
+  if (!csv_dir.empty() && !util::ensure_dir(csv_dir)) {
+    std::cerr << "cannot create --csv directory " << csv_dir << "\n";
+    return 2;
+  }
+
   core::VaproOptions options;
   options.window_seconds = args.get_double("window", 0.25);
   options.bin_seconds = args.get_double("bins", 0.1);
@@ -274,10 +282,13 @@ int main(int argc, char** argv) {
     std::cout << core::render_report(session, ropts);
   }
 
-  const std::string csv_dir = args.get("csv", "");
+  bool csv_write_ok = true;
   if (!csv_dir.empty()) {
-    core::write_csv_bundle(session, csv_dir);
-    std::cout << "\nheat-map CSVs written to " << csv_dir << "/\n";
+    csv_write_ok = core::write_csv_bundle(session, csv_dir) == 3;
+    if (csv_write_ok)
+      std::cout << "\nheat-map CSVs written to " << csv_dir << "/\n";
+    else
+      std::cerr << "cannot write heat-map CSVs to " << csv_dir << "/\n";
   }
 
   if (want_obs) {
@@ -303,5 +314,5 @@ int main(int argc, char** argv) {
     obs_cli.linger(obs_ctx);
     if (!obs_write_ok) return 1;
   }
-  return 0;
+  return csv_write_ok ? 0 : 1;
 }
