@@ -6,6 +6,8 @@
 //   2. is it still visible with a stricter variance threshold?
 //   3. what does a context-aware STG see?
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "src/apps/solvers.hpp"
 #include "src/sim/runtime.hpp"
@@ -32,14 +34,23 @@ int main() {
   simulator.run(apps::nekbone(params));
 
   const std::string path = "/tmp/vapro_offline_example.vprt";
-  recorder.trace().save(path);
+  if (!recorder.trace().save(path)) {
+    std::cerr << "cannot write " << path << "\n";
+    return 1;
+  }
   std::cout << "recorded " << recorder.trace().size() << " events ("
             << recorder.trace().byte_size() / 1024 << " KiB) to " << path
             << "\n\n";
 
   // Each question replays the trace into a fresh detached session; only
   // the options differ.
-  trace::Trace trace = trace::Trace::load(path);
+  std::string error;
+  const std::optional<trace::Trace> loaded = trace::Trace::load(path, &error);
+  if (!loaded) {
+    std::cerr << "cannot load " << path << ": " << error << "\n";
+    return 1;
+  }
+  const trace::Trace& trace = *loaded;
 
   // --- question 1: default analysis ---
   {

@@ -113,7 +113,7 @@ fetch /healthz "$obs_tmp/healthz.json" \
   || { echo "FAIL: /healthz unreachable" >&2; exit 1; }
 grep -q '"status":"ok"' "$obs_tmp/healthz.json" \
   || { echo "FAIL: /healthz not ok" >&2; exit 1; }
-# The column footprint (arena bytes of each window's fragment columns,
+# The column footprint (capacity bytes of each window's fragment columns,
 # summed) is on /metrics and positive once a window has been analyzed.
 column_bytes=""
 for _ in $(seq 1 50); do

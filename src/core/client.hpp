@@ -61,7 +61,7 @@ struct ClientOptions {
 
 // One window's worth of data shipped from clients to the server.
 // Fragments travel as SoA columns end-to-end: the client appends into
-// them, drain() moves them out (arena swap), and the server adopts them
+// them, drain() moves them out (buffer swap), and the server adopts them
 // into the window STG without a copy.
 struct FragmentBatch {
   std::vector<sim::InvocationInfo> new_states;

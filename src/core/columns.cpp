@@ -1,29 +1,8 @@
 #include "src/core/columns.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
-#include <utility>
 
 namespace vapro::core {
-
-// The columns are memcpy'd on growth/copy/append; every element type must
-// be trivially copyable (and destructor-free: the arena never destroys).
-static_assert(std::is_trivially_copyable_v<FragmentKind>);
-static_assert(std::is_trivially_copyable_v<sim::OpKind>);
-
-namespace {
-
-// A column of `capacity` rows holding the first `rows` rows of `old`.
-template <typename T>
-T* relocate(util::Arena& arena, const T* old, std::size_t rows,
-            std::size_t capacity) {
-  T* col = arena.allocate_array<T>(capacity);
-  if (rows != 0) std::memcpy(col, old, rows * sizeof(T));
-  return col;
-}
-
-}  // namespace
 
 template <typename F>
 void FragmentColumns::for_each_fixed_column(F&& f) {
@@ -42,96 +21,75 @@ void FragmentColumns::for_each_fixed_column(F&& f) {
   f(&FragmentColumns::truth_);
 }
 
-FragmentColumns::FragmentColumns(FragmentColumns&& other) noexcept {
-  steal(other);
-}
-
-FragmentColumns& FragmentColumns::operator=(FragmentColumns&& other) noexcept {
-  if (this != &other) steal(other);
-  return *this;
-}
-
-FragmentColumns::FragmentColumns(const FragmentColumns& other) {
-  append(other);
-}
-
-FragmentColumns& FragmentColumns::operator=(const FragmentColumns& other) {
-  if (this != &other) {
-    clear();
-    append(other);
-  }
-  return *this;
-}
-
-void FragmentColumns::steal(FragmentColumns& other) noexcept {
-  arena_ = std::move(other.arena_);
-  size_ = std::exchange(other.size_, 0);
-  capacity_ = std::exchange(other.capacity_, 0);
-  for_each_fixed_column([&](auto column) {
-    this->*column = std::exchange(other.*column, nullptr);
-  });
-  counters_ = std::exchange(other.counters_, {});
-}
-
 void FragmentColumns::clear() {
-  size_ = 0;
-  capacity_ = 0;
-  for_each_fixed_column([this](auto column) { this->*column = nullptr; });
-  counters_ = {};
-  arena_.reset();
+  for_each_fixed_column([this](auto column) { (this->*column).clear(); });
+  for (std::vector<double>& col : counters_) col.clear();
 }
 
 void FragmentColumns::reserve(std::size_t n) {
-  if (n > capacity_) grow(n);
+  if (n <= kind_.capacity()) return;
+  for_each_fixed_column([&](auto column) { (this->*column).reserve(n); });
+  for (std::vector<double>& col : counters_)
+    if (!col.empty()) col.reserve(n);
 }
 
-void FragmentColumns::grow(std::size_t min_capacity) {
-  std::size_t cap = std::max<std::size_t>(capacity_ * 2, 64);
-  cap = std::max(cap, min_capacity);
-  for_each_fixed_column([&](auto column) {
-    this->*column = relocate(arena_, this->*column, size_, cap);
-  });
-  for (double*& col : counters_)
-    if (col) col = relocate(arena_, col, size_, cap);
-  capacity_ = cap;
-}
-
-double* FragmentColumns::counter_column(std::size_t c) {
-  double*& col = counters_[c];
-  if (!col) {
-    col = arena_.allocate_array<double>(capacity_);
-    std::fill_n(col, size_, 0.0);
-  }
-  return col;
-}
-
-void FragmentColumns::write_counters(std::size_t i,
-                                     const pmu::CounterSample& sample) {
-  for (std::size_t c = 0; c < pmu::kCounterCount; ++c) {
-    const double v = sample.values[c];
-    if (counters_[c] || pmu::counter_present(v)) counter_column(c)[i] = v;
-  }
+void FragmentColumns::open_counter(std::vector<double>& col,
+                                   std::size_t rows) {
+  col.reserve(kind_.capacity());
+  col.resize(rows);
 }
 
 void FragmentColumns::push_back(const Fragment& f) {
-  if (size_ == capacity_) grow(size_ + 1);
-  set(size_++, f);
+  // One growth check for every column: they all share kind_'s capacity.
+  const std::size_t i = size();
+  if (i == kind_.capacity()) reserve(std::max<std::size_t>(2 * i, 64));
+  kind_.push_back(f.kind);
+  rank_.push_back(f.rank);
+  from_.push_back(f.from);
+  to_.push_back(f.to);
+  start_.push_back(f.start_time);
+  end_.push_back(f.end_time);
+  // One column per sim::CommArgs field: the binding names every field, so
+  // a field added to CommArgs breaks the build here (and set() and args()
+  // below must take it too) instead of silently falling out of the
+  // window.
+  const auto& [bytes, peer, fd, tag, transfer] = f.args;
+  bytes_.push_back(bytes);
+  peer_.push_back(peer);
+  fd_.push_back(fd);
+  tag_.push_back(tag);
+  transfer_.push_back(transfer);
+  op_.push_back(f.op);
+  truth_.push_back(f.truth_class);
+  for (std::size_t c = 0; c < pmu::kCounterCount; ++c) {
+    const double v = f.counters.values[c];
+    std::vector<double>& col = counters_[c];
+    if (col.empty()) {
+      if (!pmu::counter_present(v)) continue;
+      open_counter(col, i);
+    }
+    col.push_back(v);
+  }
 }
 
 void FragmentColumns::append(const FragmentColumns& other) {
-  if (other.size_ == 0) return;
-  reserve(size_ + other.size_);
+  if (other.empty()) return;
+  const std::size_t rows = size();
+  reserve(rows + other.size());
   for_each_fixed_column([&](auto column) {
-    std::memcpy(this->*column + size_, other.*column,
-                other.size_ * sizeof(*(other.*column)));
+    (this->*column).insert((this->*column).end(), (other.*column).begin(),
+                           (other.*column).end());
   });
   for (std::size_t c = 0; c < pmu::kCounterCount; ++c) {
-    if (const double* src = other.counters_[c])
-      std::memcpy(counter_column(c) + size_, src, other.size_ * sizeof(double));
-    else if (counters_[c])
-      std::fill_n(counters_[c] + size_, other.size_, 0.0);
+    std::vector<double>& col = counters_[c];
+    const std::vector<double>& src = other.counters_[c];
+    if (!src.empty()) {
+      if (col.empty()) open_counter(col, rows);
+      col.insert(col.end(), src.begin(), src.end());
+    } else if (!col.empty()) {
+      col.resize(size());
+    }
   }
-  size_ += other.size_;
 }
 
 void FragmentColumns::set(std::size_t i, const Fragment& f) {
@@ -141,9 +99,6 @@ void FragmentColumns::set(std::size_t i, const Fragment& f) {
   to_[i] = f.to;
   start_[i] = f.start_time;
   end_[i] = f.end_time;
-  // One column per sim::CommArgs field: the binding names every field, so
-  // a field added to CommArgs breaks the build here (and args() below
-  // must take it too) instead of silently falling out of the window.
   const auto& [bytes, peer, fd, tag, transfer] = f.args;
   bytes_[i] = bytes;
   peer_[i] = peer;
@@ -152,13 +107,21 @@ void FragmentColumns::set(std::size_t i, const Fragment& f) {
   transfer_[i] = transfer;
   op_[i] = f.op;
   truth_[i] = f.truth_class;
-  write_counters(i, f.counters);
+  for (std::size_t c = 0; c < pmu::kCounterCount; ++c) {
+    const double v = f.counters.values[c];
+    std::vector<double>& col = counters_[c];
+    if (col.empty()) {
+      if (!pmu::counter_present(v)) continue;
+      open_counter(col, size());
+    }
+    col[i] = v;
+  }
 }
 
 pmu::CounterSample FragmentColumns::counters(std::size_t i) const {
   pmu::CounterSample sample;
   for (std::size_t c = 0; c < pmu::kCounterCount; ++c)
-    if (const double* col = counters_[c]) sample.values[c] = col[i];
+    if (!counters_[c].empty()) sample.values[c] = counters_[c][i];
   return sample;
 }
 
@@ -179,6 +142,16 @@ Fragment FragmentColumns::materialize(std::size_t i) const {
   f.op = op_[i];
   f.truth_class = truth_[i];
   return f;
+}
+
+std::size_t FragmentColumns::bytes_reserved() const {
+  std::size_t bytes = 0;
+  auto add = [&bytes](const auto& col) {
+    bytes += col.capacity() * sizeof(*col.data());
+  };
+  for_each_fixed_column([&](auto column) { add(this->*column); });
+  for (const std::vector<double>& col : counters_) add(col);
+  return bytes;
 }
 
 }  // namespace vapro::core

@@ -1,7 +1,7 @@
 // Structure-of-arrays fragment storage (the hot-path window layout).
 //
-// Every Fragment field is its own contiguous column, sized together and
-// carved from one per-window bump arena (src/util/arena.hpp):
+// Every Fragment field is its own contiguous std::vector column, all of
+// one length:
 //
 //   kind | rank | from | to | start | end | op | truth      (always)
 //   bytes | peer | fd | tag | transfer       (one per sim::CommArgs field)
@@ -9,21 +9,25 @@
 //
 // A fragment carries the deltas of the few counters the tool programmed
 // (paper §3.3: TOT_INS plus whatever progressive diagnosis enabled), so a
-// counter's column is allocated only when some row writes a value whose
+// counter's column gets rows only once some row writes a value whose
 // BIT PATTERN is non-zero — the wire codec's sparse-counter rule
-// (src/net/wire.cpp), so -0.0 and denormals allocate a column and
-// round-trip bit for bit.  An absent column reads +0.0; when a column
-// first appears, the rows written before it are zero-filled.  A row of a
-// window that writes only TOT_INS takes 82 bytes, and clustering reads 8
-// of them.
+// (src/net/wire.cpp), so -0.0 and denormals open a column and round-trip
+// bit for bit.  An empty counter column is an absent one and reads +0.0;
+// when a column first appears, the rows written before it are
+// zero-filled.  A row of a window that writes only TOT_INS takes 82
+// bytes, and clustering reads 8 of them.
 //
 // Ownership rules that make the pipeline fast and the tests possible:
-//   * move      = arena pointer swap (stage hand-off: drain → analysis →
+//   * move      = buffer swap (stage hand-off: drain → analysis →
 //                 publish, ServerGroup leaf merge) — no per-fragment copy;
-//   * copy      = deep copy of the allocated columns into a fresh arena
-//                 (stress/test harnesses replay one batch across runs);
-//   * clear()   = arena reset — chunks stay reserved, the next window
+//                 the moved-from object is empty and reusable;
+//   * copy      = deep copy of the columns (stress/test harnesses replay
+//                 one batch across runs);
+//   * clear()   = every column emptied, capacity kept — the next window
 //                 refills warm memory.
+// Growth doubles the capacity of every column at once and frees the
+// outgrown buffers; reserve() allocates without touching the memory, so
+// capacity no row reaches is never faulted in.
 //
 // Readers index the columns directly (`cols.duration(i)`,
 // `cols.counter(i, c)`); counters(i) and args(i) assemble one fragment's
@@ -35,37 +39,25 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/core/fragment.hpp"
-#include "src/util/arena.hpp"
 
 namespace vapro::core {
 
 class FragmentColumns {
  public:
-  FragmentColumns() = default;
-  ~FragmentColumns() = default;
+  std::size_t size() const { return kind_.size(); }
+  bool empty() const { return kind_.empty(); }
 
-  // Move = arena swap: O(1), no fragment is touched.  The moved-from
-  // object is left empty and reusable.
-  FragmentColumns(FragmentColumns&& other) noexcept;
-  FragmentColumns& operator=(FragmentColumns&& other) noexcept;
-
-  // Copy = deep copy into a fresh arena.
-  FragmentColumns(const FragmentColumns& other);
-  FragmentColumns& operator=(const FragmentColumns& other);
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  // Drops all fragments and every counter column and rewinds the arena;
-  // reserved chunks are kept so the next window lands in warm memory.
+  // Drops all fragments and every counter column; the capacity is kept so
+  // the next window lands in warm memory.
   void clear();
 
   void reserve(std::size_t n);
   void push_back(const Fragment& f);
-  // Appends `other`'s rows; a counter column only one side has reads
-  // +0.0 in the other side's rows.
+  // Appends the rows of `other` (another object); a counter column only
+  // one side has reads +0.0 in the other side's rows.
   void append(const FragmentColumns& other);
 
   // Whole-fragment overwrite (test fixtures patch fields through this:
@@ -83,8 +75,8 @@ class FragmentColumns {
   double start_time(std::size_t i) const { return start_[i]; }
   double end_time(std::size_t i) const { return end_[i]; }
   double counter(std::size_t i, pmu::Counter c) const {
-    const double* col = counters_[static_cast<std::size_t>(c)];
-    return col ? col[i] : 0.0;
+    const std::vector<double>& col = counters_[static_cast<std::size_t>(c)];
+    return col.empty() ? 0.0 : col[i];
   }
   double bytes(std::size_t i) const { return bytes_[i]; }
   int peer(std::size_t i) const { return peer_[i]; }
@@ -99,53 +91,47 @@ class FragmentColumns {
   sim::CommArgs args(std::size_t i) const;
 
   // Raw columns for contiguous sweeps (region growing, stats folds) and
-  // for the tests that prove moves really are pointer swaps.
+  // for the tests that prove moves really are buffer swaps.
   // counter_data(c) is nullptr while no row has written counter c.
-  const FragmentKind* kind_data() const { return kind_; }
-  const sim::RankId* rank_data() const { return rank_; }
-  const StateKey* from_data() const { return from_; }
-  const StateKey* to_data() const { return to_; }
-  const double* start_data() const { return start_; }
-  const double* end_data() const { return end_; }
+  const FragmentKind* kind_data() const { return kind_.data(); }
+  const sim::RankId* rank_data() const { return rank_.data(); }
+  const StateKey* from_data() const { return from_.data(); }
+  const StateKey* to_data() const { return to_.data(); }
+  const double* start_data() const { return start_.data(); }
+  const double* end_data() const { return end_.data(); }
   const double* counter_data(pmu::Counter c) const {
-    return counters_[static_cast<std::size_t>(c)];
+    const std::vector<double>& col = counters_[static_cast<std::size_t>(c)];
+    return col.empty() ? nullptr : col.data();
   }
 
-  // Arena telemetry (the vapro.server.column_bytes_total counter, layout
-  // tests).
-  std::size_t arena_bytes_reserved() const { return arena_.bytes_reserved(); }
-  std::size_t arena_bytes_used() const { return arena_.bytes_used(); }
+  // Capacity bytes every column holds (the vapro.server.column_bytes_total
+  // counter, layout tests).
+  std::size_t bytes_reserved() const;
 
  private:
   // Calls f(&FragmentColumns::kind_), … once per always-present column,
-  // so grow, append, steal and clear name each column once.
+  // so reserve, append, clear and bytes_reserved name each column once.
   template <typename F>
   static void for_each_fixed_column(F&& f);
 
-  void grow(std::size_t min_capacity);
-  void steal(FragmentColumns& other) noexcept;
-  // Counter c's column, allocated (rows [0, size_) zero-filled) on first
-  // use.
-  double* counter_column(std::size_t c);
-  void write_counters(std::size_t i, const pmu::CounterSample& sample);
+  // Opens the absent counter column `col` at the fixed columns' capacity
+  // with `rows` zero rows.
+  void open_counter(std::vector<double>& col, std::size_t rows);
 
-  util::Arena arena_;
-  std::size_t size_ = 0;
-  std::size_t capacity_ = 0;
-  FragmentKind* kind_ = nullptr;
-  sim::RankId* rank_ = nullptr;
-  StateKey* from_ = nullptr;
-  StateKey* to_ = nullptr;
-  double* start_ = nullptr;
-  double* end_ = nullptr;
-  double* bytes_ = nullptr;
-  int* peer_ = nullptr;
-  int* fd_ = nullptr;
-  int* tag_ = nullptr;
-  double* transfer_ = nullptr;
-  sim::OpKind* op_ = nullptr;
-  std::int64_t* truth_ = nullptr;
-  std::array<double*, pmu::kCounterCount> counters_{};
+  std::vector<FragmentKind> kind_;
+  std::vector<sim::RankId> rank_;
+  std::vector<StateKey> from_;
+  std::vector<StateKey> to_;
+  std::vector<double> start_;
+  std::vector<double> end_;
+  std::vector<double> bytes_;
+  std::vector<int> peer_;
+  std::vector<int> fd_;
+  std::vector<int> tag_;
+  std::vector<double> transfer_;
+  std::vector<sim::OpKind> op_;
+  std::vector<std::int64_t> truth_;
+  std::array<std::vector<double>, pmu::kCounterCount> counters_;
 };
 
 }  // namespace vapro::core

@@ -277,7 +277,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   overlap_carry_.clear();
   // One contiguous scan of the end-time column finds the window end, the
   // overlap cut selects next window's carry candidates, and then the whole
-  // batch is adopted into the STG — an arena swap when there is no carry
+  // batch is adopted into the STG — a buffer swap when there is no carry
   // (the steady state), never a per-fragment copy.
   const std::size_t drained = batch.fragments.size();
   const double* ends = batch.fragments.end_data();
@@ -292,7 +292,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   }
   stg_.adopt_fragments(std::move(batch.fragments));
   // The window's column footprint (vapro.server.column_bytes_total).
-  const std::size_t column_bytes = stg_.fragments().arena_bytes_used();
+  const std::size_t column_bytes = stg_.fragments().bytes_reserved();
   fragments_ += drained;
   stats.carry_ins = live_begin;
   stats.virtual_time = window_end;

@@ -74,7 +74,7 @@ void ServerGroup::process_window(FragmentBatch batch) {
     // Demux by rank with two contiguous column scans (window end, then
     // shard routing); each shard's columns receive a materialized copy of
     // the fragment — the shard batch then moves into its leaf's pipeline
-    // by arena swap.
+    // by buffer swap.
     const double* ends = batch.fragments.end_data();
     for (std::size_t i = 0; i < total_fragments; ++i)
       window_end = std::max(window_end, ends[i]);

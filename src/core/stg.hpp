@@ -63,9 +63,9 @@ class Stg {
 
   // Bulk attach of a whole window's columns.  When the STG holds no
   // fragments yet (the steady state: clear_fragments() ran at the end of
-  // the previous window) this is an arena pointer swap — the batch's
-  // columns become the STG's storage without copying a single fragment —
-  // followed by one pass to build the per-edge/per-vertex index lists.
+  // the previous window) this is a buffer swap — the batch's columns
+  // become the STG's storage without copying a single fragment — followed
+  // by one pass to build the per-edge/per-vertex index lists.
   void adopt_fragments(FragmentColumns&& cols);
 
   const FragmentColumns& fragments() const { return fragments_; }

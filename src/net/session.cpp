@@ -8,12 +8,24 @@
 
 namespace vapro::net {
 
+namespace {
+
+// The session's own executor is the tenant's hand-off queue, so its
+// backend analyzes each batch on that worker instead of handing it to a
+// second one.
+core::ServerOptions serial_backend(core::ServerOptions server) {
+  server.pipeline_depth = 1;
+  return server;
+}
+
+}  // namespace
+
 // --- TenantSession ---------------------------------------------------------
 
 TenantSession::TenantSession(TenantOptions opts, IngestPlane* plane)
     : opts_(std::move(opts)),
       plane_(plane),
-      backend_(opts_.ranks, opts_.server),
+      backend_(opts_.ranks, serial_backend(opts_.server)),
       pipeline_(
           opts_.queue_capacity, [this](Queued q) { process(std::move(q)); },
           plane->clock()) {}
@@ -217,7 +229,6 @@ void TenantSession::process(Queued q) {
     }
   }
   backend_.process_window(std::move(q.batch), q.drain_seconds);
-  backend_.sync();
   // This batch is the only one pending: the backlog has drained.  Cleared
   // before the handler returns, so a sync() that this batch wakes never
   // sees a stale flag.

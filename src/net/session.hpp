@@ -72,7 +72,9 @@ struct TenantOptions {
   int ranks = 1;
   // Options for the tenant's analysis server; `server.obs` is the
   // tenant's own ObsContext (journal isolation) and may differ from the
-  // plane-level ObsContext holding the vapro.net.* metrics.
+  // plane-level ObsContext holding the vapro.net.* metrics.  The server
+  // runs at pipeline_depth 1 whatever `server.pipeline_depth` says: the
+  // session's admission queue is the tenant's only hand-off queue.
   core::ServerOptions server;
   std::size_t queue_capacity = 4;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;

@@ -5,8 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-
-#include "src/util/check.hpp"
+#include <sstream>
 
 namespace vapro::trace {
 
@@ -20,11 +19,12 @@ void put(std::ofstream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
+// Reads the next T.  A short read fails the stream, which parse() checks
+// once per group of fields.
 template <typename T>
-T take(std::ifstream& in) {
+T take(std::istream& in) {
   T v{};
   in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  VAPRO_CHECK_MSG(in.good(), "truncated trace file");
   return v;
 }
 
@@ -34,6 +34,77 @@ std::size_t event_bytes(const TraceEvent& ev) {
          8 * 4 /*args*/ + 8 /*truth*/ + 1 /*static flag*/ +
          4 + 4 * ev.info.path.size() /*path*/ +
          8 * pmu::kCounterCount /*counters*/;
+}
+
+// Parses a whole trace from `in`, or writes why it cannot to `why`.
+std::optional<Trace> parse(std::istream& in, std::ostream& why) {
+  const auto magic = take<std::uint32_t>(in);
+  if (in && magic != kMagic) {
+    why << "not a vapro trace";
+    return std::nullopt;
+  }
+  const auto version = take<std::uint32_t>(in);
+  if (in && version != kVersion) {
+    why << "unsupported trace version";
+    return std::nullopt;
+  }
+  const auto count = take<std::uint32_t>(in);
+  // Every recorded rank contributes at least its program-end event, so a
+  // rank at or past the event count is corrupt; the INT_MAX cap keeps
+  // ranks() from overflowing.
+  const std::int64_t rank_limit = std::min<std::int64_t>(
+      count, std::numeric_limits<std::int32_t>::max());
+  Trace trace;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    TraceEvent ev;
+    const auto kind = take<std::uint8_t>(in);
+    ev.time = take<double>(in);
+    ev.info.rank = take<std::int32_t>(in);
+    ev.info.site = take<sim::CallSiteId>(in);
+    const auto op = take<std::uint8_t>(in);
+    ev.info.args.bytes = take<double>(in);
+    ev.info.args.peer = static_cast<int>(take<std::int64_t>(in));
+    ev.info.args.fd = static_cast<int>(take<std::int64_t>(in));
+    ev.info.args.tag = static_cast<int>(take<std::int64_t>(in));
+    ev.info.args.transfer_seconds = take<double>(in);
+    ev.info.truth_class_since_last = take<std::int64_t>(in);
+    ev.info.statically_fixed_since_last = take<std::uint8_t>(in) != 0;
+    const auto frames = take<std::uint32_t>(in);
+    if (!in) break;
+    if (kind > static_cast<std::uint8_t>(EventKind::kProgramEnd)) {
+      why << "trace event " << i << ": bad event kind " << int{kind};
+      return std::nullopt;
+    }
+    if (!std::isfinite(ev.time) || ev.time < 0.0) {
+      why << "trace event " << i << ": bad time " << ev.time;
+      return std::nullopt;
+    }
+    if (ev.info.rank < 0 || ev.info.rank >= rank_limit) {
+      why << "trace event " << i << ": rank " << ev.info.rank
+          << " out of range";
+      return std::nullopt;
+    }
+    if (op > static_cast<std::uint8_t>(sim::OpKind::kProbe)) {
+      why << "trace event " << i << ": bad op kind " << int{op};
+      return std::nullopt;
+    }
+    if (frames >= (1u << 20)) {
+      why << "trace event " << i << ": implausible path length " << frames;
+      return std::nullopt;
+    }
+    ev.kind = static_cast<EventKind>(kind);
+    ev.info.kind = static_cast<sim::OpKind>(op);
+    ev.info.path.resize(frames);
+    for (std::uint32_t f = 0; f < frames; ++f)
+      ev.info.path[f] = take<std::uint32_t>(in);
+    for (double& v : ev.ground_truth.values) v = take<double>(in);
+    trace.append(std::move(ev));
+  }
+  if (!in) {
+    why << "truncated trace file";
+    return std::nullopt;
+  }
+  return trace;
 }
 
 }  // namespace
@@ -51,9 +122,9 @@ std::size_t Trace::byte_size() const {
   return total;
 }
 
-void Trace::save(const std::string& path) const {
+bool Trace::save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
-  VAPRO_CHECK_MSG(out.good(), "cannot open trace file " << path);
+  if (!out) return false;
   put(out, kMagic);
   put(out, kVersion);
   put(out, static_cast<std::uint32_t>(events_.size()));
@@ -74,54 +145,20 @@ void Trace::save(const std::string& path) const {
     for (std::uint32_t frame : ev.info.path) put(out, frame);
     for (double v : ev.ground_truth.values) put(out, v);
   }
+  out.close();
+  return !out.fail();
 }
 
-Trace Trace::load(const std::string& path) {
+std::optional<Trace> Trace::load(const std::string& path,
+                                 std::string* error) {
   std::ifstream in(path, std::ios::binary);
-  VAPRO_CHECK_MSG(in.good(), "cannot open trace file " << path);
-  VAPRO_CHECK_MSG(take<std::uint32_t>(in) == kMagic, "not a vapro trace");
-  VAPRO_CHECK_MSG(take<std::uint32_t>(in) == kVersion,
-                  "unsupported trace version");
-  const auto count = take<std::uint32_t>(in);
-  // Every recorded rank contributes at least its program-end event, so a
-  // rank at or past the event count is corrupt; the INT_MAX cap keeps
-  // ranks() from overflowing.
-  const std::int64_t rank_limit = std::min<std::int64_t>(
-      count, std::numeric_limits<std::int32_t>::max());
-  Trace trace;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    TraceEvent ev;
-    const auto kind = take<std::uint8_t>(in);
-    VAPRO_CHECK_MSG(kind <= static_cast<std::uint8_t>(EventKind::kProgramEnd),
-                    "trace event " << i << ": bad event kind " << int{kind});
-    ev.kind = static_cast<EventKind>(kind);
-    ev.time = take<double>(in);
-    VAPRO_CHECK_MSG(std::isfinite(ev.time) && ev.time >= 0.0,
-                    "trace event " << i << ": bad time " << ev.time);
-    ev.info.rank = take<std::int32_t>(in);
-    VAPRO_CHECK_MSG(ev.info.rank >= 0 && ev.info.rank < rank_limit,
-                    "trace event " << i << ": rank " << ev.info.rank
-                                   << " out of range");
-    ev.info.site = take<sim::CallSiteId>(in);
-    const auto op = take<std::uint8_t>(in);
-    VAPRO_CHECK_MSG(op <= static_cast<std::uint8_t>(sim::OpKind::kProbe),
-                    "trace event " << i << ": bad op kind " << int{op});
-    ev.info.kind = static_cast<sim::OpKind>(op);
-    ev.info.args.bytes = take<double>(in);
-    ev.info.args.peer = static_cast<int>(take<std::int64_t>(in));
-    ev.info.args.fd = static_cast<int>(take<std::int64_t>(in));
-    ev.info.args.tag = static_cast<int>(take<std::int64_t>(in));
-    ev.info.args.transfer_seconds = take<double>(in);
-    ev.info.truth_class_since_last = take<std::int64_t>(in);
-    ev.info.statically_fixed_since_last = take<std::uint8_t>(in) != 0;
-    const auto frames = take<std::uint32_t>(in);
-    VAPRO_CHECK_MSG(frames < (1u << 20), "implausible path length");
-    ev.info.path.resize(frames);
-    for (std::uint32_t f = 0; f < frames; ++f)
-      ev.info.path[f] = take<std::uint32_t>(in);
-    for (double& v : ev.ground_truth.values) v = take<double>(in);
-    trace.append(std::move(ev));
-  }
+  std::ostringstream why;
+  std::optional<Trace> trace;
+  if (in)
+    trace = parse(in, why);
+  else
+    why << "cannot open file";
+  if (!trace && error) *error = why.str();
   return trace;
 }
 

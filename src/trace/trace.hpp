@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,12 +46,15 @@ class Trace {
   // Serialized size: what a tracing tool would have to move/store.
   std::size_t byte_size() const;
 
-  // Binary round trip.  The format is versioned and self-contained;
-  // load() dies on a malformed file (VAPRO_CHECK): truncation, an unknown
-  // event or op kind, a rank outside [0, event count), or a time that is
-  // negative or not finite.
-  void save(const std::string& path) const;
-  static Trace load(const std::string& path);
+  // Binary round trip.  The format is versioned and self-contained.
+  // save() returns false when the file cannot be opened or written.
+  // load() returns nullopt, and says why in `*error`, for a file it cannot
+  // open or a malformed one: truncation, an unknown event or op kind, a
+  // rank outside [0, event count), or a time that is negative or not
+  // finite.
+  bool save(const std::string& path) const;
+  static std::optional<Trace> load(const std::string& path,
+                                   std::string* error);
 
  private:
   std::vector<TraceEvent> events_;

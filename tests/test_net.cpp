@@ -758,6 +758,24 @@ TEST(TenantSession, SyncReturnsOnlyAfterDegradedClears) {
   EXPECT_EQ(t->windows_processed(), 2u);
 }
 
+// The session's admission queue is the tenant's only hand-off queue: a
+// tenant whose server options ask for a pipeline still analyzes each batch
+// on the session's worker, so no server pipeline, and no queue-depth
+// gauge, ever appears.
+TEST(TenantSession, BackendAnalyzesOnTheSessionsWorker) {
+  obs::ObsContext ctx;
+  net::IngestPlane plane(net::PlaneOptions{});
+  net::TenantOptions topts = tenant_options("a", 2, &ctx);
+  topts.server.pipeline_depth = 3;
+  net::TenantSession* t = plane.add_tenant(std::move(topts));
+  for (std::uint64_t s = 0; s < 3; ++s)
+    EXPECT_EQ(t->submit(s, make_batch(2, 3, s), 0.0),
+              net::AckStatus::kAdmitted);
+  t->sync();
+  EXPECT_EQ(t->windows_processed(), 3u);
+  EXPECT_EQ(ctx.metrics().find_gauge("vapro.pipeline.queue_depth"), nullptr);
+}
+
 // --- loopback end-to-end ---------------------------------------------------
 
 TEST(IngestLoopback, SocketFeedMatchesDirectFeedByteForByte) {

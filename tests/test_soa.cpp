@@ -6,19 +6,20 @@
 //   * a counter column exists only once some row wrote a non-zero bit
 //     pattern (so -0.0 and denormals count, bit for bit, through the wire
 //     codec too); rows written before it, or appended from a window
-//     without it, read +0.0 even over a dirty arena; a window that writes
-//     only TOT_INS stays under 96 arena bytes per fragment;
-//   * move (and Stg::adopt_fragments) is an arena POINTER SWAP — proved by
+//     without it, read +0.0 even over dirty capacity; a window that
+//     writes only TOT_INS stays under 96 bytes per fragment, built with a
+//     reserve or without one (growth keeps no outgrown column);
+//   * move (and Stg::adopt_fragments) is a BUFFER SWAP — proved by
 //     column-pointer equality, not timing — and the moved-from object is
 //     empty and reusable;
-//   * clear() rewinds the arena without releasing it, so a same-shaped
-//     refill reuses the warm chunks byte-for-byte (stable reserved bytes,
-//     stable column addresses);
+//   * clear() keeps every column's capacity, so a same-shaped refill
+//     reuses the warm buffers (stable reserved bytes, stable column
+//     addresses);
 //   * clustering is a pure function of the fragment MULTISET: permuting
 //     the window's fragment order (distinct norms, so Algorithm 1's
-//     norm-sort has unique keys) yields identical clusters, and an
-//     arena-reset window cycle yields identical clusters to the first
-//     window;
+//     norm-sort has unique keys) yields identical clusters, and every
+//     window of the server's adopt → cluster → clear cycle yields the
+//     first window's clusters in the first window's footprint;
 //   * degenerate window shapes — empty, single-fragment, 64Ki fragments —
 //     hold the same invariants.
 #include <gtest/gtest.h>
@@ -146,7 +147,7 @@ TEST(SoaColumns, PushBackMaterializeRoundTripsEveryField) {
   }
 }
 
-TEST(SoaColumns, MoveIsArenaPointerSwap) {
+TEST(SoaColumns, MoveIsABufferSwap) {
   FragmentColumns cols;
   for (std::size_t i = 0; i < 64; ++i) cols.push_back(dense_fragment(i));
   const double* start = cols.start_data();
@@ -157,7 +158,7 @@ TEST(SoaColumns, MoveIsArenaPointerSwap) {
   EXPECT_NE(counters[index(pmu::Counter::kMemRefs)], nullptr);
 
   FragmentColumns moved(std::move(cols));
-  // The columns did not move in memory: the arena changed owners.
+  // The columns did not move in memory: the buffers changed owners.
   EXPECT_EQ(moved.start_data(), start);
   EXPECT_EQ(moved.kind_data(), kinds);
   EXPECT_EQ(counter_columns(moved), counters);
@@ -199,7 +200,7 @@ TEST(SoaColumns, CopyIsDeepAndIndependent) {
   for (std::size_t i = 0; i < 24; ++i) cols.push_back(dense_fragment(i));
   FragmentColumns copy(cols);
   ASSERT_EQ(copy.size(), cols.size());
-  EXPECT_NE(copy.start_data(), cols.start_data());  // fresh arena
+  EXPECT_NE(copy.start_data(), cols.start_data());  // fresh buffers
   for (std::size_t i = 0; i < cols.size(); ++i)
     expect_fragment_eq(cols.materialize(i), copy.materialize(i), i);
 
@@ -211,26 +212,26 @@ TEST(SoaColumns, CopyIsDeepAndIndependent) {
   expect_fragment_eq(dense_fragment(6), copy.materialize(6), 6);
 }
 
-TEST(SoaColumns, ClearReusesWarmArena) {
+TEST(SoaColumns, ClearKeepsCapacityForTheNextWindow) {
   FragmentColumns cols;
   for (std::size_t i = 0; i < 128; ++i) cols.push_back(dense_fragment(i));
-  const std::size_t reserved = cols.arena_bytes_reserved();
+  const std::size_t reserved = cols.bytes_reserved();
   const double* start = cols.start_data();
 
   for (int window = 0; window < 5; ++window) {
     cols.clear();
     EXPECT_EQ(cols.size(), 0u);
-    EXPECT_EQ(cols.arena_bytes_reserved(), reserved);  // chunks kept
+    EXPECT_EQ(cols.bytes_reserved(), reserved);  // capacity kept
     for (std::size_t i = 0; i < 128; ++i) cols.push_back(dense_fragment(i));
     // A same-shaped window lands in the very same warm memory.
     EXPECT_EQ(cols.start_data(), start);
-    EXPECT_EQ(cols.arena_bytes_reserved(), reserved);
+    EXPECT_EQ(cols.bytes_reserved(), reserved);
   }
   for (std::size_t i = 0; i < 128; ++i)
     expect_fragment_eq(dense_fragment(i), cols.materialize(i), i);
 }
 
-TEST(SoaColumns, AppendSplicesAcrossArenas) {
+TEST(SoaColumns, AppendCopiesTheOtherWindowsRows) {
   FragmentColumns head;
   FragmentColumns tail;
   for (std::size_t i = 0; i < 10; ++i) head.push_back(dense_fragment(i));
@@ -251,8 +252,9 @@ Fragment bare_fragment(std::size_t i) {
   return f;
 }
 
-// Leaves `cols` empty over an arena whose chunks hold non-zero bytes, so a
-// column allocated later that skipped its zero-fill would read them.
+// Leaves `cols` empty over counter columns whose capacity holds non-zero
+// doubles, so a column that reappears and skipped its zero-fill would
+// read them.
 void dirty_and_clear(FragmentColumns& cols, std::size_t rows) {
   Fragment f = dense_fragment(0);
   for (double& v : f.counters.values) v = 7.0;
@@ -376,20 +378,32 @@ TEST(SoaColumns, WindowThatWritesNoCounterAllocatesNoCounterColumn) {
   EXPECT_EQ(copy.counters(150).values, pmu::CounterSample{}.values);
 }
 
-// Counting gate for the layout: a window that writes only TOT_INS stores
-// 8 bytes of counters per fragment, not the 144 of a full CounterSample.
-TEST(SoaColumns, UnwrittenCountersTakeNoSpace) {
+// Bytes per fragment of a 64Ki-fragment window that writes only TOT_INS,
+// built by push_back after an optional reserve.
+double tot_ins_window_bytes_per_fragment(bool reserve) {
   constexpr std::size_t kN = 64 * 1024;
   FragmentColumns cols;
-  cols.reserve(kN);
+  if (reserve) cols.reserve(kN);
   for (std::size_t i = 0; i < kN; ++i) {
     Fragment f = bare_fragment(i);
     f.counters[pmu::Counter::kTotIns] = 1e6 + static_cast<double>(i);
     cols.push_back(f);
   }
-  const double per_fragment = static_cast<double>(cols.arena_bytes_used()) /
-                              static_cast<double>(cols.size());
-  EXPECT_LE(per_fragment, 96.0);
+  return static_cast<double>(cols.bytes_reserved()) /
+         static_cast<double>(cols.size());
+}
+
+// Counting gate for the layout: a window that writes only TOT_INS stores
+// 8 bytes of counters per fragment, not the 144 of a full CounterSample.
+TEST(SoaColumns, UnwrittenCountersTakeNoSpace) {
+  EXPECT_LE(tot_ins_window_bytes_per_fragment(/*reserve=*/true), 96.0);
+}
+
+// Counting gate for growth: the client builds each batch by push_back
+// without a reserve, and the columns it doubles through must not stay
+// allocated beside the final ones.
+TEST(SoaColumns, PushBackBuiltWindowKeepsNoOutgrownColumns) {
+  EXPECT_LE(tot_ins_window_bytes_per_fragment(/*reserve=*/false), 96.0);
 }
 
 // --- degenerate window shapes ---
@@ -436,8 +450,8 @@ TEST(SoaColumns, SixtyFourKiFragmentWindow) {
                      kN - 1);
   for (std::size_t i = 0; i < kN; i += 4097)
     expect_fragment_eq(dense_fragment(i), cols.materialize(i), i);
-  // The columns really are dense: the arena holds at least the payload.
-  EXPECT_GE(cols.arena_bytes_used(), kN * sizeof(double) * 2);
+  // The columns really are dense: they hold at least the payload.
+  EXPECT_GE(cols.bytes_reserved(), kN * sizeof(double) * 2);
   FragmentColumns moved(std::move(cols));
   EXPECT_EQ(moved.size(), kN);
 }
@@ -510,7 +524,7 @@ TEST_F(SoaClustering, PermutationOfFragmentOrderYieldsIdenticalClusters) {
   }
 }
 
-TEST_F(SoaClustering, ArenaResetWindowCycleYieldsIdenticalClusters) {
+TEST_F(SoaClustering, WindowCycleYieldsIdenticalClustersInOneFootprint) {
   Stg stg(StgMode::kContextFree);
   const StateKey k1 = stg.touch_vertex(invocation(1));
   const StateKey k2 = stg.touch_vertex(invocation(2));
@@ -519,7 +533,7 @@ TEST_F(SoaClustering, ArenaResetWindowCycleYieldsIdenticalClusters) {
   std::string first;
   std::size_t reserved_after_first = 0;
   // The server's window loop: fill a batch, adopt → cluster → clear.  The
-  // moved-from batch holds no chunks, so each window fills a fresh arena,
+  // moved-from batch holds no buffers, so each window fills fresh ones,
   // and adopt frees the previous window's.
   FragmentColumns batch;
   for (int window = 0; window < 4; ++window) {
@@ -531,14 +545,13 @@ TEST_F(SoaClustering, ArenaResetWindowCycleYieldsIdenticalClusters) {
     const std::string fp = cluster_fingerprint(stg, r);
     if (window == 0) {
       first = fp;
-      reserved_after_first = stg.fragments().arena_bytes_reserved();
+      reserved_after_first = stg.fragments().bytes_reserved();
       EXPECT_FALSE(first.empty());
     } else {
       EXPECT_EQ(fp, first) << "window " << window;
       // Same shape, same footprint: no window reserves more than the
       // first.
-      EXPECT_EQ(stg.fragments().arena_bytes_reserved(),
-                reserved_after_first)
+      EXPECT_EQ(stg.fragments().bytes_reserved(), reserved_after_first)
           << "window " << window;
     }
     stg.clear_fragments();

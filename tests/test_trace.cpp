@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "src/apps/npb.hpp"
 #include "src/apps/solvers.hpp"
@@ -61,14 +63,16 @@ TEST(Trace, RecordsBeginEndPairsInTimeOrder) {
 TEST(Trace, BinaryRoundTripIsLossless) {
   Trace trace = record_nekbone();
   const std::string path = "/tmp/vapro_trace_test.vprt";
-  trace.save(path);
-  Trace loaded = Trace::load(path);
+  ASSERT_TRUE(trace.save(path));
+  std::string error;
+  const std::optional<Trace> loaded = Trace::load(path, &error);
   std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value()) << error;
 
-  ASSERT_EQ(loaded.size(), trace.size());
+  ASSERT_EQ(loaded->size(), trace.size());
   for (std::size_t i = 0; i < trace.size(); i += 97) {  // spot-check stride
     const TraceEvent& a = trace.events()[i];
-    const TraceEvent& b = loaded.events()[i];
+    const TraceEvent& b = loaded->events()[i];
     EXPECT_EQ(a.kind, b.kind);
     EXPECT_DOUBLE_EQ(a.time, b.time);
     EXPECT_EQ(a.info.rank, b.info.rank);
@@ -82,6 +86,14 @@ TEST(Trace, BinaryRoundTripIsLossless) {
   }
 }
 
+// The error load() returns for `path`, which must not load.
+std::string load_error(const std::string& path) {
+  std::string error;
+  const std::optional<Trace> trace = Trace::load(path, &error);
+  EXPECT_FALSE(trace.has_value()) << path;
+  return error;
+}
+
 TEST(Trace, LoadRejectsGarbage) {
   const std::string path = "/tmp/vapro_trace_garbage.vprt";
   {
@@ -89,8 +101,18 @@ TEST(Trace, LoadRejectsGarbage) {
     std::fputs("this is not a trace", f);
     std::fclose(f);
   }
-  EXPECT_DEATH(Trace::load(path), "not a vapro trace");
+  EXPECT_EQ(load_error(path), "not a vapro trace");
   std::remove(path.c_str());
+}
+
+TEST(Trace, SaveAndLoadReportUnusablePaths) {
+  // A path under a regular file can be neither written nor read.
+  const std::string file = "/tmp/vapro_trace_not_a_dir";
+  { std::ofstream touch(file); }
+  Trace trace;
+  EXPECT_FALSE(trace.save(file + "/t.vprt"));
+  EXPECT_EQ(load_error(file + "/t.vprt"), "cannot open file");
+  std::remove(file.c_str());
 }
 
 // Saves a valid two-event trace, then overwrites the bytes of `value` at
@@ -105,7 +127,7 @@ std::string corrupted_trace(const std::string& name, std::size_t offset,
   trace.append(ev);
   trace.append(ev);
   const std::string path = "/tmp/vapro_trace_" + name + ".vprt";
-  trace.save(path);
+  EXPECT_TRUE(trace.save(path));
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(reinterpret_cast<const char*>(&value), sizeof(T));
@@ -115,7 +137,7 @@ std::string corrupted_trace(const std::string& name, std::size_t offset,
 TEST(Trace, LoadRejectsNegativeRank) {
   const std::string path =
       corrupted_trace("negative_rank", 21, std::int32_t{-5});
-  EXPECT_DEATH(Trace::load(path), "rank -5 out of range");
+  EXPECT_EQ(load_error(path), "trace event 0: rank -5 out of range");
   std::remove(path.c_str());
 }
 
@@ -123,13 +145,13 @@ TEST(Trace, LoadRejectsRankPastEventCount) {
   // INT_MAX + 1 would overflow the rank count a replay sizes its client by.
   const std::string path =
       corrupted_trace("huge_rank", 21, std::int32_t{INT_MAX});
-  EXPECT_DEATH(Trace::load(path), "rank 2147483647 out of range");
+  EXPECT_EQ(load_error(path), "trace event 0: rank 2147483647 out of range");
   std::remove(path.c_str());
 }
 
 TEST(Trace, LoadRejectsUnknownEventKind) {
   const std::string path = corrupted_trace("bad_kind", 12, std::uint8_t{7});
-  EXPECT_DEATH(Trace::load(path), "bad event kind 7");
+  EXPECT_EQ(load_error(path), "trace event 0: bad event kind 7");
   std::remove(path.c_str());
 }
 

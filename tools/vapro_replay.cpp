@@ -26,6 +26,8 @@
 // compacted journal replays byte-identically.
 #include <chrono>
 #include <iostream>
+#include <optional>
+#include <string>
 
 #include "src/core/journal_replay.hpp"
 #include "src/obs/journal_segment.hpp"
@@ -92,7 +94,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  trace::Trace trace = trace::Trace::load(args.positionals()[0]);
+  const std::string trace_path = args.positionals()[0];
+  std::string load_error;
+  const std::optional<trace::Trace> loaded =
+      trace::Trace::load(trace_path, &load_error);
+  if (!loaded) {
+    std::cerr << "cannot load trace " << trace_path << ": " << load_error
+              << "\n";
+    return 2;
+  }
+  const trace::Trace& trace = *loaded;
   std::cout << "loaded " << trace.size() << " events ("
             << trace.byte_size() / 1024 << " KiB)\n";
 

@@ -10,6 +10,7 @@
 // Noise spec: kind:node:t_begin:t_end:magnitude with kind one of
 //   cpu | mem | dram | l2bug | pf | io | net     (node -1 = all nodes).
 #include <chrono>
+#include <fstream>
 #include <iostream>
 
 #include "src/apps/apps.hpp"
@@ -155,10 +156,16 @@ int main(int argc, char** argv) {
   }
   sim::Simulator simulator(config);
 
-  // Make the CSV directory before the run, so a bad one fails fast.
+  // Make the CSV directory and open the trace file before the run, so a
+  // bad one fails fast.
   const std::string csv_dir = args.get("csv", "");
   if (!csv_dir.empty() && !util::ensure_dir(csv_dir)) {
     std::cerr << "cannot create --csv directory " << csv_dir << "\n";
+    return 2;
+  }
+  const std::string trace_path = args.get("trace", "");
+  if (!trace_path.empty() && !std::ofstream(trace_path, std::ios::binary)) {
+    std::cerr << "cannot open --trace file " << trace_path << "\n";
     return 2;
   }
 
@@ -243,7 +250,6 @@ int main(int argc, char** argv) {
 
   // Optional trace recording, teeing into the live session.
   std::unique_ptr<trace::TraceWriter> writer;
-  const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) {
     writer = std::make_unique<trace::TraceWriter>(&session.client());
     simulator.set_interceptor(writer.get());
@@ -262,12 +268,13 @@ int main(int argc, char** argv) {
       std::cerr << "ingest flush: " << flush_error << "\n";
     tenant->sync();
   }
-  if (writer) {
-    writer->trace().save(trace_path);
+  const bool trace_write_ok = !writer || writer->trace().save(trace_path);
+  if (!trace_write_ok)
+    std::cerr << "cannot write trace to " << trace_path << "\n";
+  else if (writer)
     std::cout << "trace: " << writer->trace().size() << " events ("
               << writer->trace().byte_size() / 1024 << " KiB) → "
               << trace_path << "\n";
-  }
   std::cout << app_name << ": " << config.ranks << " ranks, makespan "
             << result.makespan << " virtual seconds, " << result.events
             << " events\n\n";
@@ -314,5 +321,5 @@ int main(int argc, char** argv) {
     obs_cli.linger(obs_ctx);
     if (!obs_write_ok) return 1;
   }
-  return csv_write_ok ? 0 : 1;
+  return csv_write_ok && trace_write_ok ? 0 : 1;
 }
