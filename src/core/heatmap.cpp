@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <sstream>
 
 #include "src/util/check.hpp"
 #include "src/util/csv.hpp"
-#include "src/util/pipeline.hpp"
 #include "src/util/table.hpp"
 
 namespace vapro::core {
@@ -185,58 +183,6 @@ bool Heatmap::write_csv(const std::string& path) const {
 
 namespace {
 
-// First row of stripe `s` when `ranks` rows split into `stripes` stripes
-// (balanced: sizes differ by at most one, empty only when stripes > ranks).
-int stripe_begin(int ranks, int stripes, int s) {
-  return static_cast<int>((static_cast<long long>(ranks) * s) / stripes);
-}
-
-// Per-stripe connected-component labeling: BFS with 4-connectivity over
-// low cells, CONFINED to the stripe's rows [row_lo, row_hi).  Writes only
-// this stripe's rows of `label` (labels are stripe-local, starting at 0)
-// and returns the number of local components — so concurrent stripes never
-// touch the same memory.
-std::size_t label_stripe(const std::vector<std::uint8_t>& low, int bins,
-                         int row_lo, int row_hi,
-                         std::vector<std::int64_t>& label) {
-  auto idx = [bins](int r, int b) {
-    return static_cast<std::size_t>(r) * bins + b;
-  };
-  std::size_t next_label = 0;
-  std::deque<std::pair<int, int>> frontier;
-  for (int r = row_lo; r < row_hi; ++r) {
-    for (int b = 0; b < bins; ++b) {
-      if (!low[idx(r, b)] || label[idx(r, b)] >= 0) continue;
-      const std::int64_t id = static_cast<std::int64_t>(next_label++);
-      label[idx(r, b)] = id;
-      frontier.assign(1, {r, b});
-      while (!frontier.empty()) {
-        auto [cr, cb] = frontier.front();
-        frontier.pop_front();
-        constexpr int dr[] = {1, -1, 0, 0};
-        constexpr int db[] = {0, 0, 1, -1};
-        for (int k = 0; k < 4; ++k) {
-          const int nr = cr + dr[k], nb = cb + db[k];
-          if (nr < row_lo || nr >= row_hi || nb < 0 || nb >= bins) continue;
-          if (!low[idx(nr, nb)] || label[idx(nr, nb)] >= 0) continue;
-          label[idx(nr, nb)] = id;
-          frontier.emplace_back(nr, nb);
-        }
-      }
-    }
-  }
-  return next_label;
-}
-
-// Path-halving find on the boundary-merge union-find.
-std::size_t uf_find(std::vector<std::size_t>& parent, std::size_t x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];
-    x = parent[x];
-  }
-  return x;
-}
-
 constexpr double kNoData = std::numeric_limits<double>::infinity();
 
 // Labels the column suffix [col_lo, bins) of `map` as if it were the whole
@@ -246,15 +192,11 @@ constexpr double kNoData = std::numeric_limits<double>::infinity();
 // pass; RegionCache calls it only at a col_lo no region crosses, so every
 // region it finds is a region of the whole map.
 //
-// The sharded pass splits rows into contiguous rank stripes, one task per
-// stripe; one stripe IS the serial path (same code, no special case).
-// Determinism argument: stripe labeling writes only stripe-local state,
-// the boundary merge and everything after run serially in fixed row-major
-// order, and components are renumbered by first row-major cell — so the
-// output is a pure function of the map, independent of the stripe count
-// and of scheduling.
+// One pass on the calling thread: a BFS with 4-connectivity labels the low
+// cells, then the stats accumulate in one flat row-major sweep, the
+// summation order the %.17g equivalence fingerprint pins.
 void label_suffix(const Heatmap& map, double threshold, int col_lo,
-                  util::WorkerPool* pool, std::vector<VarianceRegion>* regions,
+                  std::vector<VarianceRegion>* regions,
                   std::vector<std::pair<int, int>>* first, double* column_min) {
   const int ranks = map.ranks();
   const int cols = map.bins() - col_lo;
@@ -265,112 +207,48 @@ void label_suffix(const Heatmap& map, double threshold, int col_lo,
   auto idx = [cols](int r, int c) {
     return static_cast<std::size_t>(r) * cols + c;
   };
-  const int stripes =
-      pool && pool->lanes() > 1
-          ? static_cast<int>(
-                std::min<std::size_t>(pool->lanes(),
-                                      static_cast<std::size_t>(ranks)))
-          : 1;
 
-  // Pass 1 (sharded): low-cell mask, per-stripe column minima, and
-  // stripe-confined component labeling.
+  // Low-cell mask and column minima.  Rows in order, so a tie keeps the
+  // first row's cell.
   std::vector<std::uint8_t> low(cells, 0);
-  std::vector<std::int64_t> label(cells, -1);
-  std::vector<std::size_t> stripe_labels(static_cast<std::size_t>(stripes), 0);
-  std::vector<double> stripe_min(static_cast<std::size_t>(stripes) * cols,
-                                 kNoData);
-  auto run_stripe = [&](std::size_t s) {
-    const int row_lo = stripe_begin(ranks, stripes, static_cast<int>(s));
-    const int row_hi = stripe_begin(ranks, stripes, static_cast<int>(s) + 1);
-    double* mins = stripe_min.data() + s * cols;
-    for (int r = row_lo; r < row_hi; ++r) {
-      for (int c = 0; c < cols; ++c) {
-        const double v = map.cell(r, col_lo + c);
-        if (std::isnan(v)) continue;
-        low[idx(r, c)] = v < threshold ? 1 : 0;
-        if (v < mins[c]) mins[c] = v;
-      }
-    }
-    stripe_labels[s] = label_stripe(low, cols, row_lo, row_hi, label);
-  };
-  if (stripes == 1) {
-    run_stripe(0);
-  } else {
-    const std::size_t failed = pool->run(
-        static_cast<std::size_t>(stripes),
-        [&](std::size_t s, std::size_t) { run_stripe(s); });
-    if (failed > 0) {
-      // Contained task failure: redo the whole pass serially (nothing
-      // outside the scratch vectors was touched, so this is equivalent).
-      std::fill(low.begin(), low.end(), 0);
-      std::fill(label.begin(), label.end(), -1);
-      std::fill(stripe_min.begin(), stripe_min.end(), kNoData);
-      for (int s = 0; s < stripes; ++s)
-        run_stripe(static_cast<std::size_t>(s));
-    }
-  }
-  // Stripes in row order, so a tie keeps the first row's cell, as one
-  // stripe would.
-  for (int c = 0; c < cols; ++c) {
-    double m = kNoData;
-    for (int s = 0; s < stripes; ++s)
-      if (stripe_min[static_cast<std::size_t>(s) * cols + c] < m)
-        m = stripe_min[static_cast<std::size_t>(s) * cols + c];
-    column_min[c] = m;
-  }
-
-  // Pass 2 (serial): globalize stripe-local labels by prefix offsets.
-  std::vector<std::size_t> offset(static_cast<std::size_t>(stripes) + 1, 0);
-  for (int s = 0; s < stripes; ++s)
-    offset[s + 1] = offset[s] + stripe_labels[s];
-  const std::size_t total_labels = offset[stripes];
-  if (total_labels == 0) return;
-  for (int s = 1; s < stripes; ++s) {
-    const int row_lo = stripe_begin(ranks, stripes, s);
-    const int row_hi = stripe_begin(ranks, stripes, s + 1);
-    if (offset[s] == 0) continue;
-    for (int r = row_lo; r < row_hi; ++r)
-      for (int c = 0; c < cols; ++c)
-        if (label[idx(r, c)] >= 0)
-          label[idx(r, c)] += static_cast<std::int64_t>(offset[s]);
-  }
-
-  // Pass 3 (serial): stitch components across stripe boundaries — a low
-  // cell vertically adjacent to a low cell in the stripe above joins its
-  // component.  Visited in ascending (stripe, column) order, but
-  // union-find connectivity is order-independent anyway.
-  std::vector<std::size_t> parent(total_labels);
-  for (std::size_t i = 0; i < total_labels; ++i) parent[i] = i;
-  for (int s = 1; s < stripes; ++s) {
-    const int r = stripe_begin(ranks, stripes, s);
-    if (r == 0 || r >= ranks) continue;  // empty stripe: no boundary
+  std::fill_n(column_min, cols, kNoData);
+  for (int r = 0; r < ranks; ++r) {
     for (int c = 0; c < cols; ++c) {
-      if (!low[idx(r, c)] || !low[idx(r - 1, c)]) continue;
-      const std::size_t a =
-          uf_find(parent, static_cast<std::size_t>(label[idx(r - 1, c)]));
-      const std::size_t b =
-          uf_find(parent, static_cast<std::size_t>(label[idx(r, c)]));
-      if (a != b) parent[b] = a;
+      const double v = map.cell(r, col_lo + c);
+      if (std::isnan(v)) continue;
+      low[idx(r, c)] = v < threshold ? 1 : 0;
+      if (v < column_min[c]) column_min[c] = v;
     }
   }
 
-  // Pass 4 (serial): canonical component ids in order of each component's
-  // first row-major cell — the id a single-stripe run would have assigned.
-  std::vector<std::int64_t> comp_of_root(total_labels, -1);
-  std::size_t components = 0;
+  // Component ids: the first unlabeled low cell in row-major order seeds
+  // the next id, and the BFS from it labels its whole component.
+  const auto width = static_cast<std::size_t>(cols);
   std::vector<std::int64_t> comp(cells, -1);
-  for (std::size_t i = 0; i < cells; ++i) {
-    if (label[i] < 0) continue;
-    const std::size_t root = uf_find(parent, static_cast<std::size_t>(label[i]));
-    if (comp_of_root[root] < 0)
-      comp_of_root[root] = static_cast<std::int64_t>(components++);
-    comp[i] = comp_of_root[root];
+  std::size_t components = 0;
+  std::vector<std::size_t> queue;
+  for (std::size_t seed = 0; seed < cells; ++seed) {
+    if (!low[seed] || comp[seed] >= 0) continue;
+    const auto id = static_cast<std::int64_t>(components++);
+    auto visit = [&](std::size_t i) {
+      if (!low[i] || comp[i] >= 0) return;
+      comp[i] = id;
+      queue.push_back(i);
+    };
+    queue.clear();
+    visit(seed);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t i = queue[head];
+      const std::size_t c = i % width;
+      if (i + width < cells) visit(i + width);
+      if (i >= width) visit(i - width);
+      if (c + 1 < width) visit(i + 1);
+      if (c > 0) visit(i - 1);
+    }
   }
+  if (components == 0) return;
 
-  // Pass 5 (serial): accumulate region stats in flat row-major order.
-  // This order is the SAME for every stripe count — per-stripe partial
-  // sums would differ between thread counts in the last bit of a double,
-  // which the %.17g equivalence fingerprint would catch.
+  // Region stats in flat row-major order.
   regions->resize(components);
   first->resize(components);
   std::vector<double> perf_weighted(components, 0.0);
@@ -418,7 +296,7 @@ bool reported_before(const VarianceRegion& a, std::pair<int, int> first_a,
 
 }  // namespace
 
-void RegionCache::update(const Heatmap& map, util::WorkerPool* pool) {
+void RegionCache::update(const Heatmap& map) {
   const int bins = map.bins();
   // Columns the map grew by since the last update count as written.
   const int lowest =
@@ -441,7 +319,7 @@ void RegionCache::update(const Heatmap& map, util::WorkerPool* pool) {
   column_min_.resize(static_cast<std::size_t>(bins), kNoData);
   std::vector<VarianceRegion> fresh;
   std::vector<std::pair<int, int>> fresh_first;
-  label_suffix(map, threshold_, frontier, pool, &fresh, &fresh_first,
+  label_suffix(map, threshold_, frontier, &fresh, &fresh_first,
                column_min_.data() + frontier);
   std::vector<std::size_t> order(fresh.size());
   for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
@@ -492,9 +370,9 @@ double RegionCache::worst_cell() const {
 
 std::vector<VarianceRegion> find_variance_regions(const Heatmap& map,
                                                   double threshold,
-                                                  util::WorkerPool* pool) {
+                                                  util::WorkerPool*) {
   RegionCache cache(threshold);
-  cache.update(map, pool);
+  cache.update(map);
   return cache.regions();
 }
 

@@ -114,15 +114,14 @@ struct VarianceRegion {
 
 // Finds all variance regions below `threshold`, sorted by impact
 // (descending, ties broken by row-major discovery order) as the paper
-// reports them.  With a multi-lane `pool`, the map is split into
-// contiguous rank stripes labeled in parallel and stitched by a
-// deterministic boundary merge; the result is byte-identical for every
-// lane count (stats always accumulate in one row-major sweep, and
-// components are renumbered by first row-major cell).  This is a fresh
-// RegionCache's first update: a from-scratch pass over every column.
+// reports them.  This is a fresh RegionCache's first update: a
+// from-scratch pass over every column, on the calling thread.  The third
+// parameter is unused; it stays only because perfbench's replay, frozen
+// with the benchmark, passes its pool.  Drop it at the next benchmark
+// change.
 std::vector<VarianceRegion> find_variance_regions(
     const Heatmap& map, double threshold = 0.85,
-    util::WorkerPool* pool = nullptr);
+    util::WorkerPool* = nullptr);
 
 // The variance regions of one growing heat map, kept up to date across
 // windows by re-labeling only a column suffix [F, bins).  F starts one
@@ -134,14 +133,18 @@ std::vector<VarianceRegion> find_variance_regions(
 // and a re-labeled region lies wholly inside the suffix, so its
 // row-major sums add the same doubles in the same order.
 //
+// The re-label is one pass on the calling thread: a BFS over the suffix's
+// low cells seeded in row-major order, then one row-major stats sweep.
+// It stays serial because a rank-striped pass on the shard pool measured
+// slower on per-window updates (docs/ARCHITECTURE.md).
+//
 // One cache per map (it reads the map's write stamps); not thread-safe.
 class RegionCache {
  public:
   explicit RegionCache(double threshold = 0.85) : threshold_(threshold) {}
 
-  // Brings the regions up to date with `map`; `pool` shards the re-label
-  // pass as in find_variance_regions.
-  void update(const Heatmap& map, util::WorkerPool* pool = nullptr);
+  // Brings the regions up to date with `map`, on the calling thread.
+  void update(const Heatmap& map);
 
   // Regions as of the last update, in find_variance_regions order.
   const std::vector<VarianceRegion>& regions() const { return regions_; }

@@ -18,24 +18,22 @@ LiveDetection::LiveDetection(int ranks, double bin_seconds, double threshold)
       caches_{RegionCache(threshold), RegionCache(threshold),
               RegionCache(threshold)} {}
 
-const std::vector<VarianceRegion>& LiveDetection::locate(
-    FragmentKind kind, util::WorkerPool* pool) {
+const std::vector<VarianceRegion>& LiveDetection::locate(FragmentKind kind) {
   const int k = static_cast<int>(kind);
-  caches_[k].update(maps_[k], pool);
+  caches_[k].update(maps_[k]);
   return caches_[k].regions();
 }
 
 void LiveDetection::publish(obs::ObsContext& obs,
                             const CoverageAccumulator& coverage,
                             std::int64_t window, double virtual_time,
-                            std::vector<obs::JournalField> extra,
-                            util::WorkerPool* pool) {
+                            std::vector<obs::JournalField> extra) {
   double worst_cell = 1.0;
   double worst_region_perf = 1.0;
   std::size_t region_count = 0, relabeled_cells = 0, heatmap_cells = 0;
   for (FragmentKind kind : kAllKinds) {
     const int k = static_cast<int>(kind);
-    for (const VarianceRegion& r : locate(kind, pool))
+    for (const VarianceRegion& r : locate(kind))
       if (r.mean_perf > 0.0)
         worst_region_perf = std::min(worst_region_perf, r.mean_perf);
     worst_cell = std::min(worst_cell, caches_[k].worst_cell());
@@ -76,10 +74,10 @@ void LiveDetection::publish(obs::ObsContext& obs,
 }
 
 void LiveDetection::journal_snapshot(obs::Journal& journal,
-                                     std::int64_t window, double virtual_time,
-                                     util::WorkerPool* pool) {
+                                     std::int64_t window,
+                                     double virtual_time) {
   for (FragmentKind kind : kAllKinds) {
-    locate(kind, pool);
+    locate(kind);
     journal_regions(journal, kind, window, virtual_time,
                     /*final_snapshot=*/true);
   }
@@ -182,11 +180,10 @@ std::string regions_json(const std::vector<VarianceRegion> regions[3],
 }
 
 std::string LiveDetection::variance_json(std::size_t windows,
-                                         double virtual_time,
-                                         util::WorkerPool* pool) {
+                                         double virtual_time) {
   std::vector<VarianceRegion> regions[3];
   for (FragmentKind kind : kAllKinds)
-    regions[static_cast<int>(kind)] = locate(kind, pool);
+    regions[static_cast<int>(kind)] = locate(kind);
   const double bin_seconds = maps_[0].bin_seconds();
   std::ostringstream oss;
   oss << "{\"windows\":" << windows

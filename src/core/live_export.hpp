@@ -44,28 +44,25 @@ class LiveDetection {
   }
 
   // Brings `kind`'s region cache up to date with its map and returns the
-  // regions, in find_variance_regions order; `pool` shards the re-label.
-  const std::vector<VarianceRegion>& locate(FragmentKind kind,
-                                            util::WorkerPool* pool = nullptr);
+  // regions, in find_variance_regions order.
+  const std::vector<VarianceRegion>& locate(FragmentKind kind);
 
   // One window's publish: gauges from the updated caches and `coverage`,
   // then, with a journal, the changed region sets and the "window" event
   // (`extra` first, then the health fields).
   void publish(obs::ObsContext& obs, const CoverageAccumulator& coverage,
                std::int64_t window, double virtual_time,
-               std::vector<obs::JournalField> extra,
-               util::WorkerPool* pool = nullptr);
+               std::vector<obs::JournalField> extra);
 
   // Final full-precision snapshot (final=true) of every category that
   // ever held a region, so replay needs no event history.
   void journal_snapshot(obs::Journal& journal, std::int64_t window,
-                        double virtual_time, util::WorkerPool* pool = nullptr);
+                        double virtual_time);
 
   // JSON bodies for the /v1 routes.  Numbers go through obs::json_number,
   // like the journal.
   std::string heatmap_json() const;
-  std::string variance_json(std::size_t windows, double virtual_time,
-                            util::WorkerPool* pool = nullptr);
+  std::string variance_json(std::size_t windows, double virtual_time);
 
  private:
   // Journals `kind`'s regions if their bounding-box set changed since the

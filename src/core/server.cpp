@@ -76,7 +76,7 @@ AnalysisServer::AnalysisServer(int ranks, ServerOptions opts)
   VAPRO_CHECK(opts_.analysis_threads >= 1);
   if (opts_.analysis_threads > 1)
     // One persistent intra-window pool for the whole server: clustering
-    // and region growing fan out across its lanes instead of spawning
+    // and the detection pass fan out across its lanes instead of spawning
     // threads per window.
     workers_ = std::make_unique<util::WorkerPool>(
         static_cast<std::size_t>(opts_.analysis_threads), opts_.clock);
@@ -445,8 +445,7 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
                                                        stats.rare_clusters)),
            obs::JournalField::num(
                "diagnosis_stage",
-               static_cast<std::int64_t>(stats.diagnosis_stage))},
-          pool);
+               static_cast<std::int64_t>(stats.diagnosis_stage))});
   }
   clock.lap(obs::Stage::kPublish);
 
@@ -489,7 +488,7 @@ void AnalysisServer::journal_detection_snapshot() const {
   std::lock_guard<std::mutex> lock(live_mu_);
   const std::int64_t window =
       windows_ ? static_cast<std::int64_t>(windows_) - 1 : -1;
-  live_.journal_snapshot(*journal, window, last_virtual_time_, workers_.get());
+  live_.journal_snapshot(*journal, window, last_virtual_time_);
   // Terminal critical-path verdict: one event carrying the per-stage
   // totals, so the replay can cross-check its fold of the per-window
   // window_latency events.  Measurement events follow the same
@@ -517,7 +516,7 @@ std::string AnalysisServer::render_heatmap_json() const {
 
 std::string AnalysisServer::render_variance_json() const {
   std::lock_guard<std::mutex> lock(live_mu_);
-  return live_.variance_json(windows_, last_virtual_time_, workers_.get());
+  return live_.variance_json(windows_, last_virtual_time_);
 }
 
 std::vector<VarianceRegion> AnalysisServer::locate(FragmentKind kind) const {
@@ -525,7 +524,7 @@ std::vector<VarianceRegion> AnalysisServer::locate(FragmentKind kind) const {
   // concurrent scrape sees whole windows.
   sync();
   std::lock_guard<std::mutex> lock(live_mu_);
-  return live_.locate(kind, workers_.get());
+  return live_.locate(kind);
 }
 
 stats::VMeasure AnalysisServer::clustering_quality() const {

@@ -247,9 +247,7 @@ class AnalysisServer {
   ServerOptions opts_;
   Stg stg_;
   ClusterBaseline baseline_;
-  // Heat maps, region caches and the live publish, guarded by live_mu_
-  // (which also serializes the shard pool's use for region growing,
-  // honoring its single-coordinator contract).
+  // Heat maps, region caches and the live publish, guarded by live_mu_.
   mutable LiveDetection live_;
   CoverageAccumulator coverage_;
   ProgressiveDiagnoser diagnoser_;
@@ -262,12 +260,13 @@ class AnalysisServer {
   // threads).
   obs::CriticalPathTracker latency_;
   std::vector<RareFinding> rare_findings_;
-  // Intra-window shard pool (null at analysis_threads 1): clustering, the
-  // detection pass and region growing fan out across its lanes.  Every run() happens under
-  // live_mu_, satisfying the pool's single-coordinator contract even
-  // though locate() may be called from the serve thread.  Declared before
-  // pipeline_ so it outlives the stage worker that uses it.
-  mutable std::unique_ptr<util::WorkerPool> workers_;
+  // Intra-window shard pool (null at analysis_threads 1): clustering and
+  // the detection pass fan out across its lanes.  Only analyze_window
+  // drives it, one window at a time, which satisfies the pool's
+  // single-coordinator contract; region reads (locate(), the /v1 routes,
+  // the final snapshot) run on their caller's thread and never touch it.
+  // Declared before pipeline_ so it outlives the stage worker that uses it.
+  std::unique_ptr<util::WorkerPool> workers_;
   // One window handed to the pipeline worker: analyze_window's arguments.
   struct PendingWindow {
     FragmentBatch batch;

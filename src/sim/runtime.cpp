@@ -240,6 +240,7 @@ Simulator::Simulator(SimConfig config)
       fs_(config.fs, config.seed ^ 0xf5f5f5f5f5f5f5f5ULL),
       noise_(config.noises) {
   VAPRO_CHECK(config_.ranks > 0);
+  VAPRO_CHECK(config_.cores_per_node > 0);  // Topology divides by it
 }
 
 Simulator::~Simulator() = default;

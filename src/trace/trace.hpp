@@ -16,12 +16,14 @@
 //                   from a Trace through the live session's window step.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/sim/intercept.hpp"
+#include "src/util/check.hpp"
 
 namespace vapro::trace {
 
@@ -94,10 +96,14 @@ class TraceReplayer {
 
   // Replays with a window callback invoked every `window_seconds` of trace
   // time (and once at the end) — the offline equivalent of the simulator's
-  // periodic analysis ticks.
+  // periodic analysis ticks.  The window must be positive and finite
+  // (checked: any other value never moves the flush time past an event).
   template <typename WindowFn>
   void replay_windowed(sim::Interceptor& sink, double window_seconds,
                        WindowFn&& on_window) const {
+    VAPRO_CHECK_MSG(window_seconds > 0.0 && std::isfinite(window_seconds),
+                    "replay window " << window_seconds
+                                     << " is not positive and finite");
     double next_flush = window_seconds;
     for (const TraceEvent& ev : trace_.events()) {
       while (ev.time >= next_flush) {

@@ -23,7 +23,7 @@
 //     blocks until every submitted item has finished.
 //
 //   * WorkerPool — a persistent pool for INTRA-window fan-out (the sharded
-//     clustering and region-growing passes).  run(count, fn) is a blocking
+//     clustering and detection passes).  run(count, fn) is a blocking
 //     parallel-for: tasks are claimed by atomic counter, the calling
 //     thread participates as lane 0, and run() returns only after every
 //     task finished — so task writes into caller-owned, task-indexed slots
@@ -351,8 +351,9 @@ class StageExecutor {
 // fan-out serially so its outputs stay equivalence-comparable).
 //
 // Single-coordinator contract: at most one run() may be in flight at a
-// time; the AnalysisServer guarantees this by only calling from the
-// analysis path (serialized by live_mu_ / the StageExecutor worker).
+// time; the AnalysisServer guarantees this by calling run() only from
+// analyze_window, one window at a time (the StageExecutor worker, or the
+// caller at pipeline depth 1).  Its region reads never touch the pool.
 class WorkerPool {
  public:
   // Summary a lane hands to the optional per-run hook, on the lane's own

@@ -44,6 +44,10 @@ bool recv_all(int fd, void* data, std::size_t len) {
 
 int listen_loopback(int port, int backlog, int* bound_port,
                     std::string* error) {
+  if (port < 0 || port > 65535) {
+    if (error) *error = "port " + std::to_string(port) + " out of range";
+    return -1;
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     if (error) *error = std::string("socket: ") + std::strerror(errno);

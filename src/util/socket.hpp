@@ -29,7 +29,8 @@ bool recv_all(int fd, void* data, std::size_t len);
 // Opens a TCP listener on 127.0.0.1:`port` (0 picks a free port) with
 // SO_REUSEADDR and the given backlog, and sets `*bound_port` to the port
 // it got.  Returns the socket, or -1 with `*error` (if given) saying which
-// step failed.
+// step failed; a port outside [0, 65535] is refused before any socket is
+// made, rather than cast to some other port.
 int listen_loopback(int port, int backlog, int* bound_port,
                     std::string* error);
 

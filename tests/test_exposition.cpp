@@ -386,6 +386,20 @@ TEST(Exposition, PortInUseFailsWithReadableError) {
   EXPECT_FALSE(second.running());
 }
 
+// Regression: the port was cast to 16 bits, so 65536 bound an ephemeral
+// port and -1 bound 65535.
+TEST(ExpositionServer, RefusesOutOfRangePorts) {
+  for (const int port : {65536, -1}) {
+    obs::ExpositionServer server;
+    std::string error;
+    EXPECT_FALSE(server.start(port, &error)) << "port " << port;
+    EXPECT_NE(error.find("port " + std::to_string(port) + " out of range"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(server.running());
+  }
+}
+
 TEST(Exposition, RequestCounterAdvances) {
   obs::ObsContext ctx;
   ASSERT_NE(ctx.start_exposition(0), nullptr);

@@ -21,7 +21,6 @@
 #include "src/core/report.hpp"
 #include "src/obs/journal.hpp"
 #include "src/obs/latency.hpp"
-#include "src/util/pipeline.hpp"
 
 namespace vapro {
 namespace {
@@ -117,12 +116,11 @@ TEST(Golden, RegionTableTruncation) {
                         "region_table_truncated.txt");
 }
 
-// A real multi-rank heat map whose low-performance regions straddle every
-// rank-stripe boundary a 2..4-lane pool can draw over 16 ranks: a wide
-// 10-rank band with per-rank perf variation (so the mean/impact sums
-// cross boundaries), a 6-rank band near the top edge, a 2-rank blip, and
-// an isolated single cell.  The golden table is rendered from the serial
-// result; the sharded results must first match it byte for byte.
+// A real multi-rank heat map: a wide 10-rank band with per-rank perf
+// variation (so the mean/impact sums run over many rows), a 6-rank band
+// near the top edge, a 2-rank blip, and an isolated single cell.  Its
+// regions straddle every row boundary a 2..4-way split of the 16 ranks
+// draws, the rank stripes the golden file is named after.
 core::Heatmap stripe_fixture_map() {
   core::Heatmap map(16, 0.25);
   for (int rank = 0; rank < 16; ++rank)
@@ -143,21 +141,11 @@ core::Heatmap stripe_fixture_map() {
 
 TEST(Golden, RegionTableStripeMerged) {
   const core::Heatmap map = stripe_fixture_map();
-  const std::vector<core::VarianceRegion> serial =
+  const std::vector<core::VarianceRegion> regions =
       core::find_variance_regions(map, 0.85);
-  ASSERT_GE(serial.size(), 4u);
-  const std::string rendered = core::render_region_table(serial, 0.25);
-  // Every lane count must render the identical table — the stripe split
-  // and boundary merge are invisible in the output.
-  for (std::size_t lanes : {2u, 3u, 4u}) {
-    util::WorkerPool pool(lanes);
-    EXPECT_EQ(
-        core::render_region_table(core::find_variance_regions(map, 0.85, &pool),
-                                  0.25),
-        rendered)
-        << "lanes=" << lanes;
-  }
-  expect_matches_golden(rendered, "region_table_stripes.txt");
+  ASSERT_GE(regions.size(), 4u);
+  expect_matches_golden(core::render_region_table(regions, 0.25),
+                        "region_table_stripes.txt");
 }
 
 TEST(Golden, RareTable) {

@@ -5,17 +5,17 @@
 //     drain(), backpressure, try_submit/evict_oldest;
 //   * WorkerPool — exactly-once task claiming across lanes, exception
 //     containment, the per-lane completion hook;
-//   * sharded clustering & region growing — lane-count invariance,
-//     permutation stability;
+//   * sharded clustering — lane-count invariance, permutation stability;
 //   * RegionCache — incremental regions equal a from-scratch pass after
-//     every update, with and without a pool;
+//     every update;
 //   * the detection pass — detect_fragments equals the reference
 //     functions (normalize_fragments, CoverageAccumulator::add,
 //     deposit_fragments) cell for cell at every lane count, also when one
 //     vertex holds communication and IO fragments;
 //   * AnalysisServer — byte-identical detection state at any pipeline
 //     depth/thread combination (the property tool_vapro_stress
-//     --equivalence fuzzes at scale).
+//     --equivalence fuzzes at scale), and region reads that run no task
+//     on the shard pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,9 +31,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/server.hpp"
+#include "src/obs/context.hpp"
 #include "src/util/pipeline.hpp"
 
 namespace vapro {
@@ -649,39 +651,6 @@ TEST(ShardedClustering, PermutationStabilityUnderShuffledFragmentOrder) {
   }
 }
 
-TEST(ShardedRegions, StripeCountInvarianceOnBoundaryCrossingRegions) {
-  // 12 ranks, one region spanning ranks 2..9 (crosses every stripe
-  // boundary a pool of 2..5 lanes can draw) plus two single-rank blips.
-  core::Heatmap map(12, 0.1);
-  for (int rank = 0; rank < 12; ++rank)
-    for (int bin = 0; bin < 20; ++bin)
-      map.deposit(rank, bin * 0.1, bin * 0.1 + 0.1, 1.0);
-  for (int rank = 2; rank <= 9; ++rank)
-    for (int bin = 4; bin <= 9; ++bin)
-      map.deposit(rank, bin * 0.1, bin * 0.1 + 0.1, 0.2);
-  map.deposit(0, 1.5, 1.7, 0.1);
-  map.deposit(11, 0.0, 0.2, 0.3);
-  const std::vector<core::VarianceRegion> serial =
-      core::find_variance_regions(map, 0.85);
-  ASSERT_GE(serial.size(), 3u);
-  for (std::size_t lanes : {2u, 3u, 4u, 5u}) {
-    util::WorkerPool pool(lanes);
-    const std::vector<core::VarianceRegion> sharded =
-        core::find_variance_regions(map, 0.85, &pool);
-    ASSERT_EQ(sharded.size(), serial.size()) << "lanes=" << lanes;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(sharded[i].rank_lo, serial[i].rank_lo) << lanes << "/" << i;
-      EXPECT_EQ(sharded[i].rank_hi, serial[i].rank_hi) << lanes << "/" << i;
-      EXPECT_EQ(sharded[i].bin_lo, serial[i].bin_lo) << lanes << "/" << i;
-      EXPECT_EQ(sharded[i].bin_hi, serial[i].bin_hi) << lanes << "/" << i;
-      EXPECT_EQ(sharded[i].cells, serial[i].cells) << lanes << "/" << i;
-      EXPECT_EQ(sharded[i].mean_perf, serial[i].mean_perf) << lanes << "/" << i;
-      EXPECT_EQ(sharded[i].impact_seconds, serial[i].impact_seconds)
-          << lanes << "/" << i;
-    }
-  }
-}
-
 // --- Incremental region growing ------------------------------------------
 
 double worst_cell_full_scan(const core::Heatmap& map) {
@@ -701,66 +670,62 @@ double worst_cell_full_scan(const core::Heatmap& map) {
 TEST(RegionCache, MatchesFromScratchRegionsAfterEveryUpdate) {
   constexpr double kWindow = 0.25, kBin = 0.05;
   std::size_t checks = 0;
-  for (int seed = 0; seed < 40; ++seed) {
-    for (const bool pooled : {false, true}) {
-      std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
-      auto uniform = [&rng](double lo, double hi) {
-        return lo + (hi - lo) * std::uniform_real_distribution<double>()(rng);
-      };
-      auto chance = [&](double p) { return uniform(0.0, 1.0) < p; };
-      const int ranks = 1 + static_cast<int>(rng() % 12);
-      const int windows = 40 + static_cast<int>(rng() % 10);
-      struct Block {
-        int rank_lo, rank_hi, window_lo, window_hi;
-      };
-      std::vector<Block> blocks;
-      for (int i = 0; i < 4; ++i) {
-        const int r = static_cast<int>(rng() % ranks);
-        const int w = static_cast<int>(rng() % windows);
-        blocks.push_back({r, std::min(ranks - 1, r + static_cast<int>(rng() % 3)),
-                          w, w + 1 + static_cast<int>(rng() % 6)});
-      }
-      auto perf_at = [&](int rank, int window) {
-        for (const Block& b : blocks)
-          if (rank >= b.rank_lo && rank <= b.rank_hi && window >= b.window_lo &&
-              window <= b.window_hi)
-            return uniform(0.3, 0.8);
-        return chance(0.03) ? uniform(0.5, 0.84) : uniform(0.86, 1.0);
-      };
+  for (int seed = 0; seed < 80; ++seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
+    auto uniform = [&rng](double lo, double hi) {
+      return lo + (hi - lo) * std::uniform_real_distribution<double>()(rng);
+    };
+    auto chance = [&](double p) { return uniform(0.0, 1.0) < p; };
+    const int ranks = 1 + static_cast<int>(rng() % 12);
+    const int windows = 40 + static_cast<int>(rng() % 10);
+    struct Block {
+      int rank_lo, rank_hi, window_lo, window_hi;
+    };
+    std::vector<Block> blocks;
+    for (int i = 0; i < 4; ++i) {
+      const int r = static_cast<int>(rng() % ranks);
+      const int w = static_cast<int>(rng() % windows);
+      blocks.push_back({r, std::min(ranks - 1, r + static_cast<int>(rng() % 3)),
+                        w, w + 1 + static_cast<int>(rng() % 6)});
+    }
+    auto perf_at = [&](int rank, int window) {
+      for (const Block& b : blocks)
+        if (rank >= b.rank_lo && rank <= b.rank_hi && window >= b.window_lo &&
+            window <= b.window_hi)
+          return uniform(0.3, 0.8);
+      return chance(0.03) ? uniform(0.5, 0.84) : uniform(0.86, 1.0);
+    };
 
-      core::Heatmap map(ranks, kBin);
-      core::RegionCache cache(0.85);
-      util::WorkerPool pool(3);
-      for (int w = 0; w < windows; ++w) {
-        for (int rank = 0; rank < ranks; ++rank) {
-          for (double t = w * kWindow; t < (w + 1) * kWindow;) {
-            const double dur =
-                chance(0.03) ? uniform(0.3, 1.0) : uniform(0.01, 0.04);
-            map.deposit(rank, t, t + dur, perf_at(rank, w));
-            t += std::min(dur, 0.04);
-          }
+    core::Heatmap map(ranks, kBin);
+    core::RegionCache cache(0.85);
+    for (int w = 0; w < windows; ++w) {
+      for (int rank = 0; rank < ranks; ++rank) {
+        for (double t = w * kWindow; t < (w + 1) * kWindow;) {
+          const double dur =
+              chance(0.03) ? uniform(0.3, 1.0) : uniform(0.01, 0.04);
+          map.deposit(rank, t, t + dur, perf_at(rank, w));
+          t += std::min(dur, 0.04);
         }
-        if (w > 1 && chance(0.2)) {
-          const int rank = static_cast<int>(rng() % ranks);
-          const double start = uniform(0.0, (w - 1) * kWindow);
-          map.deposit(rank, start, start + uniform(0.01, 0.2),
-                      chance(0.5) ? uniform(0.1, 0.5) : uniform(1.0, 2.0));
-        }
-        if (w + 1 < windows && chance(0.4)) continue;  // skipped update
-
-        cache.update(map, pooled ? &pool : nullptr);
-        const std::vector<core::VarianceRegion> want =
-            core::find_variance_regions(map, 0.85);
-        const std::vector<core::VarianceRegion>& got = cache.regions();
-        const std::string where = "seed " + std::to_string(seed) + " window " +
-                                  std::to_string(w) +
-                                  (pooled ? " pooled" : " serial");
-        ASSERT_EQ(got.size(), want.size()) << where;
-        for (std::size_t i = 0; i < want.size(); ++i)
-          ASSERT_TRUE(got[i] == want[i]) << where << " region " << i;
-        ASSERT_EQ(cache.worst_cell(), worst_cell_full_scan(map)) << where;
-        ++checks;
       }
+      if (w > 1 && chance(0.2)) {
+        const int rank = static_cast<int>(rng() % ranks);
+        const double start = uniform(0.0, (w - 1) * kWindow);
+        map.deposit(rank, start, start + uniform(0.01, 0.2),
+                    chance(0.5) ? uniform(0.1, 0.5) : uniform(1.0, 2.0));
+      }
+      if (w + 1 < windows && chance(0.4)) continue;  // skipped update
+
+      cache.update(map);
+      const std::vector<core::VarianceRegion> want =
+          core::find_variance_regions(map, 0.85);
+      const std::vector<core::VarianceRegion>& got = cache.regions();
+      const std::string where =
+          "seed " + std::to_string(seed) + " window " + std::to_string(w);
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_TRUE(got[i] == want[i]) << where << " region " << i;
+      ASSERT_EQ(cache.worst_cell(), worst_cell_full_scan(map)) << where;
+      ++checks;
     }
   }
   EXPECT_GT(checks, 1500u);
@@ -979,7 +944,9 @@ TEST(DetectionPass, EqualsTheReferenceFunctionsAtEveryLaneCount) {
 
 // --- Pipelined server equivalence ----------------------------------------
 
-core::FragmentBatch server_batch(int window, int* site_count) {
+// Ranks [slow_lo, 6) run slow in window 1.
+core::FragmentBatch server_batch(int window, int* site_count,
+                                 int slow_lo = 5) {
   core::FragmentBatch batch;
   const int kSites = 4, kRanks = 6, kReps = 8;
   *site_count = kSites;
@@ -1002,9 +969,9 @@ core::FragmentBatch server_batch(int window, int* site_count) {
       comp.from = prev;
       comp.to = keys[static_cast<std::size_t>(s)];
       comp.start_time = t;
-      // The last rank runs slow in window 1: a real variance region, so
-      // the comparison covers a non-trivial heat map.
-      const double stretch = (window == 1 && rank == kRanks - 1) ? 2.0 : 1.0;
+      // Slow ranks in window 1 make a real variance region, so the
+      // comparison covers a non-trivial heat map.
+      const double stretch = (window == 1 && rank >= slow_lo) ? 2.0 : 1.0;
       comp.end_time = t + 0.002 * stretch;
       comp.counters[pmu::Counter::kTotIns] = 1e6 * (1 + s);
       batch.fragments.push_back(comp);
@@ -1083,6 +1050,52 @@ TEST(PipelinedServer, WindowExceptionReachesTheCallerAtEveryDepth) {
     server.process_window(server_batch(1, &sites));
     EXPECT_EQ(server.windows_processed(), 1u);
   }
+}
+
+// Region reads re-label on the caller's thread: at analysis_threads 4 the
+// shard pool runs tasks for clustering and the detection pass only, so no
+// read of the regions adds to its task count.  Without a live publish,
+// each read is the first since a window was analyzed and re-labels the
+// columns that window wrote.
+TEST(PipelinedServer, RegionReadsLeaveTheShardPoolIdle) {
+  obs::ObsContext ctx;
+  ctx.enable_journal();
+  core::ServerOptions opts;
+  opts.run_diagnosis = false;
+  opts.live_detection = false;
+  opts.analysis_threads = 4;
+  opts.obs = &ctx;
+  core::AnalysisServer server(6, opts);
+  const auto shard_tasks = [&server] {
+    std::uint64_t total = 0;
+    for (std::uint64_t n : server.pipeline_breakdown().shard_tasks) total += n;
+    return total;
+  };
+  const std::pair<const char*, std::function<void()>> reads[] = {
+      {"locate computation",
+       [&] { server.locate(core::FragmentKind::kComputation); }},
+      {"locate communication",
+       [&] { server.locate(core::FragmentKind::kCommunication); }},
+      {"locate io", [&] { server.locate(core::FragmentKind::kIo); }},
+      {"render_variance_json", [&] { server.render_variance_json(); }},
+      {"journal_detection_snapshot",
+       [&] { server.journal_detection_snapshot(); }},
+  };
+  int sites = 0, window = 0;
+  server.process_window(server_batch(window++, &sites, /*slow_lo=*/2));
+  for (const auto& [name, read] : reads) {
+    server.process_window(server_batch(window++, &sites, /*slow_lo=*/2));
+    const std::uint64_t before = shard_tasks();
+    EXPECT_GT(before, 0u) << name;
+    read();
+    EXPECT_EQ(shard_tasks(), before) << name;
+  }
+  // The reads saw the slow block of window 1: ranks 2..5.
+  const std::vector<core::VarianceRegion> regions =
+      server.locate(core::FragmentKind::kComputation);
+  ASSERT_FALSE(regions.empty());
+  EXPECT_EQ(regions[0].rank_lo, 2);
+  EXPECT_EQ(regions[0].rank_hi, 5);
 }
 
 void expect_same_detection(const core::AnalysisServer& a,

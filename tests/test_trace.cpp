@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -171,6 +172,23 @@ TEST(Trace, ReplayFeedsEveryEvent) {
   } sink;
   TraceReplayer(trace).replay(sink);
   EXPECT_EQ(sink.begins + sink.ends + sink.finishes, trace.size());
+}
+
+// Regression: a window that is not positive and finite never moved the
+// flush time past the first event, so the replay looped forever.
+TEST(Trace, ReplayWindowedRejectsUnusableWindows) {
+  const Trace trace = record_nekbone();
+  struct Ignore final : sim::Interceptor {
+    void on_call_begin(const sim::InvocationInfo&, double,
+                       const pmu::CounterSample&) override {}
+    void on_call_end(const sim::InvocationInfo&, double,
+                     const pmu::CounterSample&) override {}
+  } sink;
+  for (const double window : {0.0, -1.0, std::nan("")})
+    EXPECT_DEATH(
+        TraceReplayer(trace).replay_windowed(sink, window, [](double) {}),
+        "not positive and finite")
+        << "window " << window;
 }
 
 // Replays `trace` into a fresh detached session.

@@ -28,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/obs/alerts.hpp"
@@ -36,6 +37,27 @@
 #include "src/util/table.hpp"
 
 namespace vapro::tools {
+
+// Reads --`name` into *out (`fallback` when absent) and range-checks it
+// before any work: a seconds flag (double: --window, --bins) must be
+// positive and finite, a count flag (int: --ranks, --cores-per-node) at
+// least 1.  False, with a message naming the flag on stderr, otherwise;
+// the tools then exit 2 instead of looping forever in the window replay
+// or aborting inside the library.
+template <class T>
+bool read_positive_flag(const util::CliArgs& args, const char* name,
+                        T fallback, T* out) {
+  constexpr bool kSeconds = std::is_floating_point_v<T>;
+  if constexpr (kSeconds)
+    *out = args.get_double(name, fallback);
+  else
+    *out = args.get_int(name, fallback);
+  if (*out > 0 && std::isfinite(static_cast<double>(*out))) return true;
+  std::cerr << "--" << name
+            << (kSeconds ? " must be positive and finite\n"
+                         : " must be >= 1\n");
+  return false;
+}
 
 // Shared analysis-pipeline flags for vapro_run / vapro_replay / vapro_stress:
 //
@@ -113,7 +135,16 @@ struct ObsCli {
       std::cerr << "--journal-rotate-seconds must be finite and >= 0\n";
       return false;
     }
+    // Only a decimal port: std::atoi would read "abc" as 0 (an ephemeral
+    // port), and a value past 65535 would wrap to some other port.
     listen = args.get("listen", "");
+    if (!listen.empty() &&
+        (listen.size() > 5 ||
+         listen.find_first_not_of("0123456789") != std::string::npos ||
+         std::atoi(listen.c_str()) > 65535)) {
+      std::cerr << "--listen must be a port number in [0, 65535]\n";
+      return false;
+    }
     listen_linger = args.get_double("listen-linger", 0.0);
     alert_file = args.get("alert-file", "");
     alert_specs = args.get_all("alert-rule");

@@ -94,6 +94,26 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // Flag values are checked before the trace loads: one no replay can use
+  // exits 2.  The defaults are vapro_run's, so the flags a run was
+  // recorded under replay it exactly (tool_vapro_replay_reproduces_run
+  // pins both).
+  core::VaproOptions opts;
+  tools::PipelineCli pipeline_cli;
+  // ObsCli before ObsContext: the journal borrows the alert engine.
+  tools::ObsCli obs_cli;
+  if (!tools::read_positive_flag(args, "window", 0.25, &opts.window_seconds) ||
+      !tools::read_positive_flag(args, "bins", 0.1, &opts.bin_seconds) ||
+      !pipeline_cli.parse(args) || !obs_cli.parse(args))
+    return 2;
+  opts.variance_threshold = args.get_double("threshold", 0.85);
+  opts.cluster.threshold = args.get_double("cluster-threshold", 0.05);
+  opts.run_diagnosis = !args.get_bool("no-diagnosis");
+  if (args.get_bool("context-aware"))
+    opts.stg_mode = core::StgMode::kContextAware;
+  opts.pipeline_depth = pipeline_cli.pipeline_depth;
+  opts.analysis_threads = pipeline_cli.analysis_threads;
+
   const std::string trace_path = args.positionals()[0];
   std::string load_error;
   const std::optional<trace::Trace> loaded =
@@ -107,24 +127,6 @@ int main(int argc, char** argv) {
   std::cout << "loaded " << trace.size() << " events ("
             << trace.byte_size() / 1024 << " KiB)\n";
 
-  // The defaults are vapro_run's, so the flags a run was recorded under
-  // replay it exactly (tool_vapro_replay_reproduces_run pins both).
-  core::VaproOptions opts;
-  opts.window_seconds = args.get_double("window", 0.25);
-  opts.variance_threshold = args.get_double("threshold", 0.85);
-  opts.bin_seconds = args.get_double("bins", 0.1);
-  opts.cluster.threshold = args.get_double("cluster-threshold", 0.05);
-  opts.run_diagnosis = !args.get_bool("no-diagnosis");
-  if (args.get_bool("context-aware"))
-    opts.stg_mode = core::StgMode::kContextAware;
-  tools::PipelineCli pipeline_cli;
-  if (!pipeline_cli.parse(args)) return 2;
-  opts.pipeline_depth = pipeline_cli.pipeline_depth;
-  opts.analysis_threads = pipeline_cli.analysis_threads;
-
-  // ObsCli before ObsContext: the journal borrows the alert engine.
-  tools::ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
   obs::ObsContext obs_ctx;
   if (obs_cli.want_obs()) {
     opts.obs = &obs_ctx;

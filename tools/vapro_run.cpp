@@ -142,9 +142,20 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Flag values are checked before any work: one no run can use exits 2.
   sim::SimConfig config;
-  config.ranks = args.get_int("ranks", 64);
-  config.cores_per_node = args.get_int("cores-per-node", 24);
+  core::VaproOptions options;
+  tools::PipelineCli pipeline_cli;
+  // ObsCli before ObsContext: the journal borrows the alert engine.
+  tools::ObsCli obs_cli;
+  if (!tools::read_positive_flag(args, "ranks", 64, &config.ranks) ||
+      !tools::read_positive_flag(args, "cores-per-node", 24,
+                                 &config.cores_per_node) ||
+      !tools::read_positive_flag(args, "window", 0.25,
+                                 &options.window_seconds) ||
+      !tools::read_positive_flag(args, "bins", 0.1, &options.bin_seconds) ||
+      !pipeline_cli.parse(args) || !obs_cli.parse(args))
+    return 2;
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   for (const std::string& spec : args.get_all("noise")) {
     sim::NoiseSpec noise;
@@ -169,9 +180,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  core::VaproOptions options;
-  options.window_seconds = args.get_double("window", 0.25);
-  options.bin_seconds = args.get_double("bins", 0.1);
   options.run_diagnosis = !args.get_bool("no-diagnosis");
   if (args.get_bool("context-aware"))
     options.stg_mode = core::StgMode::kContextAware;
@@ -179,16 +187,11 @@ int main(int argc, char** argv) {
   if (sampling == "backoff") options.sampling = core::SamplingPolicy::kBackoff;
   else if (sampling == "skip-short")
     options.sampling = core::SamplingPolicy::kSkipShort;
-  tools::PipelineCli pipeline_cli;
-  if (!pipeline_cli.parse(args)) return 2;
   options.pipeline_depth = pipeline_cli.pipeline_depth;
   options.analysis_threads = pipeline_cli.analysis_threads;
 
   // Self-telemetry: attach an ObsContext when any observability output is
   // requested; the default path keeps the library instrument-free.
-  // ObsCli before ObsContext: the journal borrows the alert engine.
-  tools::ObsCli obs_cli;
-  if (!obs_cli.parse(args)) return 2;
   obs::ObsContext obs_ctx;
   const bool want_obs = obs_cli.want_obs();
   if (want_obs) {

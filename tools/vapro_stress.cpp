@@ -82,8 +82,9 @@ int usage() {
       "                     journal-replay tables and the seq-normalized\n"
       "                     journal event stream against the serial base;\n"
       "                     two extra `soa` legs rebuild every window's\n"
-      "                     fragment columns through the materialize/view\n"
-      "                     shim and must stay byte-identical too\n"
+      "                     fragment columns through materialize,\n"
+      "                     push_back and append and must stay\n"
+      "                     byte-identical too\n"
       "  --net              net-transport equivalence variant: feed every\n"
       "                     scenario through the framed wire protocol over\n"
       "                     a loopback socket (IngestClient -> IngestServer\n"
@@ -316,9 +317,9 @@ struct PipeCfg {
 // Round-trips a batch's columns through every conversion surface the
 // columns offer: every fragment is materialized to an owning Fragment and
 // re-pushed (columns -> Fragment -> columns); the first half lands in the
-// result directly, the second half in a separate block that is then
-// appended (cross-arena splice).  Any drift in the SoA layout shows up as
-// a byte-level artifact mismatch downstream.
+// result directly, the second half in separate columns that are then
+// appended.  Any drift in the SoA layout shows up as a byte-level artifact
+// mismatch downstream.
 core::FragmentColumns rebuild_columns(const core::FragmentColumns& cols) {
   core::FragmentColumns rebuilt;
   rebuilt.reserve(cols.size());
@@ -995,8 +996,10 @@ bool make_score_noise(const std::string& tag,
 int run_score_mode(const util::CliArgs& args, int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 21));
-  const int ranks = args.get_int("ranks", 16);
-  const int cores_per_node = args.get_int("cores-per-node", 8);
+  int ranks = 0, cores_per_node = 0;
+  if (!tools::read_positive_flag(args, "ranks", 16, &ranks) ||
+      !tools::read_positive_flag(args, "cores-per-node", 8, &cores_per_node))
+    return 2;
   const std::vector<std::string> app_names =
       util::split(args.get("score-apps", "CG,MG,Nekbone,RAxML,MasterWorker"),
                   ',');
