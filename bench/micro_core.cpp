@@ -26,8 +26,11 @@ sim::InvocationInfo invocation(sim::CallSiteId site) {
 }
 
 // Builds an STG with `n` computation fragments over `classes` workload
-// classes on one edge.
-core::Stg build_stg(std::size_t n, int classes, std::uint64_t seed) {
+// classes on one edge.  Each fragment's TOT_INS carries 0.3% jitter, so no
+// two norms are equal; `tied` drops the jitter, so every norm equals its
+// class's.
+core::Stg build_stg(std::size_t n, int classes, std::uint64_t seed,
+                    bool tied = false) {
   core::Stg stg(core::StgMode::kContextFree);
   auto k1 = stg.touch_vertex(invocation(1));
   auto k2 = stg.touch_vertex(invocation(2));
@@ -40,8 +43,9 @@ core::Stg build_stg(std::size_t n, int classes, std::uint64_t seed) {
     f.start_time = 0.001 * static_cast<double>(i);
     f.end_time = f.start_time + 0.0005;
     const int cls = static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(classes)));
+    const double jitter = rng.normal(1.0, 0.003);
     f.counters[pmu::Counter::kTotIns] =
-        1e6 * std::pow(1.3, cls) * rng.normal(1.0, 0.003);
+        1e6 * std::pow(1.3, cls) * (tied ? 1.0 : jitter);
     stg.add_fragment(std::move(f));
   }
   return stg;
@@ -58,6 +62,21 @@ void BM_ClusteringScaling(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_ClusteringScaling)->Range(1 << 10, 1 << 17)->Complexity();
+
+// The same shape with every norm tied: the norm sort takes std::sort, as
+// on a loop's repeated iterations, where BM_ClusteringScaling's tie-free
+// norms take the radix sort.
+void BM_ClusteringScalingTied(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  core::Stg stg = build_stg(n, 8, 1, /*tied=*/true);
+  for (auto _ : state) {
+    auto result = core::cluster_stg(stg, core::ClusterOptions{});
+    benchmark::DoNotOptimize(result.clusters.size());
+  }
+  state.SetComplexityN(static_cast<std::int64_t>(n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_ClusteringScalingTied)->Range(1 << 10, 1 << 17)->Complexity();
 
 void BM_ClusteringParallel(benchmark::State& state) {
   // 64 edges worth of fragments clustered by `threads` workers.

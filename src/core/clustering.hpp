@@ -7,12 +7,21 @@
 // only live in the norm window [‖seed‖, ‖seed‖·(1+threshold)], because
 // |‖a‖−‖b‖| ≤ ‖a−b‖.
 //
+// The sort's order is unique when no two norms of an item are equal, and
+// an LSD radix sort over the norms' bits finds it for items of at least
+// 64 distinct, finite norms (tie-free computation edges whose counters
+// carry PMU jitter).  Every item with a tie is sorted by std::sort from
+// arrival order with a norms-only comparator, so the permutation among
+// equal norms, and with it every cluster, is the one the sweep always
+// produced.
+//
 // Clusters with fewer than `min_cluster_size` members are flagged "rare"
 // (Algorithm 1 line 8): they are excluded from variance normalization but
 // reported so users can inspect non-repeated long executions.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/core/stg.hpp"
@@ -41,22 +50,32 @@ struct Cluster {
   StateKey from = kStartState;
   StateKey to = kStartState;
   FragmentKind kind = FragmentKind::kComputation;
-  std::vector<std::size_t> members;  // fragment indices into the Stg
-  double seed_norm = 0.0;            // least norm in the cluster
+  // Fragment indices into the Stg, in sweep order: a view of this
+  // cluster's slice of its ClusteringResult's member_array.
+  std::span<const std::size_t> members;
+  double seed_norm = 0.0;  // least norm in the cluster
   bool rare = false;
 };
 
+// Every cluster of a window.  `member_array` holds all their members:
+// each work item (edge or vertex) writes one slice as long as its
+// fragment list, because an item's clusters partition its fragments, and
+// each Cluster::members views its part of that slice.  A move keeps the
+// buffer, so the views stay valid; a copy points its views at its own
+// array.  A hand-built result must size member_array before it takes
+// views into it.
 struct ClusteringResult {
   std::vector<Cluster> clusters;
+  std::vector<std::size_t> member_array;
+
+  ClusteringResult() = default;
+  ClusteringResult(const ClusteringResult& other);
+  ClusteringResult& operator=(const ClusteringResult& other);
+  ClusteringResult(ClusteringResult&&) noexcept = default;
+  ClusteringResult& operator=(ClusteringResult&&) noexcept = default;
 
   std::size_t rare_count() const;
 };
-
-// Clusters one fragment set (all fragments must share an edge or vertex).
-// `indices` index into stg.fragments().
-std::vector<Cluster> cluster_fragments(const Stg& stg,
-                                       const std::vector<std::size_t>& indices,
-                                       const ClusterOptions& opts);
 
 // Runs Algorithm 1 over every edge and vertex of the STG.
 ClusteringResult cluster_stg(const Stg& stg, const ClusterOptions& opts);
@@ -64,9 +83,10 @@ ClusteringResult cluster_stg(const Stg& stg, const ClusterOptions& opts);
 // Same result, but edge/vertex work items are sharded across `pool`'s
 // lanes — the multi-threaded analysis server of §5.  Output is
 // deterministic: items are gathered in sorted (key, kind) order, each
-// lane writes only its own item-indexed slots, and the merge walks the
-// slots in item order — so the result is byte-identical to cluster_stg
-// for any lane count (a null pool or one lane IS the serial loop).  When
+// item writes only its own slice of the member array and each lane only
+// its own cluster list and scratch, and the merge walks the items in
+// order — so the result is byte-identical to cluster_stg for any lane
+// count (a null pool or one lane IS the serial loop).  When
 // `trace` is set, each lane that ran at least one item records a
 // "cluster.shard" span with its lane index and item count.  A task that
 // throws is contained by the pool and its items are re-clustered

@@ -18,7 +18,7 @@ namespace {
 // Factor values per fragment as a column per factor.  Each member's
 // counter sample is assembled once and read for every factor.
 std::vector<std::vector<double>> factor_columns(
-    const Stg& stg, const std::vector<std::size_t>& members,
+    const Stg& stg, std::span<const std::size_t> members,
     const std::vector<FactorId>& factors, const pmu::MachineParams& machine) {
   const FragmentColumns& frags = stg.fragments();
   std::vector<std::vector<double>> cols(factors.size());
@@ -44,7 +44,7 @@ bool column_is_constant(const std::vector<double>& col) {
 }  // namespace
 
 OlsQuantification ols_quantify(const Stg& stg,
-                               const std::vector<std::size_t>& members,
+                               std::span<const std::size_t> members,
                                const std::vector<FactorId>& factors,
                                const pmu::MachineParams& machine,
                                double alpha) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,7 @@ struct OlsQuantification {
 // Regresses fragment durations on min-max-normalized factor values for the
 // fragments of one cluster.
 OlsQuantification ols_quantify(const Stg& stg,
-                               const std::vector<std::size_t>& members,
+                               std::span<const std::size_t> members,
                                const std::vector<FactorId>& factors,
                                const pmu::MachineParams& machine,
                                double alpha = 0.05);

@@ -71,7 +71,7 @@ std::size_t workload_dim_count(FragmentKind kind, std::size_t proxy_count);
 // The one definition of the dims: writes exactly
 // workload_dim_count(kind, proxies.size()) doubles of row `i` of `source`
 // to `out`.  `source` offers counter(i, c), bytes(i), peer(i), fd(i) and
-// op(i): clustering's hot path (make_entries) passes the window's
+// op(i): clustering's hot path (cluster_item) passes the window's
 // FragmentColumns (src/core/columns.hpp) and reads a dense column per
 // field, make_workload_vector one Fragment.  Sharing it is what keeps the
 // norm-sort keys bit-identical between the two.

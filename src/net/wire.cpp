@@ -324,9 +324,16 @@ bool decode_batch(const std::string& payload, core::FragmentBatch* out,
       const double value = c.f64();
       if (slot >= pmu::kCounterCount)
         return fail(error, "malformed batch payload (counter slot)");
+      // Counters and bytes are workload dims: a NaN norm never ends its
+      // seed's norm-sorted sweep, so the item would cluster in quadratic
+      // time, every such fragment a singleton.
+      if (!std::isfinite(value))
+        return fail(error, "malformed batch payload (counter value)");
       f.counters.values[slot] = value;
     }
     get_args(c, &f.args);
+    if (!std::isfinite(f.args.bytes))
+      return fail(error, "malformed batch payload (fragment bytes)");
     const std::uint8_t op = c.u8();
     if (op > static_cast<std::uint8_t>(sim::OpKind::kProbe))
       return fail(error, "malformed batch payload (fragment op)");

@@ -88,6 +88,12 @@ std::optional<Trace> parse(std::istream& in, std::ostream& why) {
       why << "trace event " << i << ": bad op kind " << int{op};
       return std::nullopt;
     }
+    // Bytes and counters become workload dims, where a non-finite value
+    // stalls the clustering sweep (see net::decode_batch).
+    if (!std::isfinite(ev.info.args.bytes)) {
+      why << "trace event " << i << ": bad bytes " << ev.info.args.bytes;
+      return std::nullopt;
+    }
     if (frames >= (1u << 20)) {
       why << "trace event " << i << ": implausible path length " << frames;
       return std::nullopt;
@@ -98,6 +104,14 @@ std::optional<Trace> parse(std::istream& in, std::ostream& why) {
     for (std::uint32_t f = 0; f < frames; ++f)
       ev.info.path[f] = take<std::uint32_t>(in);
     for (double& v : ev.ground_truth.values) v = take<double>(in);
+    if (!in) break;
+    for (std::size_t c = 0; c < pmu::kCounterCount; ++c) {
+      const double v = ev.ground_truth.values[c];
+      if (std::isfinite(v)) continue;
+      why << "trace event " << i << ": bad counter "
+          << pmu::counter_name(static_cast<pmu::Counter>(c)) << " " << v;
+      return std::nullopt;
+    }
     trace.append(std::move(ev));
   }
   if (!in) {

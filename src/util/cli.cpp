@@ -1,6 +1,8 @@
 #include "src/util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace vapro::util {
 
@@ -43,6 +45,40 @@ int CliArgs::get_int(const std::string& key, int fallback) const {
   return it == values_.end()
              ? fallback
              : static_cast<int>(std::strtol(it->second.c_str(), nullptr, 10));
+}
+
+bool CliArgs::parse_double(const std::string& key, double fallback,
+                           double* out) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) {
+    *out = fallback;
+    return true;
+  }
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') return false;
+  *out = value;
+  return true;
+}
+
+bool CliArgs::parse_int(const std::string& key, int fallback,
+                        int* out) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) {
+    *out = fallback;
+    return true;
+  }
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max())
+    return false;
+  *out = static_cast<int>(value);
+  return true;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {

@@ -17,6 +17,13 @@ class CliArgs {
   std::string get(const std::string& key, const std::string& fallback) const;
   double get_double(const std::string& key, double fallback) const;
   int get_int(const std::string& key, int fallback) const;
+  // Strict forms for flags a tool range-checks: *out is `fallback` when
+  // the flag is absent, else the value, and false (with *out unchanged)
+  // when the whole value is not one number, or for an int not one that
+  // fits in an int.
+  bool parse_double(const std::string& key, double fallback,
+                    double* out) const;
+  bool parse_int(const std::string& key, int fallback, int* out) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }

@@ -53,6 +53,34 @@ TEST(Cli, FallbacksWhenAbsent) {
   EXPECT_FALSE(args.has("x"));
 }
 
+TEST(Cli, StrictParseTakesOnlyWholeValues) {
+  auto args = parse({"--ranks=8", "--wrapped=4294967304", "--suffix=8x",
+                     "--window=0.25", "--unit=0.25s", "--empty=",
+                     "--low=-2147483648", "--under=-2147483649"});
+  int n = -1;
+  EXPECT_TRUE(args.parse_int("ranks", 1, &n));
+  EXPECT_EQ(n, 8);
+  EXPECT_TRUE(args.parse_int("absent", 3, &n));
+  EXPECT_EQ(n, 3);
+  EXPECT_TRUE(args.parse_int("low", 3, &n));
+  EXPECT_EQ(n, -2147483647 - 1);
+  n = 5;
+  EXPECT_FALSE(args.parse_int("wrapped", 1, &n));
+  EXPECT_FALSE(args.parse_int("under", 1, &n));
+  EXPECT_FALSE(args.parse_int("suffix", 1, &n));
+  EXPECT_FALSE(args.parse_int("empty", 1, &n));
+  EXPECT_FALSE(args.parse_int("window", 1, &n));
+  EXPECT_EQ(n, 5) << "a refused value leaves *out alone";
+  double d = -1.0;
+  EXPECT_TRUE(args.parse_double("window", 1.0, &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(args.parse_double("absent", 2.5, &d));
+  EXPECT_EQ(d, 2.5);
+  EXPECT_FALSE(args.parse_double("unit", 1.0, &d));
+  EXPECT_FALSE(args.parse_double("empty", 1.0, &d));
+  EXPECT_EQ(d, 2.5);
+}
+
 TEST(Cli, SplitFields) {
   auto fields = split("cpu:1:0.5:inf:2.0", ':');
   ASSERT_EQ(fields.size(), 5u);

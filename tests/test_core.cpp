@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
+#include <vector>
 
 #include "src/core/clustering.hpp"
 #include "src/core/detection.hpp"
@@ -229,7 +231,10 @@ TEST_F(ClusteringFixture, ParallelMatchesSerial) {
   auto parallel = cluster_stg_parallel(stg_, ClusterOptions{}, 4);
   ASSERT_EQ(serial.clusters.size(), parallel.clusters.size());
   for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
-    EXPECT_EQ(serial.clusters[i].members, parallel.clusters[i].members);
+    const std::span<const std::size_t> a = serial.clusters[i].members;
+    const std::span<const std::size_t> b = parallel.clusters[i].members;
+    EXPECT_EQ(std::vector<std::size_t>(a.begin(), a.end()),
+              std::vector<std::size_t>(b.begin(), b.end()));
   }
 }
 

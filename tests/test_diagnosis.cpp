@@ -193,7 +193,8 @@ TEST(OlsQuantify, TooFewFragmentsReturnsNotOk) {
   const pmu::MachineParams m = machine();
   SyntheticCluster syn;
   syn.add(0.01, base_sample(0.01, m), 0);
-  auto q = ols_quantify(syn.stg, {0}, {FactorId::kPageFault}, m);
+  const std::vector<std::size_t> members = {0};
+  auto q = ols_quantify(syn.stg, members, {FactorId::kPageFault}, m);
   EXPECT_FALSE(q.ok);
 }
 

@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -302,8 +303,8 @@ TEST(Wire, BatchPayloadRoundTripIsBitIdentical) {
     EXPECT_EQ(a.rank, b.rank);
     EXPECT_EQ(a.from, b.from);
     EXPECT_EQ(a.to, b.to);
-    // Bit identity, not numeric equality: -0.0 and NaN payloads must also
-    // survive, which == cannot attest.
+    // Bit identity, not numeric equality: -0.0 must also survive, which
+    // == cannot attest (non-finite values are refused).
     EXPECT_EQ(0, std::memcmp(&a.start_time, &b.start_time, sizeof(double)));
     EXPECT_EQ(0, std::memcmp(&a.end_time, &b.end_time, sizeof(double)));
     EXPECT_EQ(0, std::memcmp(&a.counters.values, &b.counters.values,
@@ -390,6 +391,51 @@ TEST(Wire, FragmentEndingBeforeItStartsFailsDecode) {
   EXPECT_EQ(error, "malformed batch payload (fragment time)");
   // The session accounts the refused batch by the count it declared.
   EXPECT_EQ(declared, batch_fragments(batch));
+}
+
+// Regression: counter values and bytes were copied from the wire
+// unchecked, and a NaN workload dim gave its seed a NaN radius, so the
+// clustering sweep scanned to the end of its item for every such seed.
+TEST(Wire, NonFiniteCounterOrBytesFailsDecode) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    for (const bool bytes : {false, true}) {
+      core::FragmentBatch batch = make_batch(2, 3, 1);
+      core::Fragment f = batch.fragments.materialize(1);
+      if (bytes)
+        f.args.bytes = bad;
+      else
+        f.counters[pmu::Counter::kTotIns] = bad;
+      batch.fragments.set(1, f);
+      core::FragmentBatch decoded;
+      double drain = 0.0;
+      std::string error;
+      std::size_t declared = 0;
+      EXPECT_FALSE(net::decode_batch(net::encode_batch(batch, 0.0), &decoded,
+                                     &drain, &error, &declared))
+          << bad << (bytes ? " bytes" : " counter");
+      EXPECT_EQ(error, bytes ? "malformed batch payload (fragment bytes)"
+                             : "malformed batch payload (counter value)");
+      EXPECT_EQ(declared, batch_fragments(batch));
+    }
+  }
+  // -0.0 and denormals are finite: they still decode, bit for bit.
+  core::FragmentBatch batch = make_batch(2, 3, 1);
+  core::Fragment f = batch.fragments.materialize(1);
+  f.counters[pmu::Counter::kTotIns] = -0.0;
+  f.counters[pmu::Counter::kMemRefs] = std::numeric_limits<double>::denorm_min();
+  f.args.bytes = -0.0;
+  batch.fragments.set(1, f);
+  core::FragmentBatch decoded;
+  std::string error;
+  ASSERT_TRUE(net::decode_batch(net::encode_batch(batch, 0.0), &decoded,
+                                nullptr, &error))
+      << error;
+  const core::Fragment g = decoded.fragments.materialize(1);
+  EXPECT_EQ(0, std::memcmp(&f.counters.values, &g.counters.values,
+                           sizeof(f.counters.values)));
+  EXPECT_EQ(0, std::memcmp(&f.args.bytes, &g.args.bytes, sizeof(double)));
 }
 
 // --- TenantSession admission gates -----------------------------------------
@@ -826,13 +872,14 @@ TEST(IngestLoopback, SocketFeedMatchesDirectFeedByteForByte) {
   server.stop();
 }
 
-// Regression: a batch whose checksum matched but whose payload did not
-// decode was nacked, the client resent it until its retries ran out, and
-// the stream stalled at its seq: no later batch was analyzed and nothing
-// journaled the loss.
-TEST(IngestLoopback, UndecodableBatchIsRefusedOnceAndTheStreamGoesOn) {
+// Sends 6 batches over loopback, seq 2 spoiled by `spoil`, which
+// encode_batch sends and decode_batch refuses: the batch is refused once
+// (no resend, one net_drop of reason malformed_payload that accounts its
+// fragments) and the batches behind it are analyzed.
+void expect_spoiled_batch_refused_once(
+    const std::string& name, const std::function<void(core::Fragment&)>& spoil) {
   const int ranks = 2;
-  const std::string journal = scratch_path("net_loopback_malformed.jsonl");
+  const std::string journal = scratch_path(name + ".jsonl");
   util::VirtualClock vclock;
   obs::ObsContext ctx;
   ctx.set_clock(&vclock);
@@ -852,8 +899,6 @@ TEST(IngestLoopback, UndecodableBatchIsRefusedOnceAndTheStreamGoesOn) {
   net::IngestClient client(copts);
   ASSERT_TRUE(client.connect(&error)) << error;
 
-  // Seq 2 carries a fragment that ends before it starts: encode_batch
-  // sends it, decode_batch refuses it.
   const int windows = 6;
   const std::uint64_t bad_seq = 2;
   std::size_t sent = 0;
@@ -861,7 +906,7 @@ TEST(IngestLoopback, UndecodableBatchIsRefusedOnceAndTheStreamGoesOn) {
     core::FragmentBatch b = make_batch(ranks, 4, static_cast<std::uint64_t>(w));
     if (w == static_cast<int>(bad_seq)) {
       core::Fragment f = b.fragments.materialize(3);
-      f.end_time = f.start_time - 0.001;
+      spoil(f);
       b.fragments.set(3, f);
     }
     sent += batch_fragments(b);
@@ -890,6 +935,26 @@ TEST(IngestLoopback, UndecodableBatchIsRefusedOnceAndTheStreamGoesOn) {
 
   client.close();
   server.stop();
+}
+
+// Regression: a batch whose checksum matched but whose payload did not
+// decode was nacked, the client resent it until its retries ran out, and
+// the stream stalled at its seq: no later batch was analyzed and nothing
+// journaled the loss.
+TEST(IngestLoopback, UndecodableBatchIsRefusedOnceAndTheStreamGoesOn) {
+  expect_spoiled_batch_refused_once(
+      "net_loopback_malformed",
+      [](core::Fragment& f) { f.end_time = f.start_time - 0.001; });
+}
+
+// A NaN counter from a peer is refused like any undecodable batch, so it
+// never reaches the clustering sweep.
+TEST(IngestLoopback, NonFiniteCounterBatchIsRefusedAndAccounted) {
+  expect_spoiled_batch_refused_once(
+      "net_loopback_nan_counter", [](core::Fragment& f) {
+        f.counters[pmu::Counter::kTotIns] =
+            std::numeric_limits<double>::quiet_NaN();
+      });
 }
 
 TEST(IngestLoopback, UnknownTenantIsRejectedAtHello) {

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -613,7 +614,11 @@ void expect_identical_clustering(const core::ClusteringResult& a,
     EXPECT_EQ(a.clusters[c].from, b.clusters[c].from) << what << " #" << c;
     EXPECT_EQ(a.clusters[c].to, b.clusters[c].to) << what << " #" << c;
     EXPECT_EQ(a.clusters[c].kind, b.clusters[c].kind) << what << " #" << c;
-    EXPECT_EQ(a.clusters[c].members, b.clusters[c].members) << what << " #" << c;
+    const std::span<const std::size_t> am = a.clusters[c].members;
+    const std::span<const std::size_t> bm = b.clusters[c].members;
+    EXPECT_EQ(std::vector<std::size_t>(am.begin(), am.end()),
+              std::vector<std::size_t>(bm.begin(), bm.end()))
+        << what << " #" << c;
     // Byte-identical, not just close: the sharded path must not reorder
     // any floating-point accumulation.
     EXPECT_EQ(a.clusters[c].seed_norm, b.clusters[c].seed_norm)
@@ -872,6 +877,17 @@ std::vector<DetectionWindow> detection_windows(unsigned seed) {
       members[static_cast<std::size_t>(id)].push_back(win.stg.add_fragment(f));
     }
     win.live_begin = w == 0 ? 0 : rng() % static_cast<unsigned>(count / 4);
+    // Every fragment joins one cluster, so the member array ends up
+    // holding `count` indices; reserving them up front keeps each view
+    // valid while later clusters append theirs.
+    std::vector<std::size_t>& array = win.clusters.member_array;
+    array.reserve(static_cast<std::size_t>(count));
+    const auto take = [&array](auto begin, auto end) {
+      const std::size_t at = array.size();
+      array.insert(array.end(), begin, end);
+      return std::span<const std::size_t>(array.data() + at,
+                                          array.size() - at);
+    };
     for (int id = 0; id < kIdentities; ++id) {
       std::vector<std::size_t>& m = members[static_cast<std::size_t>(id)];
       if (m.empty()) continue;
@@ -886,13 +902,14 @@ std::vector<DetectionWindow> detection_windows(unsigned seed) {
       c.rare = rng() % 6 == 0;
       const std::size_t split = m.size() >= 4 && rng() % 3 == 0 ? m.size() / 2
                                                                 : m.size();
-      c.members.assign(m.begin(), m.begin() + static_cast<long>(split));
+      c.members = take(m.begin(), m.begin() + static_cast<long>(split));
       win.clusters.clusters.push_back(c);
       if (split < m.size()) {
-        c.members.assign(m.begin() + static_cast<long>(split), m.end());
+        c.members = take(m.begin() + static_cast<long>(split), m.end());
         win.clusters.clusters.push_back(c);
       }
     }
+    EXPECT_EQ(array.size(), static_cast<std::size_t>(count));
     std::shuffle(win.clusters.clusters.begin(), win.clusters.clusters.end(),
                  rng);
     windows.push_back(std::move(win));

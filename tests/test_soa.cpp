@@ -21,14 +21,22 @@
 //     window of the server's adopt → cluster → clear cycle yields the
 //     first window's clusters in the first window's footprint;
 //   * degenerate window shapes — empty, single-fragment, 64Ki fragments —
-//     hold the same invariants.
+//     hold the same invariants;
+//   * clustering equals the Algorithm 1 it replaced (per-cluster vectors,
+//     std::sort over 24-byte entries), kept here as an oracle, cluster by
+//     cluster at 1, 2 and 4 lanes, over tie-free, tied and zero norms on
+//     both sides of the radix cutoff; a copied result views its own
+//     member array.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,6 +45,7 @@
 #include "src/core/columns.hpp"
 #include "src/core/stg.hpp"
 #include "src/net/wire.hpp"
+#include "src/util/pipeline.hpp"
 #include "src/util/rng.hpp"
 
 namespace vapro::core {
@@ -556,6 +565,339 @@ TEST_F(SoaClustering, WindowCycleYieldsIdenticalClustersInOneFootprint) {
     }
     stg.clear_fragments();
   }
+}
+
+// --- Algorithm 1 against its reference implementation ---
+
+// The Algorithm 1 the member array and the radix sort replaced, kept as
+// the oracle: per-cluster std::vector members, 24-byte {norm, fragment,
+// row} entries put in order by std::sort from arrival order, a
+// std::vector<bool> of used flags, and the AoS workload vectors
+// (make_workload_vector), whose norm and distance take the SoA sweep's FP
+// op order.
+struct OracleCluster {
+  StateKey from = kStartState;
+  StateKey to = kStartState;
+  FragmentKind kind = FragmentKind::kComputation;
+  std::vector<std::size_t> members;
+  double seed_norm = 0.0;
+  bool rare = false;
+};
+
+void oracle_item(const Stg& stg, const std::vector<std::size_t>& indices,
+                 const ClusterOptions& opts, std::vector<OracleCluster>& out) {
+  struct Entry {
+    double norm;
+    std::size_t frag_idx;
+    std::size_t pos;
+  };
+  const FragmentColumns& cols = stg.fragments();
+  std::vector<WorkloadVector> rows;
+  std::vector<Entry> entries;
+  for (std::size_t pos = 0; pos < indices.size(); ++pos) {
+    rows.push_back(
+        make_workload_vector(cols.materialize(indices[pos]), opts.proxies));
+    entries.push_back(Entry{rows.back().norm(), indices[pos], pos});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.norm < b.norm; });
+  std::vector<bool> used(entries.size(), false);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (used[i]) continue;
+    OracleCluster c;
+    c.from = cols.from(indices.front());
+    c.to = cols.to(indices.front());
+    c.kind = cols.kind(indices.front());
+    c.seed_norm = entries[i].norm;
+    c.members.push_back(entries[i].frag_idx);
+    used[i] = true;
+    const double radius = std::max(entries[i].norm * opts.threshold, 1e-12);
+    const WorkloadVector& seed = rows[entries[i].pos];
+    for (std::size_t j = i + 1; j < entries.size(); ++j) {
+      if (entries[j].norm - entries[i].norm > radius) break;
+      if (used[j]) continue;
+      if (seed.distance(rows[entries[j].pos]) <= radius) {
+        c.members.push_back(entries[j].frag_idx);
+        used[j] = true;
+      }
+    }
+    c.rare = c.members.size() < static_cast<std::size_t>(opts.min_cluster_size);
+    out.push_back(std::move(c));
+  }
+}
+
+// Edges and vertices in (key, vertex) order, as cluster_stg emits them.
+std::vector<OracleCluster> oracle_cluster_stg(const Stg& stg,
+                                              const ClusterOptions& opts) {
+  struct Item {
+    std::uint64_t key;
+    bool vertex;
+    const std::vector<std::size_t>* fragments;
+  };
+  std::vector<Item> items;
+  for (const auto& [key, edge] : stg.edges())
+    if (!edge.fragments.empty()) items.push_back(Item{key, false, &edge.fragments});
+  for (const auto& [key, vertex] : stg.vertices())
+    if (!vertex.fragments.empty())
+      items.push_back(Item{key, true, &vertex.fragments});
+  std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    return a.key != b.key ? a.key < b.key : a.vertex < b.vertex;
+  });
+  std::vector<OracleCluster> out;
+  for (const Item& item : items) oracle_item(stg, *item.fragments, opts, out);
+  return out;
+}
+
+void expect_matches_oracle(const std::vector<OracleCluster>& want,
+                           const ClusteringResult& got,
+                           const std::string& what) {
+  ASSERT_EQ(got.clusters.size(), want.size()) << what;
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    const Cluster& g = got.clusters[c];
+    EXPECT_EQ(g.from, want[c].from) << what << " #" << c;
+    EXPECT_EQ(g.to, want[c].to) << what << " #" << c;
+    EXPECT_EQ(g.kind, want[c].kind) << what << " #" << c;
+    EXPECT_TRUE(same_bits(g.seed_norm, want[c].seed_norm))
+        << what << " #" << c << ": " << g.seed_norm << " vs "
+        << want[c].seed_norm;
+    EXPECT_EQ(g.rare, want[c].rare) << what << " #" << c;
+    EXPECT_EQ(std::vector<std::size_t>(g.members.begin(), g.members.end()),
+              want[c].members)
+        << what << " #" << c;
+  }
+}
+
+// How an item's norms reach the sort, counted so a generator that stops
+// producing a shape fails instead of passing vacuously.
+struct OracleShapes {
+  std::size_t tie_free_large = 0;  // radix sort, result kept
+  std::size_t tie_free_small = 0;  // below the radix cutoff
+  std::size_t adjacent_tie = 0;    // straight to std::sort
+  std::size_t distant_tie = 0;     // radix sort, then back to std::sort
+  std::size_t zero_norm = 0;
+  std::size_t three_dim = 0;
+  std::size_t carry_ins = 0;
+
+  void count(const Stg& stg, const std::vector<std::size_t>& indices,
+             const ClusterOptions& opts) {
+    std::vector<double> norms;
+    for (std::size_t idx : indices)
+      norms.push_back(
+          make_workload_vector(stg.fragments().materialize(idx), opts.proxies)
+              .norm());
+    bool adjacent = false;
+    for (std::size_t i = 1; i < norms.size(); ++i)
+      adjacent = adjacent || norms[i] == norms[i - 1];
+    std::vector<double> sorted = norms;
+    std::sort(sorted.begin(), sorted.end());
+    const bool tied =
+        std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+    const bool large = norms.size() >= 64;
+    tie_free_large += large && !tied;
+    tie_free_small += !large && !tied;
+    adjacent_tie += large && adjacent;
+    distant_tie += large && tied && !adjacent;
+    zero_norm += std::count(norms.begin(), norms.end(), 0.0) > 0;
+    three_dim += stg.fragments().kind(indices.front()) !=
+                 FragmentKind::kComputation;
+  }
+};
+
+// A window's Stg over the item shapes the sort tells apart, on edges
+// k[e] -> k[e+1] and on a communication and an IO vertex.  Each window
+// after the first starts with the previous window's last `carry`
+// fragments, re-added as the server carries an overlap in.
+std::vector<Fragment> oracle_fragments(std::mt19937_64& rng,
+                                       const std::vector<StateKey>& k,
+                                       StateKey comm, StateKey io) {
+  std::vector<Fragment> frags;
+  double t = 0.0;
+  const auto computation = [&](std::size_t edge, double tot_ins,
+                               double mem_refs) {
+    Fragment f;
+    f.kind = FragmentKind::kComputation;
+    f.rank = static_cast<sim::RankId>(rng() % 8);
+    f.from = k[edge];
+    f.to = k[edge + 1];
+    f.start_time = t;
+    f.end_time = t += 0.001;
+    f.counters[pmu::Counter::kTotIns] = tot_ins;
+    f.counters[pmu::Counter::kMemRefs] = mem_refs;
+    frags.push_back(f);
+  };
+  const auto invocation_fragment = [&](FragmentKind kind, StateKey key,
+                                       sim::OpKind op, double bytes,
+                                       int channel) {
+    Fragment f;
+    f.kind = kind;
+    f.rank = static_cast<sim::RankId>(rng() % 8);
+    f.from = f.to = key;
+    f.start_time = t;
+    f.end_time = t += 0.001;
+    f.op = op;
+    f.args.bytes = bytes;
+    f.args.peer = kind == FragmentKind::kCommunication ? channel : 0;
+    f.args.fd = kind == FragmentKind::kIo ? channel : 0;
+    frags.push_back(f);
+  };
+  // Distinct values in shuffled arrival order, from three families far
+  // apart: steps of k·1e-4 on classes 1.3x apart, integer counts near 3e6
+  // (differing in the middle bytes of the norm's bits), and runs a few ulps
+  // apart near 7e6 (differing in the lowest bytes), so a radix pass that
+  // sorts or skips the wrong byte misorders them.
+  const auto distinct = [&rng](std::size_t n) {
+    std::vector<double> v(n);
+    double ulps = 7e6;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double k = static_cast<double>(i);
+      switch (i % 3) {
+        case 0:
+          v[i] = 1e6 * std::pow(1.3, static_cast<double>(i / 3 % 4)) *
+                 (1.0 + 1e-4 * k);
+          break;
+        case 1: v[i] = 3e6 + k; break;
+        case 2:
+          for (std::uint64_t step = 1 + rng() % 300; step > 0; --step)
+            ulps = std::nextafter(ulps, 1e300);
+          v[i] = ulps;
+          break;
+      }
+    }
+    std::shuffle(v.begin(), v.end(), rng);
+    return v;
+  };
+  // Edge 0: tie-free, above the radix cutoff, with one zero norm.
+  {
+    std::vector<double> v = distinct(64 + rng() % 300);
+    v[rng() % v.size()] = 0.0;
+    for (double x : v) computation(0, x, 0.5 * x);
+  }
+  // Edge 1: tie-free, below the cutoff.
+  for (double x : distinct(5 + rng() % 55)) computation(1, x, 0.5 * x);
+  // Edge 2: every norm repeats the one before it (iterations of a loop).
+  {
+    const std::size_t n = 64 + rng() % 200;
+    for (std::size_t i = 0; i < n; ++i)
+      computation(2, 1e6 * static_cast<double>(1 + (i / 8) % 3), 2e5);
+  }
+  // Edge 3: distinct but for one pair of equal norms far apart in arrival
+  // order.
+  {
+    std::vector<double> v = distinct(64 + rng() % 300);
+    v.back() = v.front();
+    for (double x : v) computation(3, x, 0.5 * x);
+  }
+  // Edge 4: a few zero-norm transitions (tied zeros, below the cutoff).
+  for (int i = 0; i < 6; ++i) computation(4, i % 3 ? 0.0 : 10.0, 0.0);
+  // Communication vertex: tie-free bytes, then tied rounds over 4 peers.
+  for (double x : distinct(64 + rng() % 100))
+    invocation_fragment(FragmentKind::kCommunication, comm,
+                        sim::OpKind::kAllreduce, x / 256.0, 1);
+  for (int i = 0; i < 40; ++i)
+    invocation_fragment(FragmentKind::kCommunication, comm,
+                        sim::OpKind::kAllreduce, 4096.0, i % 4);
+  // IO vertex: a few write sizes over 2 descriptors, tied.
+  for (int i = 0; i < 30; ++i)
+    invocation_fragment(FragmentKind::kIo, io, sim::OpKind::kFileWrite,
+                        1024.0 * (1 + i % 3), i % 2);
+  std::shuffle(frags.begin(), frags.end(), rng);
+  return frags;
+}
+
+TEST(ClusteringOracle, EveryClusterMatchesTheReferenceAtEveryLaneCount) {
+  ClusterOptions two_proxies;
+  two_proxies.proxies = {pmu::Counter::kTotIns, pmu::Counter::kMemRefs};
+  two_proxies.threshold = 0.1;
+  const ClusterOptions option_sets[] = {ClusterOptions{}, two_proxies};
+  util::WorkerPool pools[] = {util::WorkerPool(1), util::WorkerPool(2),
+                              util::WorkerPool(4)};
+  OracleShapes shapes;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    std::mt19937_64 rng(seed);
+    Stg stg(StgMode::kContextFree);
+    std::vector<StateKey> k;
+    for (sim::CallSiteId s = 0; s < 6; ++s) k.push_back(stg.touch_vertex(invocation(s)));
+    const StateKey comm = stg.touch_vertex(invocation(20));
+    const StateKey io = stg.touch_vertex(invocation(21, sim::OpKind::kFileWrite));
+    std::vector<Fragment> carry;
+    for (int window = 0; window < 3; ++window) {
+      for (const Fragment& f : carry) stg.add_fragment(f);
+      shapes.carry_ins += carry.size();
+      const std::vector<Fragment> fresh = oracle_fragments(rng, k, comm, io);
+      for (const Fragment& f : fresh) stg.add_fragment(f);
+      carry.assign(fresh.end() - 40, fresh.end());
+
+      for (const ClusterOptions& opts : option_sets) {
+        for (const auto& [key, edge] : stg.edges())
+          shapes.count(stg, edge.fragments, opts);
+        for (const auto& [key, vertex] : stg.vertices())
+          if (!vertex.fragments.empty())
+            shapes.count(stg, vertex.fragments, opts);
+        const std::vector<OracleCluster> want = oracle_cluster_stg(stg, opts);
+        const std::string what = "seed " + std::to_string(seed) + " window " +
+                                 std::to_string(window) + " proxies " +
+                                 std::to_string(opts.proxies.size());
+        expect_matches_oracle(want, cluster_stg(stg, opts), what + " serial");
+        for (util::WorkerPool& pool : pools)
+          expect_matches_oracle(want, cluster_stg_parallel(stg, opts, &pool),
+                                what + " lanes " + std::to_string(pool.lanes()));
+      }
+      stg.clear_fragments();
+    }
+  }
+  EXPECT_GT(shapes.tie_free_large, 0u);
+  EXPECT_GT(shapes.tie_free_small, 0u);
+  EXPECT_GT(shapes.adjacent_tie, 0u);
+  EXPECT_GT(shapes.distant_tie, 0u);
+  EXPECT_GT(shapes.zero_norm, 0u);
+  EXPECT_GT(shapes.three_dim, 0u);
+  EXPECT_GT(shapes.carry_ins, 0u);
+}
+
+// A copy's views point into its own member array (and so outlive the
+// original); a move keeps the buffer the views already point into.
+TEST(ClusteringOracle, CopiedResultViewsItsOwnMemberArray) {
+  std::mt19937_64 rng(5);
+  Stg stg(StgMode::kContextFree);
+  std::vector<StateKey> k;
+  for (sim::CallSiteId s = 0; s < 6; ++s) k.push_back(stg.touch_vertex(invocation(s)));
+  const StateKey comm = stg.touch_vertex(invocation(20));
+  const StateKey io = stg.touch_vertex(invocation(21, sim::OpKind::kFileWrite));
+  for (const Fragment& f : oracle_fragments(rng, k, comm, io)) stg.add_fragment(f);
+  const std::vector<OracleCluster> want = oracle_cluster_stg(stg, ClusterOptions{});
+
+  const auto views_own_array = [](const ClusteringResult& r) {
+    const std::size_t* lo = r.member_array.data();
+    const std::size_t* hi = lo + r.member_array.size();
+    std::size_t total = 0;
+    for (const Cluster& c : r.clusters) {
+      if (c.members.data() < lo || c.members.data() + c.members.size() > hi)
+        return false;
+      total += c.members.size();
+    }
+    return total == r.member_array.size();
+  };
+  ClusteringResult assigned;
+  std::unique_ptr<ClusteringResult> copy;
+  {
+    util::WorkerPool pool(2);
+    const ClusteringResult original = cluster_stg_parallel(stg, ClusterOptions{}, &pool);
+    ASSERT_TRUE(views_own_array(original));
+    copy = std::make_unique<ClusteringResult>(original);
+    assigned = *copy;
+  }
+  ASSERT_TRUE(views_own_array(*copy));
+  ASSERT_TRUE(views_own_array(assigned));
+  EXPECT_NE(copy->member_array.data(), assigned.member_array.data());
+  expect_matches_oracle(want, *copy, "copy");
+  expect_matches_oracle(want, assigned, "copy-assigned");
+
+  const std::size_t* buffer = copy->member_array.data();
+  const ClusteringResult moved = std::move(*copy);
+  copy.reset();
+  EXPECT_EQ(moved.member_array.data(), buffer);
+  EXPECT_TRUE(views_own_array(moved));
+  expect_matches_oracle(want, moved, "moved");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -153,6 +154,32 @@ TEST(Trace, LoadRejectsRankPastEventCount) {
 TEST(Trace, LoadRejectsUnknownEventKind) {
   const std::string path = corrupted_trace("bad_kind", 12, std::uint8_t{7});
   EXPECT_EQ(load_error(path), "trace event 0: bad event kind 7");
+  std::remove(path.c_str());
+}
+
+// Regression: bytes and ground-truth counters loaded unchecked, and a NaN
+// workload dim stalls the clustering sweep.  The first event's bytes sit at
+// offset 30, its counters (after an empty path) at 83.
+TEST(Trace, LoadRejectsNonFiniteCounter) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::string path = corrupted_trace("nan_tot_ins", 83, nan);
+  EXPECT_EQ(load_error(path), "trace event 0: bad counter TOT_INS nan");
+  std::remove(path.c_str());
+  path = corrupted_trace("inf_counter", 83 + 8 * 1, -inf);
+  EXPECT_EQ(load_error(path), "trace event 0: bad counter TSC -inf");
+  std::remove(path.c_str());
+  path = corrupted_trace("inf_bytes", 30, inf);
+  EXPECT_EQ(load_error(path), "trace event 0: bad bytes inf");
+  std::remove(path.c_str());
+  // -0.0 and denormals are finite and load.
+  path = corrupted_trace("denormal_counter", 83,
+                         std::numeric_limits<double>::denorm_min());
+  std::string error;
+  EXPECT_TRUE(Trace::load(path, &error).has_value()) << error;
+  std::remove(path.c_str());
+  path = corrupted_trace("negative_zero_bytes", 30, -0.0);
+  EXPECT_TRUE(Trace::load(path, &error).has_value()) << error;
   std::remove(path.c_str());
 }
 

@@ -39,23 +39,28 @@
 namespace vapro::tools {
 
 // Reads --`name` into *out (`fallback` when absent) and range-checks it
-// before any work: a seconds flag (double: --window, --bins) must be
-// positive and finite, a count flag (int: --ranks, --cores-per-node) at
-// least 1.  False, with a message naming the flag on stderr, otherwise;
-// the tools then exit 2 instead of looping forever in the window replay
-// or aborting inside the library.
+// before any work: the whole value must parse, a seconds flag (double:
+// --window, --bins) must be positive and finite, and a count flag (int:
+// --ranks, --cores-per-node, --pipeline-depth, --analysis-threads) an int
+// of at least 1.  False, with a message naming the flag on stderr,
+// otherwise; the tools then exit 2 instead of looping forever in the
+// window replay, aborting inside the library, or running with a count
+// that wrapped (4294967304 ranks read as 8).
 template <class T>
 bool read_positive_flag(const util::CliArgs& args, const char* name,
                         T fallback, T* out) {
   constexpr bool kSeconds = std::is_floating_point_v<T>;
+  bool parsed = false;
   if constexpr (kSeconds)
-    *out = args.get_double(name, fallback);
+    parsed = args.parse_double(name, fallback, out);
   else
-    *out = args.get_int(name, fallback);
-  if (*out > 0 && std::isfinite(static_cast<double>(*out))) return true;
+    parsed = args.parse_int(name, fallback, out);
+  if (parsed && *out > 0 && std::isfinite(static_cast<double>(*out)))
+    return true;
   std::cerr << "--" << name
-            << (kSeconds ? " must be positive and finite\n"
-                         : " must be >= 1\n");
+            << (kSeconds ? " must be a positive, finite number"
+                         : " must be an integer from 1 to 2147483647")
+            << ", got '" << args.get(name, "") << "'\n";
   return false;
 }
 
@@ -73,17 +78,8 @@ struct PipelineCli {
 
   // False (with a message on stderr) when a value is out of range.
   bool parse(const util::CliArgs& args) {
-    pipeline_depth = args.get_int("pipeline-depth", 1);
-    analysis_threads = args.get_int("analysis-threads", 1);
-    if (pipeline_depth < 1) {
-      std::cerr << "--pipeline-depth must be >= 1\n";
-      return false;
-    }
-    if (analysis_threads < 1) {
-      std::cerr << "--analysis-threads must be >= 1\n";
-      return false;
-    }
-    return true;
+    return read_positive_flag(args, "pipeline-depth", 1, &pipeline_depth) &&
+           read_positive_flag(args, "analysis-threads", 1, &analysis_threads);
   }
 
   static const char* usage_lines() {
