@@ -6,6 +6,9 @@
 // and heat-map deposits/region growing scale with map size.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/core/clustering.hpp"
 #include "src/core/detection.hpp"
 #include "src/core/diagnosis.hpp"
@@ -167,6 +170,27 @@ void BM_HeatmapDeposit(benchmark::State& state) {
   state.SetItemsProcessed(20000 * state.iterations());
 }
 BENCHMARK(BM_HeatmapDeposit);
+
+// Growth as a long run sees it: 256 ranks of 0.05 s bins filled one 0.25 s
+// window at a time up to 8000 bins (a 10x perfbench long_run), so every
+// new column block lands between deposits.
+void BM_HeatmapGrowth(benchmark::State& state) {
+  constexpr int kRanks = 256, kWindows = 1600;
+  util::Rng rng(13);
+  std::vector<double> perf(kRanks);
+  for (double& p : perf) p = rng.uniform(0.2, 1.0);
+  for (auto _ : state) {
+    core::Heatmap map(kRanks, 0.05);
+    for (int w = 0; w < kWindows; ++w)
+      for (int r = 0; r < kRanks; ++r)
+        map.deposit(r, w * 0.25, w * 0.25 + 0.25,
+                    perf[static_cast<std::size_t>(r)]);
+    benchmark::DoNotOptimize(map.allocated_cells());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kRanks) * kWindows *
+                          state.iterations());
+}
+BENCHMARK(BM_HeatmapGrowth)->Unit(benchmark::kMillisecond);
 
 void BM_RegionGrowing(benchmark::State& state) {
   core::Heatmap map(512, 0.1);

@@ -14,51 +14,56 @@ namespace vapro::core {
 Heatmap::Heatmap(int ranks, double bin_seconds)
     : ranks_(ranks), bin_seconds_(bin_seconds) {
   VAPRO_CHECK(ranks > 0 && bin_seconds > 0.0);
+  max_bins_ = max_bins(ranks);
+}
+
+int Heatmap::max_bins(int ranks) {
+  return static_cast<int>(kMaxCells / std::max(ranks, 1));
 }
 
 void Heatmap::ensure_bins(int bin) {
   if (bin < bins_) return;
-  const int new_bins = bin + 1;
-  if (new_bins > stride_) {
-    const int new_stride = std::max(new_bins, 2 * stride_);
-    const std::size_t cells = static_cast<std::size_t>(ranks_) * new_stride;
-    std::vector<double> weighted(cells, 0.0);
-    std::vector<double> weights(cells, 0.0);
-    for (int r = 0; r < ranks_; ++r) {
-      const std::size_t to = static_cast<std::size_t>(r) * new_stride;
-      std::copy_n(weighted_.begin() + index(r, 0), bins_, weighted.begin() + to);
-      std::copy_n(weights_.begin() + index(r, 0), bins_, weights.begin() + to);
-    }
-    weighted_ = std::move(weighted);
-    weights_ = std::move(weights);
-    stride_ = new_stride;
-  }
-  column_stamp_.resize(static_cast<std::size_t>(new_bins), 0);
-  bins_ = new_bins;
+  bins_ = bin + 1;
+  const auto blocks =
+      static_cast<std::size_t>((bins_ + kBlockBins - 1) / kBlockBins);
+  while (blocks_.size() < blocks)
+    blocks_.emplace_back(static_cast<std::size_t>(ranks_) * kBlockBins);
+  column_stamp_.resize(blocks * kBlockBins, 0);
+  block_stamp_.resize(blocks, 0);
+}
+
+void Heatmap::stamp(int bin) {
+  column_stamp_[static_cast<std::size_t>(bin)] = ++writes_;
+  block_stamp_[static_cast<std::size_t>(bin / kBlockBins)] = writes_;
 }
 
 void Heatmap::deposit(int rank, double start, double end, double perf) {
   VAPRO_CHECK(rank >= 0 && rank < ranks_);
   if (end <= start) return;
-  // A NaN fails both comparisons.
-  const double first_bin = start / bin_seconds_;
-  const double last_bin = end / bin_seconds_;
-  VAPRO_CHECK_MSG(first_bin >= 0.0 && last_bin < kMaxBins,
+  // A NaN start fails the comparison.
+  VAPRO_CHECK_MSG(start >= 0.0 && std::isfinite(end),
                   "fragment time [" << start << ", " << end
                                     << ") lies outside the heat map");
-  const int first = static_cast<int>(first_bin);
+  const double last_bin = end / bin_seconds_;
+  // Also refuses a quotient that overflowed to +inf.
+  if (!(last_bin < max_bins_)) {
+    ++refused_;
+    return;
+  }
+  const int first = static_cast<int>(start / bin_seconds_);
   const int last = static_cast<int>(last_bin);
   ensure_bins(last);
   // Readers only ask for the lowest column written (writes()), so the
   // first one is all this call stamps.
-  column_stamp_[static_cast<std::size_t>(first)] = ++writes_;
+  stamp(first);
   for (int b = first; b <= last; ++b) {
     const double lo = std::max(start, b * bin_seconds_);
     const double hi = std::min(end, (b + 1) * bin_seconds_);
     const double w = hi - lo;
     if (w <= 0.0) continue;
-    weighted_[index(rank, b)] += perf * w;
-    weights_[index(rank, b)] += w;
+    Cell& c = at(rank, b);
+    c.weighted += perf * w;
+    c.weight += w;
   }
 }
 
@@ -68,11 +73,13 @@ void Heatmap::merge(const Heatmap& other, int from) {
   VAPRO_CHECK(from >= 0);
   if (other.bins_ <= from) return;
   ensure_bins(other.bins_ - 1);
-  column_stamp_[static_cast<std::size_t>(from)] = ++writes_;
+  stamp(from);
   for (int r = 0; r < ranks_; ++r) {
     for (int b = from; b < other.bins_; ++b) {
-      weighted_[index(r, b)] += other.weighted_[other.index(r, b)];
-      weights_[index(r, b)] += other.weights_[other.index(r, b)];
+      Cell& c = at(r, b);
+      const Cell& o = other.at(r, b);
+      c.weighted += o.weighted;
+      c.weight += o.weight;
     }
   }
 }
@@ -80,41 +87,41 @@ void Heatmap::merge(const Heatmap& other, int from) {
 void Heatmap::clear_from(int from) {
   VAPRO_CHECK(from >= 0);
   if (from >= bins_) return;
-  column_stamp_[static_cast<std::size_t>(from)] = ++writes_;
-  for (int r = 0; r < ranks_; ++r) {
-    std::fill_n(weighted_.begin() + index(r, from), bins_ - from, 0.0);
-    std::fill_n(weights_.begin() + index(r, from), bins_ - from, 0.0);
-  }
+  stamp(from);
+  for (int r = 0; r < ranks_; ++r)
+    for (int b = from; b < bins_; ++b) at(r, b) = Cell{};
 }
 
 int Heatmap::first_column_written_after(std::uint64_t writes) const {
   if (writes >= writes_) return bins_;
-  for (int b = 0; b < bins_; ++b)
-    if (column_stamp_[static_cast<std::size_t>(b)] > writes) return b;
+  for (std::size_t k = 0; k < block_stamp_.size(); ++k) {
+    if (block_stamp_[k] <= writes) continue;
+    for (std::size_t b = k * kBlockBins; b < (k + 1) * kBlockBins; ++b)
+      if (column_stamp_[b] > writes) return static_cast<int>(b);
+  }
   return bins_;
 }
 
 bool Heatmap::has_data(int rank, int bin) const {
   if (bin >= bins_) return false;
-  return weights_[index(rank, bin)] > 0.0;
+  return at(rank, bin).weight > 0.0;
 }
 
 double Heatmap::cell(int rank, int bin) const {
-  if (!has_data(rank, bin)) return std::numeric_limits<double>::quiet_NaN();
-  const std::size_t i = index(rank, bin);
-  return weighted_[i] / weights_[i];
+  if (bin >= bins_) return std::numeric_limits<double>::quiet_NaN();
+  return at(rank, bin).mean();
 }
 
 double Heatmap::weight(int rank, int bin) const {
   if (bin >= bins_) return 0.0;
-  return weights_[index(rank, bin)];
+  return at(rank, bin).weight;
 }
 
 double Heatmap::row_mean(int rank) const {
   double num = 0.0, den = 0.0;
   for (int b = 0; b < bins_; ++b) {
-    num += weighted_[index(rank, b)];
-    den += weights_[index(rank, b)];
+    num += at(rank, b).weighted;
+    den += at(rank, b).weight;
   }
   return den > 0.0 ? num / den : std::numeric_limits<double>::quiet_NaN();
 }
@@ -122,9 +129,9 @@ double Heatmap::row_mean(int rank) const {
 double Heatmap::overall_mean() const {
   double num = 0.0, den = 0.0;
   for (int r = 0; r < ranks_; ++r)
-    for (int b = 0; b < bins_; ++b) den += weights_[index(r, b)];
+    for (int b = 0; b < bins_; ++b) den += at(r, b).weight;
   for (int r = 0; r < ranks_; ++r)
-    for (int b = 0; b < bins_; ++b) num += weighted_[index(r, b)];
+    for (int b = 0; b < bins_; ++b) num += at(r, b).weighted;
   return den > 0.0 ? num / den : std::numeric_limits<double>::quiet_NaN();
 }
 
@@ -146,8 +153,8 @@ std::string Heatmap::render_ascii(int max_rows, int max_cols) const {
       double num = 0.0, den = 0.0;
       for (int r = r0; r < std::min(ranks_, r0 + row_step); ++r) {
         for (int b = b0; b < std::min(bins_, b0 + col_step); ++b) {
-          num += weighted_[index(r, b)];
-          den += weights_[index(r, b)];
+          num += at(r, b).weighted;
+          den += at(r, b).weight;
         }
       }
       if (den <= 0.0) {
@@ -213,11 +220,15 @@ void label_suffix(const Heatmap& map, double threshold, int col_lo,
   std::vector<std::uint8_t> low(cells, 0);
   std::fill_n(column_min, cols, kNoData);
   for (int r = 0; r < ranks; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const double v = map.cell(r, col_lo + c);
-      if (std::isnan(v)) continue;
-      low[idx(r, c)] = v < threshold ? 1 : 0;
-      if (v < column_min[c]) column_min[c] = v;
+    for (int c = 0; c < cols;) {
+      for (const Heatmap::Cell& cell : map.row_run(r, col_lo + c)) {
+        const double v = cell.mean();
+        if (!std::isnan(v)) {
+          low[idx(r, c)] = v < threshold ? 1 : 0;
+          if (v < column_min[c]) column_min[c] = v;
+        }
+        ++c;
+      }
     }
   }
 
@@ -255,29 +266,32 @@ void label_suffix(const Heatmap& map, double threshold, int col_lo,
   std::vector<double> weight_total(components, 0.0);
   std::vector<std::uint8_t> seen(components, 0);
   for (int r = 0; r < ranks; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      const std::int64_t id = comp[idx(r, c)];
-      if (id < 0) continue;
-      const std::size_t k = static_cast<std::size_t>(id);
-      const int b = col_lo + c;
-      VarianceRegion& region = (*regions)[k];
-      if (!seen[k]) {
-        seen[k] = 1;
-        region.rank_lo = region.rank_hi = r;
-        region.bin_lo = region.bin_hi = b;
-        (*first)[k] = {r, b};
-      } else {
-        region.rank_lo = std::min(region.rank_lo, r);
-        region.rank_hi = std::max(region.rank_hi, r);
-        region.bin_lo = std::min(region.bin_lo, b);
-        region.bin_hi = std::max(region.bin_hi, b);
+    for (int c = 0; c < cols;) {
+      const std::span<const Heatmap::Cell> run = map.row_run(r, col_lo + c);
+      for (std::size_t i = 0; i < run.size(); ++i, ++c) {
+        const std::int64_t id = comp[idx(r, c)];
+        if (id < 0) continue;
+        const std::size_t k = static_cast<std::size_t>(id);
+        const int b = col_lo + c;
+        VarianceRegion& region = (*regions)[k];
+        if (!seen[k]) {
+          seen[k] = 1;
+          region.rank_lo = region.rank_hi = r;
+          region.bin_lo = region.bin_hi = b;
+          (*first)[k] = {r, b};
+        } else {
+          region.rank_lo = std::min(region.rank_lo, r);
+          region.rank_hi = std::max(region.rank_hi, r);
+          region.bin_lo = std::min(region.bin_lo, b);
+          region.bin_hi = std::max(region.bin_hi, b);
+        }
+        ++region.cells;
+        const double perf = run[i].mean();
+        const double w = run[i].weight;
+        perf_weighted[k] += perf * w;
+        weight_total[k] += w;
+        region.impact_seconds += (1.0 - perf) * w;
       }
-      ++region.cells;
-      const double perf = map.cell(r, b);
-      const double w = map.weight(r, b);
-      perf_weighted[k] += perf * w;
-      weight_total[k] += w;
-      region.impact_seconds += (1.0 - perf) * w;
     }
   }
   for (std::size_t k = 0; k < components; ++k)

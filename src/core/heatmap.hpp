@@ -6,8 +6,11 @@
 // (no fixed-workload fragment executed there) and never count as variance.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,16 +21,30 @@ class WorkerPool;
 
 namespace vapro::core {
 
-class Heatmap {
+// Cache-line aligned: LiveDetection keeps the three kinds' maps side by
+// side, and the detection pass deposits into each from its own shard
+// thread, so one map's write counter must not share a line with the next
+// map's fields.
+class alignas(64) Heatmap {
  public:
   // `bin_seconds` — time resolution; rows are ranks.
   Heatmap(int ranks, double bin_seconds);
 
-  // Fragment times must be finite and non-negative, and end before bin
-  // kMaxBins (checked: a bad time would index outside the map).
+  // The most cells one map holds: ranks × bins stays at or below
+  // kMaxCells.  2^27 cells (2 GiB of sums) fit the paper's scale — 2048
+  // ranks × 4 h of 0.25 s bins is 1.2e8 cells — and stop one fragment time
+  // from outside the process (the wire, a trace) from sizing the map.
+  static constexpr std::int64_t kMaxCells = std::int64_t{1} << 27;
+  // Bins a map of `ranks` ranks may hold under kMaxCells (a count below 1
+  // counts as 1).
+  static int max_bins(int ranks);
+
+  // Fragment times must be finite and start at or after 0 (checked: a bad
+  // time would index outside the map).  A deposit ending at or past bin
+  // max_bins(ranks()) is refused before anything is allocated: the map is
+  // left as it was and refused_deposits() counts it.
   void deposit(int rank, double start, double end, double perf);
-  // Bounded so the doubling row stride cannot overflow an int.
-  static constexpr double kMaxBins = 1 << 30;
+  std::uint64_t refused_deposits() const { return refused_; }
 
   // Accumulates another map's cells (same ranks and bin size) in columns
   // [from, other.bins()), stamping column `from` — used by the
@@ -42,9 +59,13 @@ class Heatmap {
   int ranks() const { return ranks_; }
   int bins() const { return bins_; }
   double bin_seconds() const { return bin_seconds_; }
-  // Cells held in memory: ranks × the row stride, which doubles as the
-  // map grows, so it stays below 2 × ranks × bins.
-  std::size_t allocated_cells() const { return weights_.size(); }
+  // Columns per block: the map grows a block of kBlockBins columns of
+  // every rank at a time, and a block never moves once allocated.
+  static constexpr int kBlockBins = 64;
+  // Cells held in memory: ranks × kBlockBins × ceil(bins / kBlockBins).
+  std::size_t allocated_cells() const {
+    return blocks_.size() * static_cast<std::size_t>(ranks_) * kBlockBins;
+  }
 
   // Write stamps, so a RegionCache can find what changed since it last
   // looked: writes() counts deposit/merge/clear_from calls that wrote a
@@ -52,6 +73,7 @@ class Heatmap {
   // value.
   std::uint64_t writes() const { return writes_; }
   // Lowest column written after `writes` was current; bins() when none.
+  // Skips every block whose newest stamp is older: O(blocks + kBlockBins).
   int first_column_written_after(std::uint64_t writes) const;
 
   bool has_data(int rank, int bin) const;
@@ -59,6 +81,24 @@ class Heatmap {
   double cell(int rank, int bin) const;
   // Total fragment-seconds deposited in a cell.
   double weight(int rank, int bin) const;
+
+  // Σ perf·w and Σ w of one (rank, bin).
+  struct Cell {
+    double weighted = 0.0;
+    double weight = 0.0;
+    // What cell() returns for it.
+    double mean() const {
+      return weight > 0.0 ? weighted / weight
+                          : std::numeric_limits<double>::quiet_NaN();
+    }
+  };
+  // Row `rank`'s cells from column `bin` (< bins()) to the end of its
+  // block or to bins(), whichever comes first.  They are contiguous, so a
+  // sweep along a row looks up one block per run instead of one per cell.
+  std::span<const Cell> row_run(int rank, int bin) const {
+    const int end = std::min(bins_, (bin / kBlockBins + 1) * kBlockBins);
+    return {&at(rank, bin), static_cast<std::size_t>(end - bin)};
+  }
 
   // Mean performance over a whole row/column (ignoring empty cells).
   double row_mean(int rank) const;
@@ -74,26 +114,39 @@ class Heatmap {
   bool write_csv(const std::string& path) const;
 
  private:
+  // Columns [k × kBlockBins, (k + 1) × kBlockBins) of every rank, row-major
+  // [rank][column within the block], zero until written.
+  using Block = std::vector<Cell>;
   void ensure_bins(int bin);
-  std::size_t index(int rank, int bin) const {
-    return static_cast<std::size_t>(rank) * stride_ + bin;
+  void stamp(int bin);
+  Cell& at(int rank, int bin) {
+    const auto block = static_cast<std::size_t>(bin / kBlockBins);
+    return blocks_[block][offset(rank, bin)];
+  }
+  const Cell& at(int rank, int bin) const {
+    const auto block = static_cast<std::size_t>(bin / kBlockBins);
+    return blocks_[block][offset(rank, bin)];
+  }
+  // Where (rank, bin) lies in its block.
+  static std::size_t offset(int rank, int bin) {
+    return static_cast<std::size_t>(rank) * kBlockBins + bin % kBlockBins;
   }
   int ranks_;
   double bin_seconds_;
+  int max_bins_ = 0;
   int bins_ = 0;
-  // Row length in memory.  It doubles when a deposit outgrows it, so the
-  // map is re-laid out O(log bins) times; cells in [bins_, stride_) stay
-  // zero until the map grows into them.
-  int stride_ = 0;
-  // Row-major [rank][bin] with row stride `stride_`; parallel arrays of
-  // Σ perf·w and Σ w.
-  std::vector<double> weighted_;
-  std::vector<double> weights_;
-  std::uint64_t writes_ = 0;
-  // Per bin, see writes().  A column's stamp can be older than its last
-  // write, but every column a call writes is at or above the one it
-  // stamped, so first_column_written_after() never misses a write.
+  // Enough blocks to cover bins_ columns; cells past bins_ stay zero until
+  // the map grows into them.
+  std::vector<Block> blocks_;
+  // Per column, kBlockBins per block, see writes().  A column's stamp can
+  // be older than its last write, but every column a call writes is at or
+  // above the one it stamped, so first_column_written_after() never misses
+  // a write.
   std::vector<std::uint64_t> column_stamp_;
+  // Per block, the newest of its columns' stamps.
+  std::vector<std::uint64_t> block_stamp_;
+  std::uint64_t writes_ = 0;
+  std::uint64_t refused_ = 0;
 };
 
 // A contiguous low-performance region found by region growing (§3.5:

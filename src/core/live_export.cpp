@@ -18,6 +18,12 @@ LiveDetection::LiveDetection(int ranks, double bin_seconds, double threshold)
       caches_{RegionCache(threshold), RegionCache(threshold),
               RegionCache(threshold)} {}
 
+std::uint64_t LiveDetection::refused_deposits() const {
+  std::uint64_t refused = 0;
+  for (const Heatmap& map : maps_) refused += map.refused_deposits();
+  return refused;
+}
+
 const std::vector<VarianceRegion>& LiveDetection::locate(FragmentKind kind) {
   const int k = static_cast<int>(kind);
   caches_[k].update(maps_[k]);

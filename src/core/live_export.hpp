@@ -43,6 +43,9 @@ class LiveDetection {
     return maps_[static_cast<int>(kind)];
   }
 
+  // Deposits the three maps refused (Heatmap::refused_deposits).
+  std::uint64_t refused_deposits() const;
+
   // Brings `kind`'s region cache up to date with its map and returns the
   // regions, in find_variance_regions order.
   const std::vector<VarianceRegion>& locate(FragmentKind kind);

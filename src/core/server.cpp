@@ -383,12 +383,19 @@ void AnalysisServer::analyze_window(FragmentBatch batch, double drain_seconds,
   // baseline, coverage and heat-map deposit in one pass per kind) ---
   obs::SpanScope normalize_span({trace, spans_dropped},
                                 "stage.normalize", "server");
+  const std::uint64_t refused_before = live_.refused_deposits();
   detect_fragments(stg_, clusters,
                    opts_.shared_baseline ? opts_.shared_baseline : &baseline_,
                    live_begin, coverage_,
                    live_.map(FragmentKind::kComputation),
                    live_.map(FragmentKind::kCommunication),
                    live_.map(FragmentKind::kIo), pool);
+  // Counted here, not in the window's other counters below, so a window
+  // whose diagnosis throws still counts what its maps refused.
+  if (obs)
+    obs->metrics()
+        .counter("vapro.detect.refused_deposits_total")
+        ->inc(live_.refused_deposits() - refused_before);
 
   if (opts_.record_eval_pairs) {
     // Map each labelled computation fragment to its cluster's stable id.

@@ -101,10 +101,12 @@ const char* TenantSession::refusal_reason(const core::FragmentBatch& batch) {
     // The heat maps have one row per rank.
     if (frags.rank(i) < 0 || frags.rank(i) >= opts_.ranks)
       return "rank_out_of_range";
-    // ... and a bounded number of time bins (decode_batch has already
-    // refused negative, non-finite and reversed times).
+    // ... and at most Heatmap::kMaxCells bins, the most a one-rank map
+    // holds (decode_batch has already refused negative, non-finite and
+    // reversed times).  A time inside that but past this tenant's own
+    // limit is analyzed; its map refuses and counts the deposit.
     if (!(frags.end_time(i) / opts_.server.bin_seconds <
-          core::Heatmap::kMaxBins))
+          static_cast<double>(core::Heatmap::kMaxCells)))
       return "time_out_of_range";
     // Communication and IO fragments file under their state's STG vertex.
     if (frags.kind(i) != core::FragmentKind::kComputation &&

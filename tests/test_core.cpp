@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/clustering.hpp"
@@ -373,19 +376,65 @@ TEST(Heatmap, RowMeanIgnoresEmptyBins) {
   EXPECT_NEAR(map.row_mean(0), 0.7, 1e-12);
 }
 
-TEST(Heatmap, GrowingKeepsEveryCellAndAtMostDoublesMemory) {
-  Heatmap map(3, 0.1);
-  for (int bin = 0; bin < 100; ++bin) {
-    map.deposit(bin % 3, bin * 0.1, bin * 0.1 + 0.05, 0.01 * bin);
-    EXPECT_EQ(map.bins(), bin + 1);
-    EXPECT_LT(map.allocated_cells(), 2u * 3u * (bin + 1));
+// The map grows by whole column blocks: after every deposit it holds
+// exactly the blocks its bins need, and growing moves no written cell, so
+// every earlier cell keeps its bits.
+TEST(Heatmap, GrowingKeepsEveryCellAndAllocatesWholeBlocks) {
+  constexpr int kRanks = 3, kBins = 300;
+  constexpr std::size_t kBlock = Heatmap::kBlockBins;
+  auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  Heatmap map(kRanks, 0.1);
+  // Per (bin, rank) in that order: the bits of cell() and weight().
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> earlier;
+  for (int bin = 0; bin < kBins; ++bin) {
+    map.deposit(bin % kRanks, bin * 0.1, bin * 0.1 + 0.05, 0.01 * bin);
+    ASSERT_EQ(map.bins(), bin + 1);
+    const std::size_t blocks =
+        (static_cast<std::size_t>(bin) + kBlock) / kBlock;
+    EXPECT_EQ(map.allocated_cells(), kRanks * kBlock * blocks) << bin;
+    for (std::size_t i = 0; i < earlier.size(); ++i) {
+      const int b = static_cast<int>(i) / kRanks;
+      const int r = static_cast<int>(i) % kRanks;
+      ASSERT_EQ(bits(map.cell(r, b)), earlier[i].first) << r << ',' << b;
+      ASSERT_EQ(bits(map.weight(r, b)), earlier[i].second) << r << ',' << b;
+    }
+    for (int r = 0; r < kRanks; ++r)
+      earlier.emplace_back(bits(map.cell(r, bin)), bits(map.weight(r, bin)));
   }
-  for (int bin = 0; bin < 100; ++bin)
-    for (int rank = 0; rank < 3; ++rank)
-      if (rank == bin % 3)
+  for (int bin = 0; bin < kBins; ++bin)
+    for (int rank = 0; rank < kRanks; ++rank)
+      if (rank == bin % kRanks)
         EXPECT_NEAR(map.cell(rank, bin), 0.01 * bin, 1e-12);
       else
         EXPECT_FALSE(map.has_data(rank, bin));
+}
+
+// A deposit past ranks × bins = kMaxCells is refused and counted before
+// the map allocates anything: at 64 ranks and 0.25 s bins, a fragment at
+// 2e8 s would need 8e8 bins (5.1e10 cells), one at 1e12 s 4e12 bins.
+TEST(Heatmap, RefusesADepositPastTheCellLimit) {
+  constexpr int kRanks = 64;
+  Heatmap map(kRanks, 0.25);
+  EXPECT_EQ(Heatmap::max_bins(kRanks), Heatmap::kMaxCells / kRanks);
+  map.deposit(3, 0.0, 1.0, 0.5);
+  const int bins = map.bins();
+  const std::size_t cells = map.allocated_cells();
+  const std::uint64_t writes = map.writes();
+  for (const double t : {2e8, 1e12}) map.deposit(5, t, t + 0.1, 0.5);
+  EXPECT_EQ(map.refused_deposits(), 2u);
+  // So is one that ends exactly at the first bin past the limit.
+  map.deposit(5, 0.0, Heatmap::max_bins(kRanks) * 0.25, 0.5);
+  EXPECT_EQ(map.refused_deposits(), 3u);
+  EXPECT_EQ(map.bins(), bins);
+  EXPECT_EQ(map.allocated_cells(), cells);
+  EXPECT_EQ(map.writes(), writes);
+  EXPECT_EQ(map.first_column_written_after(writes), bins);
+  EXPECT_FALSE(map.has_data(5, 0));
+  EXPECT_EQ(map.cell(3, 0), 0.5);
 }
 
 TEST(Heatmap, WriteStampsNameTheLowestColumnWritten) {

@@ -11,8 +11,10 @@
 //     batch's states still reaching the server.  Tests that need fixed
 //     shed victims hold the worker inside a window observer.
 //   * Loopback end-to-end — socket-fed analysis is byte-identical to
-//     feeding the same batches in process, and an undecodable batch is
-//     refused once, not retransmitted, while the stream goes on.
+//     feeding the same batches in process, an undecodable batch is
+//     refused once, not retransmitted, while the stream goes on, and a
+//     fragment past the tenant's heat-map cell limit is analyzed with its
+//     deposit refused and counted.
 //   * /readyz — readiness flips to 503 on the degraded gauge, on admission
 //     saturation, and (fault builds) on any stopped journal sink, and
 //     reports the probe fields.
@@ -706,7 +708,7 @@ TEST(TenantSession, FragmentRankOutsideTheTenantIsRefused) {
 
 TEST(TenantSession, FragmentEndingPastTheHeatMapIsRefused) {
   // test_server_options' 0.05 s bins put 1e9 s at bin 2e10, beyond the
-  // heat map's 2^30 bins.
+  // Heatmap::kMaxCells bins even a one-rank map holds.
   std::vector<core::FragmentBatch> batches;
   core::FragmentBatch far = make_batch(2, 3, 0);
   core::Fragment f = far.fragments.materialize(4);
@@ -955,6 +957,58 @@ TEST(IngestLoopback, NonFiniteCounterBatchIsRefusedAndAccounted) {
         f.counters[pmu::Counter::kTotIns] =
             std::numeric_limits<double>::quiet_NaN();
       });
+}
+
+// A fragment time from a peer cannot size the heat map: at 128 ranks and
+// 0.05 s bins, a fragment at 6e6 s lies inside the session's bound
+// (Heatmap::kMaxCells bins) but would take 1.5e10 cells, so the batch is
+// analyzed, its map refuses and counts that one deposit without growing,
+// and the windows after it are served.
+TEST(IngestLoopback, FragmentPastTheCellLimitIsCountedAndTheStreamGoesOn) {
+  const int ranks = 128;
+  obs::ObsContext ctx;
+  net::IngestPlane plane(net::PlaneOptions{});
+  net::TenantSession* tenant =
+      plane.add_tenant(tenant_options("t0", ranks, &ctx));
+  net::IngestServer server(&plane);
+  std::string error;
+  ASSERT_TRUE(server.start(0, &error)) << error;
+
+  net::ClientOptions copts;
+  copts.port = server.port();
+  copts.tenant = "t0";
+  copts.ranks = ranks;
+  copts.sleep_fn = [](double) {};
+  net::IngestClient client(copts);
+  ASSERT_TRUE(client.connect(&error)) << error;
+
+  const int windows = 4;
+  for (int w = 0; w < windows; ++w) {
+    core::FragmentBatch b = make_batch(ranks, 4, static_cast<std::uint64_t>(w));
+    if (w == 1) {
+      core::Fragment f = b.fragments.materialize(3);
+      f.start_time = 6e6;
+      f.end_time = 6e6 + 0.004;
+      b.fragments.set(3, f);
+    }
+    ASSERT_TRUE(client.send_batch(b, /*drain_seconds=*/0.0, &error)) << error;
+  }
+  ASSERT_TRUE(client.flush(&error)) << error;
+  tenant->sync();
+
+  EXPECT_EQ(client.stats().acks_admitted, static_cast<std::uint64_t>(windows));
+  EXPECT_EQ(tenant->stats().rejected, 0u);
+  EXPECT_EQ(tenant->windows_processed(), static_cast<std::size_t>(windows));
+  EXPECT_EQ(
+      ctx.metrics().counter("vapro.detect.refused_deposits_total")->value(),
+      1u);
+  const core::Heatmap& map = tenant->server()->computation_map();
+  EXPECT_EQ(map.refused_deposits(), 1u);
+  EXPECT_EQ(map.allocated_cells(),
+            static_cast<std::size_t>(ranks) * core::Heatmap::kBlockBins);
+
+  client.close();
+  server.stop();
 }
 
 TEST(IngestLoopback, UnknownTenantIsRejectedAtHello) {

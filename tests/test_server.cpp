@@ -222,11 +222,23 @@ std::string soak_journal_path(const char* name) {
   return std::string(dir ? dir : "/tmp") + "/" + name;
 }
 
+// Cells the three maps allocate: whole column blocks of every rank.
+double block_cells(const Heatmap& computation, const Heatmap& communication,
+                   const Heatmap& io) {
+  double cells = 0.0;
+  for (const Heatmap* map : {&computation, &communication, &io}) {
+    const int blocks =
+        (map->bins() + Heatmap::kBlockBins - 1) / Heatmap::kBlockBins;
+    cells += static_cast<double>(map->ranks()) * Heatmap::kBlockBins * blocks;
+  }
+  return cells;
+}
+
 // The long-run gate as exact counts: once the injected block closes, a
 // window re-labels no more heat-map cells than an early one did, and the
-// maps hold under twice the cells they use.
+// maps hold exactly the column blocks their bins need.
 TEST(Server, SoakKeepsPerWindowRegionCostFlat) {
-  constexpr int kRanks = 32, kWindows = 800;
+  constexpr int kRanks = 32, kWindows = 2000;
   obs::ObsContext ctx;
   const std::string journal = soak_journal_path("vapro_server_soak.jsonl");
   ASSERT_TRUE(ctx.attach_journal_file(journal));
@@ -239,10 +251,10 @@ TEST(Server, SoakKeepsPerWindowRegionCostFlat) {
   EXPECT_GT(relabeled_at_100, 0.0);
   EXPECT_LE(relabeled_at_end, 2.0 * relabeled_at_100);
 
-  const int bins = server.computation_map().bins();
-  EXPECT_GE(bins, kWindows * 5);
-  EXPECT_LE(ctx.metrics().gauge("vapro.detect.heatmap_cells")->value(),
-            2.0 * kRanks * bins * 3);
+  EXPECT_GE(server.computation_map().bins(), kWindows * 5);
+  EXPECT_EQ(ctx.metrics().gauge("vapro.detect.heatmap_cells")->value(),
+            block_cells(server.computation_map(), server.communication_map(),
+                        server.io_map()));
   const std::vector<VarianceRegion> regions =
       server.locate(FragmentKind::kComputation);
   ASSERT_EQ(regions.size(), 1u);
@@ -255,7 +267,7 @@ TEST(Server, SoakKeepsPerWindowRegionCostFlat) {
 // re-merges only the columns the leaves wrote since the last window, so
 // its caches re-label a suffix as short as a single server's.
 TEST(ServerGroup, SoakKeepsPerWindowRegionCostFlat) {
-  constexpr int kRanks = 32, kWindows = 800;
+  constexpr int kRanks = 32, kWindows = 2000;
   obs::ObsContext ctx;
   const std::string journal = soak_journal_path("vapro_group_soak.jsonl");
   ASSERT_TRUE(ctx.attach_journal_file(journal));
@@ -268,10 +280,12 @@ TEST(ServerGroup, SoakKeepsPerWindowRegionCostFlat) {
   EXPECT_GT(relabeled_at_100, 0.0);
   EXPECT_LE(relabeled_at_end, 2.0 * relabeled_at_100);
 
-  const int bins = group.merged_map(FragmentKind::kComputation).bins();
-  EXPECT_GE(bins, kWindows * 5);
-  EXPECT_LE(ctx.metrics().gauge("vapro.detect.heatmap_cells")->value(),
-            2.0 * kRanks * bins * 3);
+  const Heatmap computation = group.merged_map(FragmentKind::kComputation);
+  EXPECT_GE(computation.bins(), kWindows * 5);
+  EXPECT_EQ(ctx.metrics().gauge("vapro.detect.heatmap_cells")->value(),
+            block_cells(computation,
+                        group.merged_map(FragmentKind::kCommunication),
+                        group.merged_map(FragmentKind::kIo)));
   const std::vector<VarianceRegion> regions =
       group.locate(FragmentKind::kComputation);
   ASSERT_EQ(regions.size(), 1u);

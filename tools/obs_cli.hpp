@@ -31,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/core/heatmap.hpp"
 #include "src/obs/alerts.hpp"
 #include "src/obs/context.hpp"
 #include "src/util/cli.hpp"
@@ -61,6 +62,22 @@ bool read_positive_flag(const util::CliArgs& args, const char* name,
             << (kSeconds ? " must be a positive, finite number"
                          : " must be an integer from 1 to 2147483647")
             << ", got '" << args.get(name, "") << "'\n";
+  return false;
+}
+
+// A --bins so small that one --window of `ranks` ranks crosses the heat
+// map's cell limit (core::Heatmap::kMaxCells) exits 2 before the run: its
+// maps would refuse every deposit, or with a tiny enough bin allocate
+// without bound.  False, with a message naming --bins on stderr.
+inline bool bins_fit_window(int ranks, double window_seconds,
+                            double bin_seconds) {
+  if (window_seconds / bin_seconds < core::Heatmap::max_bins(ranks))
+    return true;
+  std::cerr << "--bins " << bin_seconds << " is too small: one --window of "
+            << window_seconds << " s over " << ranks << " ranks needs "
+            << static_cast<double>(ranks) * (window_seconds / bin_seconds)
+            << " heat-map cells, over the limit of "
+            << core::Heatmap::kMaxCells << '\n';
   return false;
 }
 

@@ -124,6 +124,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const trace::Trace& trace = *loaded;
+  // The run's ranks are known only now.
+  if (!tools::bins_fit_window(trace.ranks(), opts.window_seconds,
+                              opts.bin_seconds))
+    return 2;
   std::cout << "loaded " << trace.size() << " events ("
             << trace.byte_size() / 1024 << " KiB)\n";
 

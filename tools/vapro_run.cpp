@@ -154,6 +154,8 @@ int main(int argc, char** argv) {
       !tools::read_positive_flag(args, "window", 0.25,
                                  &options.window_seconds) ||
       !tools::read_positive_flag(args, "bins", 0.1, &options.bin_seconds) ||
+      !tools::bins_fit_window(config.ranks, options.window_seconds,
+                              options.bin_seconds) ||
       !pipeline_cli.parse(args) || !obs_cli.parse(args))
     return 2;
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
